@@ -23,22 +23,19 @@ from workloads import BUILDERS, UNIT_ROUNDOFF, Tally
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE.parent / ".bench_out"
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 MIN_CALLS = 100
 MAX_TRACED_PASSES = 4
 
 
-def _setup_probes(case) -> list[float]:
-    """Fresh-interpreter set-up times for the workload's first call."""
+def _setup_probe(case) -> float:
+    """One fresh-interpreter set-up time for the workload's first call."""
     command = [sys.executable, str(HERE / "probe_setup.py"), str(SRC),
                case.method, str(case.a.shape[0]), repr(case.t)]
     data = np.ascontiguousarray(case.a, dtype=np.float64).tobytes()
-    times = []
-    for _ in range(SETUP_PROBES):
-        proc = subprocess.run(command, input=data, capture_output=True,
-                              timeout=120, check=True)
-        times.append(json.loads(proc.stdout.splitlines()[-1])["setup_s"])
-    return times
+    proc = subprocess.run(command, input=data, capture_output=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])["setup_s"]
 
 
 def _run_pass(cases, invoke, tally) -> float:
@@ -62,9 +59,10 @@ def _percentile(values, q: float) -> float:
 def _end_to_end(workload, tally, setup) -> tuple[dict, dict]:
     """The end-to-end metrics, timings from each call's best pass.
 
-    The host's speed flips between two levels about 1.5x apart within
-    fractions of a second, so a call's time over the run's passes is taken
-    as its minimum; the raw-sample figures go into the record only.
+    The host's speed moves between levels up to 1.8x apart, in phases
+    that last from a fraction of a second to tens of seconds, so a call's
+    time over the run's passes is taken as its minimum: its time at the
+    host's fastest level.  The raw-sample figures go into the record only.
     """
     samples = np.asarray(tally.call_s)
     attempted = len(samples)
@@ -100,12 +98,24 @@ def _end_to_end(workload, tally, setup) -> tuple[dict, dict]:
 
 
 def _untraced(workload, invoke, seconds: float, bare):
-    tally = Tally(bare)
+    """Whole passes for `seconds`, with set-up probes spread over the run.
+
+    The host's speed moves between levels that last seconds, so probes
+    taken one after another would all see one level; spread out, their
+    median follows the run.
+    """
+    tally, setup = Tally(bare), []
     start = time.perf_counter()
-    while (not tally.call_s or time.perf_counter() - start < seconds
-           or len(tally.call_s) < MIN_CALLS):
-        _run_pass(workload.cases, invoke, tally)
-    return tally
+    while True:
+        elapsed = time.perf_counter() - start
+        if (len(setup) < SETUP_PROBES
+                and elapsed >= len(setup) * seconds / SETUP_PROBES):
+            setup.append(_setup_probe(workload.cases[0]))
+        elif (len(setup) == SETUP_PROBES and elapsed >= seconds
+              and len(tally.call_s) >= MIN_CALLS):
+            return tally, setup
+        else:
+            _run_pass(workload.cases, invoke, tally)
 
 
 def _layer_pass(spans, self_s, lo: int, hi: int, bare) -> dict:
@@ -250,9 +260,8 @@ def run_workload(spec: dict, name: str, seed: int, seconds: float,
             sums_ok = all(abs(r - 1.0) < 1e-9
                           for r in extra["self_sum_over_calls"])
         else:
-            setup = _setup_probes(workload.cases[0])
             gc.collect()
-            tally = _untraced(workload, calls.invoke, seconds, bare)
+            tally, setup = _untraced(workload, calls.invoke, seconds, bare)
             values, extra = _end_to_end(workload, tally, setup)
             section = spec["end_to_end"]
             tallies = (tally,)

@@ -23,8 +23,9 @@ Each workload runs in its own process as a closed loop with one caller:
 the next call starts when the previous one returns.  The loop runs whole
 passes (one call per case) until --seconds have passed and at least 100
 calls were made; every call is checked outside its timed interval, and
-each call's time is its best over the passes.  With --trace 0 the result
-carries the end-to-end metrics of BENCHMARK.json, with --trace 1 its
+each call's time is its best over the passes.  setup_s is the median of
+fresh-interpreter set-up probes spread over the run.  With --trace 0 the
+result carries the end-to-end metrics of BENCHMARK.json, with --trace 1 its
 per-layer metrics, from passes that alternate between untraced and traced.
 BLAS runs on one thread.  Full records and spans are written to
 .bench_out/.  The last line of standard output is one JSON object:

@@ -39,7 +39,7 @@ SCALING_FACTOR = 1e3
 SPREAD_FACTOR = 1e4
 PADE_PAIR_COST = Fraction(22, 3)
 
-SMALL_COUNT = 600       # matrices in the small-mixed corpus
+SMALL_COUNT = 200       # matrices in the small-mixed corpus
 ORACLE_COUNT = 80       # matrices in the oracle-check corpus
 DIMENSION_CAP = 16
 OVERDRAW = 8            # gallery matrices drawn per corpus matrix kept,
