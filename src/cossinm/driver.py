@@ -3,9 +3,10 @@
 An input of arbitrary 1-norm is scaled by an exact power of two until it
 fits under a scheme's shipped threshold, the scheme is evaluated there, and
 the result is pushed back up with double-angle steps, each costing two
-products: S <- 2 S C with the old C, then C <- 2 C^2 - I.  The wave pair
-scales the time step instead (halving t quarters the even variable) and
-doubles with the same two-product step.
+products: S <- 2 S C with the old C, then C <- 2 C^2 - I, both done in
+place on the fresh products.  The wave pair scales the time step instead
+(halving t quarters the even variable) and doubles with the same
+two-product step.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
+# linear_combination is not called here, but stays a name of this module:
+# perfbench/tracing.py rebinds it to record its spans.
 from .matcore import (
     CostLedger,
     DenseMatrix,
     MatrixInputError,
-    identity,
     linear_combination,
     matmul,
     norm1,
@@ -38,7 +40,6 @@ from .theta_tables import (
     TAYLOR_TABLE,
     WAVE_TABLE,
     Precision,
-    ThetaEntry,
     ThetaTable,
 )
 
@@ -61,10 +62,10 @@ class ComputationReport:
     total_products: Fraction
 
 
-def _squarings_needed(norm: float, entry: ThetaEntry) -> int:
-    if norm <= entry.theta_eff:
+def _squarings_needed(norm: float, theta: float) -> int:
+    if norm <= theta:
         return 0
-    return max(0, math.ceil(math.log2(norm / entry.theta_eff)))
+    return max(0, math.ceil(math.log2(norm / theta)))
 
 
 def select_scheme(norm: float, table: ThetaTable) -> tuple[SchemeId, int]:
@@ -72,29 +73,37 @@ def select_scheme(norm: float, table: ThetaTable) -> tuple[SchemeId, int]:
 
     The cheapest entry that needs no scaling wins outright; otherwise the
     entry minimizing scheme cost + 2s wins, with cost ties resolved toward
-    fewer squarings.
+    fewer squarings.  Costs are compared exactly, as integers in units of
+    the table's cost denominator.
     """
     if not (norm >= 0.0 and math.isfinite(norm)):
         raise ValueError(f"norm must be finite and nonnegative, got {norm}")
-    for entry in table.entries:
-        if norm <= entry.theta_eff:
-            return entry.scheme, 0
-    best: tuple[Fraction, int, SchemeId] | None = None
-    for entry in table.entries:
-        s = _squarings_needed(norm, entry)
-        total = entry.cost + 2 * s
-        if best is None or (total, s) < (best[0], best[1]):
-            best = (total, s, entry.scheme)
-    return best[2], best[1]
+    candidates = table.candidates
+    for theta, _units, scheme in candidates:
+        if norm <= theta:
+            return scheme, 0
+    step = 2 * table.cost_denominator
+    best: tuple[tuple[int, int], SchemeId] | None = None
+    for theta, units, scheme in candidates:
+        s = _squarings_needed(norm, theta)
+        key = (units + step * s, s)
+        if best is None or key < best[0]:
+            best = (key, scheme)
+    return best[1], best[0][1]
 
 
 def _double_angle(
     cos: DenseMatrix, sin: DenseMatrix, steps: int, ledger: CostLedger
 ) -> tuple[DenseMatrix, DenseMatrix]:
-    eye = identity(cos.shape[0])
+    # Each step scales its two fresh, C-contiguous products in place:
+    # S <- 2 (S C), then C <- 2 (C C) - I with -1 added on the diagonal.
+    n = cos.shape[0]
     for _ in range(steps):
-        sin = linear_combination([(2.0, matmul(sin, cos, ledger))])
-        cos = linear_combination([(2.0, matmul(cos, cos, ledger)), (-1.0, eye)])
+        sin = matmul(sin, cos, ledger)
+        sin *= 2.0
+        cos = matmul(cos, cos, ledger)
+        cos *= 2.0
+        cos.ravel()[:: n + 1] -= 1.0
     return cos, sin
 
 

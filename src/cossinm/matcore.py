@@ -14,12 +14,11 @@ whitespace-separated decimal reals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TypeAlias
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 DenseMatrix: TypeAlias = np.ndarray
 Scalar: TypeAlias = float
@@ -39,12 +38,14 @@ class SingularMatrixError(RuntimeError):
 class CostLedger:
     """Running cost account for one computation.
 
-    products accumulates plain matrix-matrix products (rational so that
-    product-equivalent totals like 7 + 1/3 stay exact); lu_factorizations
-    and lu_solves count the Pade baseline's solver work.
+    All three counters are plain ints, so charging a product is one integer
+    add; products counts matrix-matrix products, lu_factorizations and
+    lu_solves the Pade baseline's solver work.  The rational
+    product-equivalent total (for instance 22/3 for the Pade pair) is built
+    only when total_cost is read.
     """
 
-    products: Fraction = field(default_factory=lambda: Fraction(0))
+    products: int = 0
     lu_factorizations: int = 0
     lu_solves: int = 0
 
@@ -63,7 +64,8 @@ class CostLedger:
     @property
     def total_cost(self) -> Fraction:
         """Product-equivalent total: products + fact/3 + one per solve."""
-        return self.products + Fraction(self.lu_factorizations, 3) + self.lu_solves
+        return Fraction(3 * (self.products + self.lu_solves)
+                        + self.lu_factorizations, 3)
 
 
 def matrix_from_rows(rows: Sequence[Sequence[float]]) -> DenseMatrix:
@@ -93,7 +95,7 @@ def matmul(a: DenseMatrix, b: DenseMatrix, ledger: CostLedger) -> DenseMatrix:
         raise MatrixInputError(
             f"inner dimensions differ: {a.shape} x {b.shape}"
         )
-    ledger.charge_product()
+    ledger.products += 1
     return a @ b
 
 
@@ -106,18 +108,41 @@ def norm1(a: DenseMatrix) -> float:
 
 def linear_combination(
     terms: Sequence[tuple[Scalar, DenseMatrix]],
+    diag: Scalar = 0.0,
 ) -> DenseMatrix:
-    """Sum of scalar multiples of same-shape matrices.  Never charged."""
+    """diag * I plus the float multiples c * m of same-shape matrices.
+
+    The sum starts from zeros with diag written on the diagonal, then adds
+    the terms in the order given into that one output buffer.  This is the
+    arithmetic of the plain sum (0 + diag * I) + c_1 m_1 + c_2 m_2 + ...
+    bit for bit, signed zeros included: passing the identity term of a
+    combination as diag, when it comes first, changes no output bit.
+    Multiples are formed in one scratch buffer reused across terms, and a
+    coefficient of exactly 1 adds its matrix directly.  Never charged.
+    """
     if not terms:
         raise MatrixInputError("empty linear combination")
     shape = terms[0][1].shape
     out = np.zeros(shape, dtype=np.float64)
+    if diag:
+        if shape[0] != shape[1]:
+            raise MatrixInputError(
+                f"diagonal start needs square terms, got shape {shape}"
+            )
+        out.ravel()[:: shape[0] + 1] = diag
+    scratch = None
     for c, m in terms:
         if m.shape != shape:
             raise MatrixInputError(
                 f"shape mismatch in linear combination: {m.shape} vs {shape}"
             )
-        out += float(c) * m
+        if c == 1.0:
+            out += m
+            continue
+        if scratch is None:
+            scratch = np.empty(shape, dtype=np.float64)
+        np.multiply(m, c, out=scratch)
+        out += scratch
     return out
 
 
@@ -133,21 +158,34 @@ def lu_solve_pair(
     so the ledger is charged 1/3 + 2 = 2 + 1/3 product-equivalents.  A pivot
     smaller than 1e3 * eps * norm1(denominator) signals a denominator that is
     singular to working precision.
+
+    LAPACK's dgetrf/dgetrs are called directly (the same routines, on the
+    same arguments, as scipy.linalg.lu_factor/lu_solve, without their
+    wrapper overhead), and imported on first use so that importing the
+    package does not load scipy.linalg.
     """
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     n = denominator.shape[0]
     if denominator.shape != (n, n):
         raise MatrixInputError("denominator must be square")
-    lu, piv = lu_factor(denominator, check_finite=False)
     threshold = 1e3 * _EPS * norm1(denominator)
-    small = np.abs(np.diag(lu)).min() if n else 0.0
+    small = 0.0
+    if n:
+        lu, piv, info = dgetrf(denominator)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        small = np.abs(np.diag(lu)).min()
     if small <= threshold:
         raise SingularMatrixError(
             f"denominator singular to working precision (pivot {small:.3e}"
             f" <= {threshold:.3e})"
         )
     ledger.charge_lu(solves=2)
-    x1 = lu_solve((lu, piv), rhs1, check_finite=False)
-    x2 = lu_solve((lu, piv), rhs2, check_finite=False)
+    x1, info1 = dgetrs(lu, piv, rhs1)
+    x2, info2 = dgetrs(lu, piv, rhs2)
+    if info1 or info2:
+        raise ValueError(f"illegal argument to dgetrs (info {info1 or info2})")
     return x1, x2
 
 

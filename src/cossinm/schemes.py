@@ -17,7 +17,9 @@ Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
 degree-8 core, and as exactly-parsed decimal ``Fraction`` values for the
 degree-12 core, whose constants are only known to about twenty decimal
-places.
+places.  Each chain reads its constants through the algebra it runs in:
+the exact values for the oracle, float64 copies made once at import for
+the dense path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Protocol, Sequence, TypeVar
 
 from .matcore import (
@@ -224,6 +227,52 @@ COEFFICIENTS = CoefficientSet(
 )
 
 
+# Truncated series terms: COS_SERIES[k] = (-1)^k / (2k)! and
+# SIN_SERIES[k] = (-1)^k / (2k+1)!, the coefficients of y^k in the even
+# cores of cos and sin.
+COS_SERIES: tuple[Fraction, ...] = tuple(
+    F((-1) ** k, math.factorial(2 * k)) for k in range(5)
+)
+SIN_SERIES: tuple[Fraction, ...] = tuple(
+    F((-1) ** k, math.factorial(2 * k + 1)) for k in range(5)
+)
+
+
+def _as_floats(value):
+    if isinstance(value, dict):
+        return {key: float(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(float(v) for v in value)
+    return float(value)
+
+
+class Constants:
+    """Named groups of exact scheme constants, with float64 copies.
+
+    A group is one exact scalar, or a tuple or dict of them; its float64
+    copy has the same shape and is made once, when the module is imported,
+    so no exact value is converted during an evaluation.
+    """
+
+    def __init__(self, **groups) -> None:
+        self.exact = SimpleNamespace(**groups)
+        self.floats = SimpleNamespace(
+            **{name: _as_floats(value) for name, value in groups.items()}
+        )
+
+
+# The constants each chain reads.  Coefficients that are exact in binary
+# (1, -1/2) are written in the chains as float literals.
+TAYLOR_CONSTANTS = Constants(
+    cos=COS_SERIES, sin=SIN_SERIES, sin_from_cos=F(720, 5040)
+)
+DEG8_CONSTANTS = Constants(x=X_DEG8, z=Z_DEG8)
+DEG12_CONSTANTS = Constants(a=A_DEG12, z=Z_DEG12)
+PADE8_CONSTANTS = Constants(
+    den=PADE8_DEN, num_cos=PADE8_NUM_COS, num_sin=PADE8_NUM_SIN
+)
+
+
 # --------------------------------------------------------------------------
 # Operand algebra and the shared even-variable chains.
 
@@ -231,18 +280,27 @@ T = TypeVar("T")
 
 
 class OperandAlgebra(Protocol[T]):
-    """Operations a chain needs: identity, charged product, free lin. comb."""
+    """Operations a chain needs: identity, charged product, free lin. comb.,
+    and the chain's constants in the algebra's own scalar type."""
 
     @property
     def one(self) -> T: ...
 
+    def constants(self, table: Constants) -> SimpleNamespace: ...
+
     def mul(self, p: T, q: T) -> T: ...
 
-    def lin(self, terms: Sequence[tuple[ExactScalar, T]]) -> T: ...
+    def lin(self, terms: Sequence[tuple[object, T]]) -> T: ...
 
 
 class MatrixAlgebra:
-    """Dense-matrix operand algebra; every mul is charged to the ledger."""
+    """Dense-matrix operand algebra; every mul is charged to the ledger.
+
+    Chains read the float64 constants.  A combination whose first term is
+    the identity hands that coefficient to linear_combination as its
+    diagonal start value, so no identity multiple is formed; every chain
+    puts its identity term first.
+    """
 
     def __init__(self, n: int, ledger: CostLedger) -> None:
         self._one = identity(n)
@@ -252,13 +310,17 @@ class MatrixAlgebra:
     def one(self) -> DenseMatrix:
         return self._one
 
+    def constants(self, table: Constants) -> SimpleNamespace:
+        return table.floats
+
     def mul(self, p: DenseMatrix, q: DenseMatrix) -> DenseMatrix:
         return matmul(p, q, self._ledger)
 
-    def lin(
-        self, terms: Sequence[tuple[ExactScalar, DenseMatrix]]
-    ) -> DenseMatrix:
-        return linear_combination([(float(c), m) for c, m in terms])
+    def lin(self, terms: Sequence[tuple[float, DenseMatrix]]) -> DenseMatrix:
+        c, m = terms[0]
+        if m is self._one and len(terms) > 1:
+            return linear_combination(terms[1:], c)
+        return linear_combination(terms)
 
 
 def chain_deg2(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
@@ -266,9 +328,11 @@ def chain_deg2(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
 
     One product (y^2).  Trigonometric instantiation: T4c and T5s.
     """
+    k = alg.constants(TAYLOR_CONSTANTS)
+    c, s = k.cos, k.sin
     y2 = alg.mul(y, y)
-    cos = alg.lin([(F(1), alg.one), (F(-1, 2), y), (F(1, 24), y2)])
-    sin_core = alg.lin([(F(1), alg.one), (F(-1, 6), y), (F(1, 120), y2)])
+    cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2)])
+    sin_core = alg.lin([(s[0], alg.one), (s[1], y), (s[2], y2)])
     return cos, sin_core
 
 
@@ -285,17 +349,17 @@ def chain_deg4(
     Trigonometric instantiation: T8c with T7,9s or T9s; wave instantiation:
     P4c with P3,4s or P4s.
     """
+    k = alg.constants(TAYLOR_CONSTANTS)
+    c, s = k.cos, k.sin
     y2 = alg.mul(y, y)
-    q = alg.mul(y2, alg.lin([(F(-1, 720), y), (F(1, 40320), y2)]))
-    cos = alg.lin(
-        [(F(1), alg.one), (F(-1, 2), y), (F(1, 24), y2), (F(1), q)]
-    )
-    base = [(F(1), alg.one), (F(-1, 6), y), (F(1, 120), y2)]
+    q = alg.mul(y2, alg.lin([(c[3], y), (c[4], y2)]))
+    cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2), (1.0, q)])
+    base = [(s[0], alg.one), (s[1], y), (s[2], y2)]
     if exact_sine:
-        q9 = alg.mul(y2, alg.lin([(F(-1, 5040), y), (F(1, 362880), y2)]))
-        sin_core = alg.lin(base + [(F(1), q9)])
+        q9 = alg.mul(y2, alg.lin([(s[3], y), (s[4], y2)]))
+        sin_core = alg.lin(base + [(1.0, q9)])
     else:
-        sin_core = alg.lin(base + [(F(720, 5040), q)])
+        sin_core = alg.lin(base + [(k.sin_from_cos, q)])
     return cos, sin_core
 
 
@@ -305,23 +369,22 @@ def chain_deg8(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     Four products.  Trigonometric instantiation: T16c and T17,25s; wave
     instantiation: P8c and P8,12s.
     """
-    x, z = X_DEG8, Z_DEG8
+    k = alg.constants(DEG8_CONSTANTS)
+    x, z = k.x, k.z
     y2 = alg.mul(y, y)
     p8 = alg.mul(y2, alg.lin([(x[1], y), (x[2], y2)]))
     p16 = alg.mul(
-        alg.lin([(x[3], y2), (F(1), p8)]),
+        alg.lin([(x[3], y2), (1.0, p8)]),
         alg.lin([(x[4], alg.one), (x[5], y), (x[6], y2), (x[7], p8)]),
     )
-    cos = alg.lin(
-        [(F(1), alg.one), (F(-1, 2), y), (x[8], y2), (F(1), p16)]
-    )
+    cos = alg.lin([(1.0, alg.one), (-0.5, y), (x[8], y2), (1.0, p16)])
     inner = alg.lin(
         [(z[5], alg.one), (z[5], y), (z[6], y2), (z[7], p8), (z[8], cos)]
     )
     tail = alg.mul(inner, p8)
     sin_core = alg.lin(
         [(z[0], alg.one), (z[1], y), (z[2], y2), (z[3], p8), (z[4], cos),
-         (F(1), tail)]
+         (1.0, tail)]
     )
     return cos, sin_core
 
@@ -334,7 +397,8 @@ def chain_deg12(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     conditions through y^10; the y^11 condition cannot be met by this chain
     shape (see Z_DEG12).
     """
-    a, z = A_DEG12, Z_DEG12
+    k = alg.constants(DEG12_CONSTANTS)
+    a, z = k.a, k.z
     y2 = alg.mul(y, y)
     y3 = alg.mul(y2, y)
     c1, c2, c3, c4 = (
@@ -344,10 +408,9 @@ def chain_deg12(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
         )
         for j in (1, 2, 3, 4)
     )
-    mid = alg.lin([(F(1), c3), (F(1), alg.mul(c4, c4))])
+    mid = alg.lin([(1.0, c3), (1.0, alg.mul(c4, c4))])
     cos = alg.lin(
-        [(F(1), c1),
-         (F(1), alg.mul(alg.lin([(F(1), c2), (F(1), mid)]), mid))]
+        [(1.0, c1), (1.0, alg.mul(alg.lin([(1.0, c2), (1.0, mid)]), mid))]
     )
     inner = alg.lin(
         [(z[6], alg.one), (z[7], y), (z[8], y2), (z[9], y3), (z[10], mid),
@@ -356,7 +419,7 @@ def chain_deg12(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     tail = alg.mul(inner, cos)
     sin_core = alg.lin(
         [(z[0], alg.one), (z[1], y), (z[2], y2), (z[3], y3), (z[4], mid),
-         (z[5], cos), (F(1), tail)]
+         (z[5], cos), (1.0, tail)]
     )
     return cos, sin_core
 
@@ -456,9 +519,10 @@ def pade8_cos_sin(a: DenseMatrix, ledger: CostLedger) -> CosSinResult:
     y2 = alg.mul(y, y)
     y3 = alg.mul(y, y2)
     y4 = alg.mul(y, y3)
+    k = alg.constants(PADE8_CONSTANTS)
     powers = [alg.one, y, y2, y3, y4]
-    den = alg.lin(list(zip(PADE8_DEN, powers)))
-    num_cos = alg.lin(list(zip(PADE8_NUM_COS, powers)))
-    num_sin = alg.mul(a, alg.lin(list(zip(PADE8_NUM_SIN, powers))))
+    den = alg.lin(list(zip(k.den, powers)))
+    num_cos = alg.lin(list(zip(k.num_cos, powers)))
+    num_sin = alg.mul(a, alg.lin(list(zip(k.num_sin, powers))))
     cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger)
     return CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)

@@ -16,7 +16,8 @@ covers one family, sorted by ascending cost.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .schemes import PADE8, SchemeFamily, SchemeId
@@ -49,8 +50,19 @@ class ThetaEntry:
 
 @dataclass(frozen=True)
 class ThetaTable:
+    """One family's entries, plus a selection view derived from them.
+
+    candidates holds (theta_eff, cost * cost_denominator, scheme) per entry
+    with integer costs, built once so that selection reads no property and
+    does no rational arithmetic.
+    """
+
     precision: Precision
     entries: tuple[ThetaEntry, ...]
+    candidates: tuple[tuple[float, int, SchemeId], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    cost_denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -66,6 +78,12 @@ class ThetaTable:
                 raise ValueError(
                     "thresholds must increase with scheme order"
                 )
+        den = math.lcm(*(F(e.cost).denominator for e in self.entries))
+        object.__setattr__(self, "cost_denominator", den)
+        object.__setattr__(self, "candidates", tuple(
+            (e.theta_eff, int(F(e.cost) * den), e.scheme)
+            for e in self.entries
+        ))
 
 
 def _taylor(k: int) -> SchemeId:

@@ -29,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import mpmath
@@ -46,6 +47,7 @@ from .schemes import (
     PADE8_DEN,
     PADE8_NUM_COS,
     PADE8_NUM_SIN,
+    Constants,
     CosSinResult,
     ExactScalar,
     SchemeFamily,
@@ -150,6 +152,9 @@ class PolyAlgebra:
     @property
     def one(self) -> ScalarPoly:
         return ScalarPoly([1], self.digits)
+
+    def constants(self, table: Constants) -> SimpleNamespace:
+        return table.exact
 
     def mul(self, p: ScalarPoly, q: ScalarPoly) -> ScalarPoly:
         return p * q

@@ -104,6 +104,35 @@ def test_linear_combination_exact_and_unpriced():
     assert ledger.total_cost == Fraction(0)
 
 
+@pytest.mark.parametrize("diag", [0.0, 1.0, -0.5])
+def test_linear_combination_is_the_zero_started_sum_bit_for_bit(rng, diag):
+    # -0.0 products too: a sum started from zeros turns them into +0.0
+    m1 = rng.standard_normal((4, 4))
+    m1[0, 1] = 0.0
+    terms = [(-3.0, m1), (1.0, -m1), (-0.25, m1)]
+    want = np.zeros((4, 4)) + diag * np.eye(4)
+    for c, m in terms:
+        want += c * m
+    got = linear_combination(terms, diag)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[0, 1])
+
+
+def test_linear_combination_diag_needs_square_terms():
+    with pytest.raises(MatrixInputError, match="square"):
+        linear_combination([(1.0, np.ones((2, 3)))], diag=1.0)
+    assert linear_combination([(1.0, np.ones((2, 3)))]).shape == (2, 3)
+
+
+def test_cost_ledger_counts_products_as_an_int():
+    ledger = CostLedger()
+    a = identity(2)
+    for _ in range(3):
+        matmul(a, a, ledger)
+    assert type(ledger.products) is int and ledger.products == 3
+    assert isinstance(ledger.total_cost, Fraction)
+
+
 def test_linear_combination_rejects_empty_and_mismatch():
     with pytest.raises(MatrixInputError):
         linear_combination([])
@@ -137,6 +166,12 @@ def test_lu_solve_pair_detects_singular():
     den = matrix_from_rows([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError, match="singular"):
         lu_solve_pair(den, identity(2), identity(2), CostLedger())
+
+
+def test_lu_solve_pair_rejects_empty_denominator():
+    empty = np.zeros((0, 0))
+    with pytest.raises(SingularMatrixError):
+        lu_solve_pair(empty, empty, empty, CostLedger())
 
 
 def test_write_read_roundtrip(tmp_path, rng):
