@@ -1,8 +1,14 @@
 """Full-norm evaluation: scheme selection, scaling, and doubling recovery.
 
-An input of arbitrary 1-norm is scaled by an exact power of two until it
-fits under a scheme's shipped threshold, the scheme is evaluated there, and
-the result is pushed back up with double-angle steps, each costing two
+Every chain starts from the even variable and its square: y = A^2 and y^2
+for the trigonometric pairs, B = t^2 A (free) and B^2 for the wave pair.
+The driver forms those two powers once, before selection, and picks the
+scheme and the scaling exponent s from their norms (select_scheme), which
+sees through nonnormal input whose 1-norm far exceeds what its powers do.
+The input is scaled by an exact power of two, the chain is evaluated there
+with the powers scaled to match (2^-s per factor of A, also exact, so the
+chain forms neither again and the cost law stays pair cost + 2s), and the
+result is pushed back up with double-angle steps, each costing two
 products formed from the old pair and scaled in place: S <- 2 S C and
 C <- I - 2 S^2.  The sine form keeps I - C, all the information a cosine
 near the identity carries, to full relative accuracy; 2 C^2 - I would
@@ -59,36 +65,86 @@ __all__ = [
 
 @dataclass
 class ComputationReport:
+    """A result, the choice that produced it, and what the choice read.
+
+    selection_norms holds the norms selection was given: (||A||_1,
+    ||A^2||_1^(1/2), ||A^4||_1^(1/4)) for the trigonometric pairs and
+    (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where a
+    square was not formed before selection (a norm above 2^500, or one the
+    cheapest scheme covers unscaled), its entry repeats the one before it.
+    """
+
     result: CosSinResult | WaveResult
     scheme_used: SchemeId
     scaling_exponent: int
     total_products: Fraction
+    selection_norms: tuple[float, ...] = ()
 
 
-def _squarings_needed(norm: float, theta: float) -> int:
-    if norm <= theta:
-        return 0
-    return max(0, math.ceil(math.log2(norm / theta)))
+# Largest norm whose operand is squared before selection.  A larger A is
+# first brought under it by an exact power of two, so A^2 stays finite; a
+# larger A^2 (or B) is not squared again, so A^4 (or B^2) stays finite.
+_SQUARE_LIMIT_BITS = 500
+_SQUARE_LIMIT = 2.0 ** _SQUARE_LIMIT_BITS
 
 
-def select_scheme(norm: float, table: ThetaTable) -> tuple[SchemeId, int]:
-    """Pick (scheme, scaling exponent) for a given operand norm.
+def select_scheme(
+    norm: float,
+    table: ThetaTable,
+    beta: float | None = None,
+    delta: float | None = None,
+) -> tuple[SchemeId, int]:
+    """Pick (scheme, scaling exponent) from the norms of an operand's powers.
 
-    The cheapest entry that needs no scaling wins outright; otherwise the
-    entry minimizing scheme cost + 2s wins, with cost ties resolved toward
-    fewer squarings.  Costs are compared exactly, as integers in units of
-    the table's cost denominator.
+    norm is a = ||A||_1, beta is ||A^2||_1^(1/2) and delta is
+    ||A^4||_1^(1/4).  For a wave table norm is b = ||B||_1 and delta is
+    ||B^2||_1^(1/2), and beta is not read.  Left out, beta and delta are
+    norm: the rule on the norm alone.  Each side of each entry gets an
+    effective norm from its leading degree ell, x = delta (beta/delta)^(2/ell)
+    for a cosine, delta (a beta^2 / delta^3)^(1/ell) for a sine and
+    delta (b/delta)^(1/ell) for a wave kernel, clamped at norm, and needs
+    ceil(log2(x / theta) / table.step_bits) steps: log2 for the
+    trigonometric pairs, log4 for the wave pair, whose norm quarters per
+    step.  The cheapest entry that needs no step wins outright; otherwise
+    the entry minimizing cost + 2s wins, with cost ties resolved toward
+    fewer steps.  Costs are compared exactly, as integers in units of the
+    table's cost denominator.  A zero delta means A^4 (B^2) vanishes, and
+    with it every tail term: the cheapest entry wins with no step.
+
+    Why x is safe: every power obeys ||A^d|| <= K delta^d, with K the
+    bracketed factor above, and K does not change under scaling.  The tail
+    bound has nonnegative terms from degree ell on, so below theta it is
+    at most u (x' / theta)^ell at the scaled norm x'; K times it stays
+    within u exactly when delta K^(1/ell) <= theta.  Because x <= norm for
+    every entry, no entry needs more steps than on the norm alone.
     """
     if not (norm >= 0.0 and math.isfinite(norm)):
         raise ValueError(f"norm must be finite and nonnegative, got {norm}")
+    if delta is None:
+        beta = delta = norm
     candidates = table.candidates
-    for theta, _units, scheme in candidates:
-        if norm <= theta:
-            return scheme, 0
+    if delta == 0.0 or norm <= table.floor:
+        return candidates[0][7], 0
+    # x = delta 2^e with e = p log2(a/delta) + q log2(beta/delta), clamped
+    # at norm; an exponent at or past log2(a/delta) takes norm bit for bit
+    la = math.log2(norm / delta)
+    lb = 0.0 if beta is None else math.log2(beta / delta)
+    bits = table.step_bits
     step = 2 * table.cost_denominator
     best: tuple[tuple[int, int], SchemeId] | None = None
-    for theta, units, scheme in candidates:
-        s = _squarings_needed(norm, theta)
+    for tc, pc, qc, ts, ps, qs, units, scheme in candidates:
+        ec = pc * la + qc * lb
+        es = ps * la + qs * lb
+        xc = delta * 2.0 ** ec if ec < la else norm
+        xs = delta * 2.0 ** es if es < la else norm
+        if xc > norm:
+            xc = norm
+        if xs > norm:
+            xs = norm
+        if xc <= tc and xs <= ts:
+            return scheme, 0
+        rc, rs = xc / tc, xs / ts
+        s = math.ceil(math.log2(rc if rc > rs else rs) / bits)
         key = (units + step * s, s)
         if best is None or key < best[0]:
             best = (key, scheme)
@@ -129,21 +185,62 @@ def _check_finite_square(a: DenseMatrix) -> None:
         raise MatrixInputError("matrix entries must be finite")
 
 
+def _scaled(m: DenseMatrix | None, bits: int) -> DenseMatrix | None:
+    # exact, as ldexp is: multiplying by 2.0 ** bits, a normal number down
+    # to 2^-1022, rounds each entry once; ldexp takes the larger shifts
+    if m is None or bits == 0:
+        return m
+    return m * 2.0 ** bits if bits >= -1022 else np.ldexp(m, bits)
+
+
+def _trig_selection(
+    a: DenseMatrix, table: ThetaTable, ledger: CostLedger
+) -> tuple[SchemeId, int, tuple | None, tuple[float, float, float]]:
+    """Form A^2 and A^4 once, select on their norms, and scale them.
+
+    Returns the scheme, s, the powers of A 2^-s for the chain (None when
+    none were formed) and the selection norms.  A is first taken to
+    A 2^-p, with p > 0 only for norms above 2^500; selection then runs on
+    that operand and s counts p on top, so the powers are only ever
+    scaled down.
+    """
+    norm = norm1(a)
+    if norm <= table.floor:
+        # the cheapest scheme unscaled, whatever the powers: the chain
+        # forms them
+        return table.entries[0].scheme, 0, None, (norm, norm, norm)
+    p = max(0, math.frexp(norm)[1] - _SQUARE_LIMIT_BITS)
+    base = a * 2.0 ** -p if p else a
+    y = matmul(base, base, ledger)
+    y_norm = norm1(y)
+    beta = math.sqrt(y_norm)
+    y2, delta = None, beta
+    if y_norm <= _SQUARE_LIMIT:
+        y2 = matmul(y, y, ledger)
+        delta = math.sqrt(math.sqrt(norm1(y2)))
+    scheme, s = select_scheme(math.ldexp(norm, -p), table, beta, delta)
+    powers = (_scaled(y, -2 * s), _scaled(y2, -4 * s))
+    norms = (norm, math.ldexp(beta, p), math.ldexp(delta, p))
+    return scheme, s + p, powers, norms
+
+
 def cos_sin(
     a: DenseMatrix, precision: Precision = Precision.DOUBLE
 ) -> ComputationReport:
     """Simultaneous cos(a) and sin(a) via the factored Taylor pipeline."""
     _check_finite_square(a)
-    scheme, s = select_scheme(norm1(a), TAYLOR_TABLE[precision])
     ledger = CostLedger()
+    scheme, s, powers, norms = _trig_selection(a, TAYLOR_TABLE[precision],
+                                               ledger)
     scaled = a * 2.0 ** -s
-    part = taylor_cos_sin(scaled, scheme, ledger)
+    part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
     cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
     return ComputationReport(
         result=CosSinResult(cos_part=cos, sin_part=sin, cost=ledger),
         scheme_used=scheme,
         scaling_exponent=s,
         total_products=ledger.total_cost,
+        selection_norms=norms,
     )
 
 
@@ -152,15 +249,24 @@ def wave_cos_sin(
 ) -> ComputationReport:
     """Wave kernels c(t^2 a) and s(t, a) at arbitrary t^2 * norm.
 
-    Scaling halves t (the even variable shrinks by 4 per step); each
-    doubling step applies s(2t, A) = 2 s(t, A) c(t^2 A) and
-    c(4 t^2 A) = 2 c(t^2 A)^2 - I, both from the old pair.
+    B = t^2 a is free and B^2 is formed once, before selection.  Scaling
+    halves t (B shrinks by 4 per step, so the chain gets B 4^-s and
+    B^2 16^-s); each doubling step applies s(2t, A) = 2 s(t, A) c(t^2 A)
+    and c(4 t^2 A) = 2 c(t^2 A)^2 - I, both from the old pair.
     """
     _check_finite_square(a)
-    scheme, s = select_scheme(float(t) * float(t) * norm1(a),
-                              WAVE_TABLE[precision])
     ledger = CostLedger()
-    part = wave_kernels(a, float(t) / 2.0 ** s, scheme, ledger)
+    table = WAVE_TABLE[precision]
+    t = float(t)
+    b = t * t * a
+    norm = norm1(b)
+    b2, delta = None, norm
+    if table.floor < norm <= _SQUARE_LIMIT:
+        b2 = matmul(b, b, ledger)
+        delta = math.sqrt(norm1(b2))
+    scheme, s = select_scheme(norm, table, delta=delta)
+    part = wave_kernels(a, t / 2.0 ** s, scheme, ledger,
+                        powers=(_scaled(b, -2 * s), _scaled(b2, -4 * s)))
     c, s_part = _double_angle(part.c_part, part.s_part, s, ledger,
                               wave=True)
     return ComputationReport(
@@ -168,6 +274,7 @@ def wave_cos_sin(
         scheme_used=scheme,
         scaling_exponent=s,
         total_products=ledger.total_cost,
+        selection_norms=(norm, delta),
     )
 
 
@@ -176,14 +283,16 @@ def pade_cos_sin(
 ) -> ComputationReport:
     """Baseline pipeline: the rational order-8 pair under the same driver."""
     _check_finite_square(a)
-    scheme, s = select_scheme(norm1(a), PADE_TABLE[precision])
     ledger = CostLedger()
+    scheme, s, powers, norms = _trig_selection(a, PADE_TABLE[precision],
+                                               ledger)
     scaled = a * 2.0 ** -s
-    part = pade8_cos_sin(scaled, ledger)
+    part = pade8_cos_sin(scaled, ledger, powers=powers)
     cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
     return ComputationReport(
         result=CosSinResult(cos_part=cos, sin_part=sin, cost=ledger),
         scheme_used=scheme,
         scaling_exponent=s,
         total_products=ledger.total_cost,
+        selection_norms=norms,
     )

@@ -103,7 +103,7 @@ def norm1(a: DenseMatrix) -> float:
     """Induced 1-norm: max over columns of the sum of absolute entries."""
     if a.size == 0:
         return 0.0
-    return float(np.abs(a).sum(axis=0).max())
+    return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
 
 
 def linear_combination(

@@ -327,21 +327,29 @@ class MatrixAlgebra:
         return linear_combination(terms)
 
 
-def chain_deg2(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
+def _square(alg: OperandAlgebra[T], y: T, y2: T | None) -> T:
+    """y^2, which every chain starts from, unless the caller formed it
+    already and passed it as y2: then the chain charges one product less."""
+    return alg.mul(y, y) if y2 is None else y2
+
+
+def chain_deg2(
+    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
+) -> tuple[T, T]:
     """Degree-2 pair: cos core 1 - y/2 + y^2/24, sine core 1 - y/6 + y^2/120.
 
     One product (y^2).  Trigonometric instantiation: T4c and T5s.
     """
     k = alg.constants(TAYLOR_CONSTANTS)
     c, s = k.cos, k.sin
-    y2 = alg.mul(y, y)
+    y2 = _square(alg, y, y2)
     cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2)])
     sin_core = alg.lin([(s[0], alg.one), (s[1], y), (s[2], y2)])
     return cos, sin_core
 
 
 def chain_deg4(
-    alg: OperandAlgebra[T], y: T, exact_sine: bool
+    alg: OperandAlgebra[T], y: T, exact_sine: bool, *, y2: T | None = None
 ) -> tuple[T, T]:
     """Degree-4 pair built from two products (three with the exact sine).
 
@@ -355,7 +363,7 @@ def chain_deg4(
     """
     k = alg.constants(TAYLOR_CONSTANTS)
     c, s = k.cos, k.sin
-    y2 = alg.mul(y, y)
+    y2 = _square(alg, y, y2)
     q = alg.mul(y2, alg.lin([(c[3], y), (c[4], y2)]))
     cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2), (1.0, q)])
     base = [(s[0], alg.one), (s[1], y), (s[2], y2)]
@@ -367,7 +375,9 @@ def chain_deg4(
     return cos, sin_core
 
 
-def chain_deg8(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
+def chain_deg8(
+    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
+) -> tuple[T, T]:
     """Degree-8 cos core (order 16 in A) and its degree-12 sine core.
 
     Four products.  Trigonometric instantiation: T16c and T17,25s; wave
@@ -375,7 +385,7 @@ def chain_deg8(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     """
     k = alg.constants(DEG8_CONSTANTS)
     x, z = k.x, k.z
-    y2 = alg.mul(y, y)
+    y2 = _square(alg, y, y2)
     p8 = alg.mul(y2, alg.lin([(x[1], y), (x[2], y2)]))
     p16 = alg.mul(
         alg.lin([(x[3], y2), (1.0, p8)]),
@@ -393,7 +403,9 @@ def chain_deg8(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     return cos, sin_core
 
 
-def chain_deg12(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
+def chain_deg12(
+    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
+) -> tuple[T, T]:
     """Degree-12 cos core (order 24 in A) and its degree-24 sine core.
 
     Five products.  Trigonometric instantiation: T24c and T23,49s; wave
@@ -403,7 +415,7 @@ def chain_deg12(alg: OperandAlgebra[T], y: T) -> tuple[T, T]:
     """
     k = alg.constants(DEG12_CONSTANTS)
     a, z = k.a, k.z
-    y2 = alg.mul(y, y)
+    y2 = _square(alg, y, y2)
     y3 = alg.mul(y2, y)
     c1, c2, c3, c4 = (
         alg.lin(
@@ -440,24 +452,32 @@ def _require_square(a: DenseMatrix) -> int:
     return a.shape[0]
 
 
+Powers = tuple[DenseMatrix, DenseMatrix | None]
+
+
 def taylor_cos_sin(
-    a: DenseMatrix, scheme: SchemeId, ledger: CostLedger
+    a: DenseMatrix,
+    scheme: SchemeId,
+    ledger: CostLedger,
+    *,
+    powers: Powers | None = None,
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
     Total products charged: exactly scheme.k_products (one for A^2, the
-    chain's internal products, one for the leading sine factor).
+    chain's internal products, one for the leading sine factor), less the
+    ones the caller formed: powers = (A^2, A^4) or (A^2, None).
     """
     if scheme.family is not SchemeFamily.COS_SIN_TAYLOR:
         raise ValueError(f"not a trigonometric scheme: {scheme}")
     n = _require_square(a)
     alg = MatrixAlgebra(n, ledger)
-    y = alg.mul(a, a)
+    y, y2 = (alg.mul(a, a), None) if powers is None else powers
     chain = _TAYLOR_CHAIN[scheme.k_products]
     if chain is chain_deg4:
-        cos, sin_core = chain_deg4(alg, y, exact_sine=False)
+        cos, sin_core = chain_deg4(alg, y, exact_sine=False, y2=y2)
     else:
-        cos, sin_core = chain(alg, y)
+        cos, sin_core = chain(alg, y, y2=y2)
     sin = alg.mul(a, sin_core)
     return CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
 
@@ -476,24 +496,30 @@ def taylor_sin9(a: DenseMatrix, ledger: CostLedger) -> DenseMatrix:
 
 
 def wave_kernels(
-    a: DenseMatrix, t: float, scheme: SchemeId, ledger: CostLedger
+    a: DenseMatrix,
+    t: float,
+    scheme: SchemeId,
+    ledger: CostLedger,
+    *,
+    powers: Powers | None = None,
 ) -> WaveResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
     B = t^2 A.  The s part is the even-variable sine core times the scalar
-    t, so the pair costs exactly scheme.k_products products.
+    t, so the pair costs exactly scheme.k_products products, less one when
+    the caller formed B^2: powers = (B, B^2), or (B, None).
     """
     if scheme.family is not SchemeFamily.WAVE_KERNEL:
         raise ValueError(f"not a wave-kernel scheme: {scheme}")
     n = _require_square(a)
     alg = MatrixAlgebra(n, ledger)
-    y = float(t) * float(t) * a
+    y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
     chain = _WAVE_CHAIN[scheme.k_products]
     if chain is chain_deg4:
-        c, s_core = chain_deg4(alg, y, exact_sine=True)
+        c, s_core = chain_deg4(alg, y, exact_sine=True, y2=y2)
     else:
-        c, s_core = chain(alg, y)
+        c, s_core = chain(alg, y, y2=y2)
     return WaveResult(c_part=c, s_part=float(t) * s_core, cost=ledger)
 
 
@@ -510,17 +536,20 @@ def wave_sin34(a: DenseMatrix, t: float, ledger: CostLedger) -> DenseMatrix:
     return float(t) * s_core
 
 
-def pade8_cos_sin(a: DenseMatrix, ledger: CostLedger) -> CosSinResult:
+def pade8_cos_sin(
+    a: DenseMatrix, ledger: CostLedger, *, powers: Powers | None = None
+) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 
     Five products (A^2, A^4, A^6, A^8 and the odd numerator's leading
     factor) plus one LU factorization shared by two solves: 7 + 1/3
-    product-equivalents total.
+    product-equivalents total, less the powers the caller formed:
+    powers = (A^2, A^4) or (A^2, None).
     """
     n = _require_square(a)
     alg = MatrixAlgebra(n, ledger)
-    y = alg.mul(a, a)
-    y2 = alg.mul(y, y)
+    y, y2 = (alg.mul(a, a), None) if powers is None else powers
+    y2 = _square(alg, y, y2)
     y3 = alg.mul(y, y2)
     y4 = alg.mul(y, y3)
     k = alg.constants(PADE8_CONSTANTS)

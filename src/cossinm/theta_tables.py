@@ -8,9 +8,16 @@ order) stays at or below the unit roundoff.  The trigonometric thresholds
 are in ||A||; the wave thresholds are in ||t^2 A||, with the scalar t factor
 of the s kernel kept outside the bound.
 
-The constants are frozen outputs of verify.compute_theta; a regeneration
-test asserts they match a fresh computation to 1e-6 relative.  Each table
-covers one family, sorted by ascending cost.
+Each side also carries its leading degree ell: the first degree at which
+its coefficients differ from the true series.  The tail bound has only
+nonnegative terms from there on, so below theta it is at most
+u * (norm / theta)^ell, which lets the driver bound the tail by norms of
+powers of the operand instead of by its norm alone (see driver).
+
+The constants are frozen outputs of verify.compute_theta and
+verify.leading_degree; regeneration tests assert they match a fresh
+computation (thresholds to 1e-6 relative).  Each table covers one family,
+sorted by ascending cost.
 """
 
 from __future__ import annotations
@@ -38,31 +45,59 @@ UNIT_ROUNDOFF: dict[Precision, float] = {
 
 @dataclass(frozen=True)
 class ThetaEntry:
+    """One scheme's thresholds and leading degrees, per side.
+
+    A leading degree of 1, the default, is valid for every scheme: it only
+    forgoes the tighter selection a higher degree allows.
+    """
+
     scheme: SchemeId
     theta_cos: float
     theta_sin: float
     cost: Fraction
+    ell_cos: int = 1
+    ell_sin: int = 1
 
     @property
     def theta_eff(self) -> float:
         return min(self.theta_cos, self.theta_sin)
 
 
+def _sides(entry: ThetaEntry, wave: bool) -> tuple[float, ...]:
+    # (theta, p, q) per side, cosine first: the side's effective norm is
+    # delta (a/delta)^p (beta/delta)^q = delta K^(1/ell), where every power
+    # obeys ||A^d|| <= K delta^d with K = (beta/delta)^2 for the even
+    # cosine, a beta^2 / delta^3 for the odd sine and b / delta for both
+    # wave kernels.
+    if wave:
+        return (entry.theta_cos, 1.0 / entry.ell_cos, 0.0,
+                entry.theta_sin, 1.0 / entry.ell_sin, 0.0)
+    return (entry.theta_cos, 0.0, 2.0 / entry.ell_cos,
+            entry.theta_sin, 1.0 / entry.ell_sin, 2.0 / entry.ell_sin)
+
+
 @dataclass(frozen=True)
 class ThetaTable:
     """One family's entries, plus a selection view derived from them.
 
-    candidates holds (theta_eff, cost * cost_denominator, scheme) per entry
-    with integer costs, built once so that selection reads no property and
-    does no rational arithmetic.
+    candidates holds, per entry, the flat tuple (theta, p, q of the cosine
+    side, the same of the sine side, cost * cost_denominator, scheme) with
+    integer costs, built once so that selection reads no property and does
+    no rational arithmetic.  step_bits is log2 of the
+    factor one doubling step takes off the norm the thresholds are in: 1
+    for the trigonometric pairs, 2 for the wave pair (halving t quarters
+    the even variable).  floor is the largest norm the cheapest entry
+    covers with no step, whatever the norms of the powers.
     """
 
     precision: Precision
     entries: tuple[ThetaEntry, ...]
-    candidates: tuple[tuple[float, int, SchemeId], ...] = field(
+    candidates: tuple[tuple, ...] = field(
         init=False, repr=False, compare=False
     )
     cost_denominator: int = field(init=False, repr=False, compare=False)
+    step_bits: int = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -70,6 +105,8 @@ class ThetaTable:
         for e in self.entries:
             if not (e.theta_cos > 0.0 and e.theta_sin > 0.0):
                 raise ValueError(f"nonpositive threshold in entry {e}")
+            if not (e.ell_cos >= 1 and e.ell_sin >= 1):
+                raise ValueError(f"leading degree below 1 in entry {e}")
         for lo, hi in zip(self.entries, self.entries[1:]):
             if not hi.cost > lo.cost:
                 raise ValueError("entries must be sorted by ascending cost")
@@ -78,10 +115,13 @@ class ThetaTable:
                 raise ValueError(
                     "thresholds must increase with scheme order"
                 )
+        wave = self.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
         den = math.lcm(*(F(e.cost).denominator for e in self.entries))
         object.__setattr__(self, "cost_denominator", den)
+        object.__setattr__(self, "step_bits", 2 if wave else 1)
+        object.__setattr__(self, "floor", self.entries[0].theta_eff)
         object.__setattr__(self, "candidates", tuple(
-            (e.theta_eff, int(F(e.cost) * den), e.scheme)
+            (*_sides(e, wave), int(F(e.cost) * den), e.scheme)
             for e in self.entries
         ))
 
@@ -99,26 +139,26 @@ TAYLOR_TABLE: dict[Precision, ThetaTable] = {
         Precision.DOUBLE,
         (
             ThetaEntry(_taylor(3), 0.006563322289762723, 0.01777015697577729,
-                       F(3)),
+                       F(3), 6, 7),
             ThetaEntry(_taylor(4), 0.11495105915204516, 0.08043801069944813,
-                       F(4)),
+                       F(4), 10, 9),
             ThetaEntry(_taylor(6), 0.9810763216215669, 1.118352319366378,
-                       F(6)),
+                       F(6), 18, 19),
             ThetaEntry(_taylor(7), 2.5674905328502904, 1.8554811337390547,
-                       F(7)),
+                       F(7), 26, 23),
         ),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
         (
             ThetaEntry(_taylor(3), 0.18709270369684675, 0.3138563386485543,
-                       F(3)),
+                       F(3), 6, 7),
             ThetaEntry(_taylor(4), 0.8575551381567614, 0.7492030342174507,
-                       F(4)),
+                       F(4), 10, 9),
             ThetaEntry(_taylor(6), 2.9935285064988997, 3.215172177750302,
-                       F(6)),
+                       F(6), 18, 19),
             ThetaEntry(_taylor(7), 5.555547236845219, 4.381922344660116,
-                       F(7)),
+                       F(7), 26, 23),
         ),
     ),
 }
@@ -127,12 +167,12 @@ PADE_TABLE: dict[Precision, ThetaTable] = {
     Precision.DOUBLE: ThetaTable(
         Precision.DOUBLE,
         (ThetaEntry(PADE8, 0.13959229566058115, 0.11212687277599737,
-                    F(22, 3)),),
+                    F(22, 3), 10, 9),),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
         (ThetaEntry(PADE8, 1.021836815484684, 0.9951082066593949,
-                    F(22, 3)),),
+                    F(22, 3), 10, 9),),
     ),
 }
 
@@ -141,22 +181,22 @@ WAVE_TABLE: dict[Precision, ThetaTable] = {
         Precision.DOUBLE,
         (
             ThetaEntry(_wave(3), 0.013213746049765359, 0.021345252850722786,
-                       F(3)),
+                       F(3), 5, 5),
             ThetaEntry(_wave(4), 0.9625107503945455, 1.266344610496533,
-                       F(4)),
+                       F(4), 9, 9),
             ThetaEntry(_wave(5), 6.592007661014267, 3.640429549980952,
-                       F(5)),
+                       F(5), 13, 11),
         ),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
         (
             ThetaEntry(_wave(3), 0.7354008169503493, 1.1874758013210427,
-                       F(3)),
+                       F(3), 5, 5),
             ThetaEntry(_wave(4), 8.961212972067917, 11.761988215232014,
-                       F(4)),
+                       F(4), 9, 9),
             ThetaEntry(_wave(5), 30.86410513391181, 21.848395783984834,
-                       F(5)),
+                       F(5), 13, 11),
         ),
     ),
 }

@@ -342,6 +342,17 @@ def compute_theta(
     return lo
 
 
+def leading_degree(scheme: SchemeId, which: Which) -> int:
+    """First degree at which the scheme's polynomial leaves the true series.
+
+    From there on the tail bound has only nonnegative terms, which is what
+    lets selection use norms of powers (see theta_tables).
+    """
+    poly = extract_scheme_poly(scheme, which)
+    with mpmath.workdps(poly.precision_digits):
+        return difference_series(poly, which)[0][0]
+
+
 def compute_theta_pair(
     scheme: SchemeId, target_u: float, tail_terms: int = 150
 ) -> ThetaComputation:
@@ -372,24 +383,18 @@ def generate_theta_table(
 ) -> ThetaTable:
     """Recompute one shipped threshold table from scratch."""
     u = UNIT_ROUNDOFF[precision]
+    if family is SchemeFamily.WAVE_KERNEL:
+        cos_side, sin_side = Which.WAVE_C, Which.WAVE_S
+    else:
+        cos_side, sin_side = Which.COS, Which.SIN
     entries = tuple(
         ThetaEntry(
             scheme=scheme,
-            theta_cos=compute_theta(
-                scheme,
-                Which.WAVE_C
-                if family is SchemeFamily.WAVE_KERNEL
-                else Which.COS,
-                u,
-            ),
-            theta_sin=compute_theta(
-                scheme,
-                Which.WAVE_S
-                if family is SchemeFamily.WAVE_KERNEL
-                else Which.SIN,
-                u,
-            ),
+            theta_cos=compute_theta(scheme, cos_side, u),
+            theta_sin=compute_theta(scheme, sin_side, u),
             cost=cost,
+            ell_cos=leading_degree(scheme, cos_side),
+            ell_sin=leading_degree(scheme, sin_side),
         )
         for scheme, cost in _family_schemes(family)
     )

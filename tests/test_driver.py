@@ -1,27 +1,35 @@
 """Driver: scheme selection, scaling, recovery, cost accounting."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cossinm import driver
 from cossinm.driver import (
     cos_sin,
     pade_cos_sin,
     select_scheme,
     wave_cos_sin,
 )
-from cossinm.matcore import MatrixInputError, norm1
-from cossinm.schemes import SchemeFamily, SchemeId
+from cossinm.gallery import CorpusSpec, generate_corpus
+from cossinm.matcore import CostLedger, MatrixInputError, norm1
+from cossinm.schemes import PADE8, SchemeFamily, SchemeId
 from cossinm.theta_tables import (
+    PADE_TABLE,
     TAYLOR_TABLE,
+    WAVE_TABLE,
     ThetaEntry,
     ThetaTable,
     Precision,
 )
+from cossinm.verify import relative_error_2
 
 DOUBLE_TAYLOR = TAYLOR_TABLE[Precision.DOUBLE]
+DOUBLE_PADE = PADE_TABLE[Precision.DOUBLE]
+DOUBLE_WAVE = WAVE_TABLE[Precision.DOUBLE]
 
 
 def test_select_tiny_norm_takes_cheapest():
@@ -111,12 +119,22 @@ def test_cos_sin_rejects_bad_input():
         cos_sin(np.array([[math.inf, 0.0], [0.0, 0.0]]))
 
 
+def _power_norms(a):
+    """(||A||, ||A^2||^(1/2), ||A^4||^(1/4)), formed independently."""
+    y = a @ a
+    return (norm1(a), math.sqrt(norm1(y)),
+            math.sqrt(math.sqrt(norm1(y @ y))))
+
+
 def test_cost_law_total_is_pi_plus_2s(rng):
     for target in (0.004, 0.07, 0.6, 2.0, 55.0, 900.0):
         a = rng.standard_normal((5, 5))
         a *= target / norm1(a)
         report = cos_sin(a)
-        scheme, s = select_scheme(norm1(a), DOUBLE_TAYLOR)
+        norm, beta, delta = _power_norms(a)
+        if norm > DOUBLE_TAYLOR.floor:
+            assert report.selection_norms == (norm, beta, delta)
+        scheme, s = select_scheme(norm, DOUBLE_TAYLOR, beta, delta)
         assert report.scheme_used == scheme
         assert report.scaling_exponent == s
         assert report.total_products == Fraction(scheme.k_products) + 2 * s
@@ -160,9 +178,10 @@ def test_pythagorean_identity(rng):
 
 def test_wave_diagonal_example():
     report = wave_cos_sin(np.diag([4.0, 4.0]), 2.0)
-    # t^2 * norm = 16 needs three quarterings of B
+    # ||B|| = t^2 * norm = 16 needs two quarterings of B: 16 / 16 = 1 is
+    # under the top entry's thresholds (6.59, 3.64), 16 / 4 = 4 is not
     assert report.scheme_used.k_products == 5
-    assert report.scaling_exponent == 3
+    assert report.scaling_exponent == 2
     assert np.max(np.abs(report.result.c_part - math.cos(4.0) * np.eye(2))
                   ) <= 1e-13
     assert np.max(np.abs(report.result.s_part - (math.sin(4.0) / 2.0)
@@ -231,3 +250,178 @@ def test_single_precision_selection(rng):
 def test_wave_rejects_bad_input():
     with pytest.raises(MatrixInputError):
         wave_cos_sin(np.zeros((2, 3)), 1.0)
+
+
+# ------------------------------------------------- selection on powers
+
+
+def _pair_cost(table, scheme):
+    return next(e.cost for e in table.entries if e.scheme == scheme)
+
+
+def _three_calls(a, t):
+    """(report, table, ||operand||) for each public call on a."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            (cos_sin(a), DOUBLE_TAYLOR, norm1(a)),
+            (pade_cos_sin(a), DOUBLE_PADE, norm1(a)),
+            (wave_cos_sin(a, t), DOUBLE_WAVE, norm1(t * t * a)),
+        )
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    spec = CorpusSpec(count_per_class=(64, 88, 39, 9),
+                      norm_range=(1e-4, 1e4), seed=3)
+    return [m for m, _tag in generate_corpus(spec)]
+
+
+def test_no_call_takes_more_steps_than_the_norm_rule(corpus):
+    assert len(corpus) == 200
+    rng = np.random.default_rng(5)
+    fewer = 0
+    for a in corpus:
+        t = float(rng.uniform(0.5, 2.0))
+        for report, table, norm in _three_calls(a, t):
+            old_scheme, old_s = select_scheme(norm, table)
+            s = report.scaling_exponent
+            assert s <= old_s
+            assert report.total_products == \
+                _pair_cost(table, report.scheme_used) + 2 * s
+            assert report.total_products <= \
+                _pair_cost(table, old_scheme) + 2 * old_s
+            fewer += s < old_s
+    # the corpus holds nonnormal matrices, which the norm rule overscales
+    assert fewer >= 100
+
+
+def test_select_on_powers_hand_computed():
+    taylor7 = SchemeId(SchemeFamily.COS_SIN_TAYLOR, 7)
+    # sine: x = delta (a beta^2 / delta^3)^(1/23) = 1e6^(1/23) = 1.82,
+    # under 1.855; 1e7^(1/23) = 2.02 is not
+    assert select_scheme(1e6, DOUBLE_TAYLOR, 1.0, 1.0) == (taylor7, 0)
+    assert select_scheme(1e7, DOUBLE_TAYLOR, 1.0, 1.0) == (taylor7, 1)
+    # cosine 2 * 5^(2/26) = 2.26 fits 2.567; sine 2 * 125^(1/23) = 2.47
+    # needs one halving of 1.855; the norm alone needs three
+    assert select_scheme(10.0, DOUBLE_TAYLOR, 10.0, 2.0) == (taylor7, 1)
+    assert select_scheme(10.0, DOUBLE_TAYLOR) == (taylor7, 3)
+    # wave: 100 * 100^(1/13) / 6.59 = 21.6 and 100 * 100^(1/11) / 3.64
+    # = 41.8 both need three quarterings (log4 41.8 = 2.7)
+    assert select_scheme(1e4, DOUBLE_WAVE, delta=100.0) == (
+        SchemeId(SchemeFamily.WAVE_KERNEL, 5), 3)
+    # Pade sine: 1e3^(1/9) / 0.1121 = 19.2 needs five halvings
+    assert select_scheme(1e3, DOUBLE_PADE, 1.0, 1.0) == (PADE8, 5)
+
+
+def test_power_selection_never_needs_more_steps(rng):
+    """Any consistent (a, beta, delta) selects no more steps or products."""
+    tables = [t[p] for t in (TAYLOR_TABLE, PADE_TABLE, WAVE_TABLE)
+              for p in Precision]
+    for table in tables:
+        wave = table is WAVE_TABLE[table.precision]
+        for _ in range(2000):
+            a = 10.0 ** rng.uniform(-4.0, 8.0)
+            beta = a * 10.0 ** -rng.uniform(0.0, 6.0)
+            delta = (a if wave else beta) * 10.0 ** -rng.uniform(0.0, 6.0)
+            scheme, s = select_scheme(a, table, beta, delta)
+            old_scheme, old_s = select_scheme(a, table)
+            assert s <= old_s
+            assert _pair_cost(table, scheme) + 2 * s <= \
+                _pair_cost(table, old_scheme) + 2 * old_s
+
+
+def _signed_circulant(rng, n, norm):
+    # symmetric, every column sum of |entries| equal: ||A^k||_1 = ||A||_1^k
+    half = rng.uniform(0.1, 1.0, n // 2 + 1)
+    row = np.concatenate([half, half[1:(n + 1) // 2][::-1]])
+    c = np.array([np.roll(row, i) for i in range(n)])
+    signs = np.diag(rng.choice([-1.0, 1.0], n))
+    return signs @ c @ signs * (norm / row.sum())
+
+
+def test_normal_inputs_select_as_on_the_norm(rng):
+    for norm in np.logspace(-3.0, 4.0, 23):
+        n = int(rng.integers(2, 7))
+        d = rng.uniform(-1.0, 1.0, n)
+        d[0] = 1.0
+        diagonal = np.diag(d * (norm / np.abs(d).max()))
+        for a in (diagonal, _signed_circulant(rng, n, norm)):
+            assert a == pytest.approx(a.T, abs=0.0)
+            for report, table, b in _three_calls(a, 1.3):
+                assert (report.scheme_used, report.scaling_exponent) == \
+                    select_scheme(b, table)
+
+
+def test_involutory_family_takes_no_steps():
+    # A^2 = I: beta = delta = 1 however far ||A||_1 = 1 + lam reaches
+    for j in range(7):
+        lam = 10.0 ** j
+        a = np.array([[1.0, lam], [0.0, -1.0]])
+        report = cos_sin(a)
+        assert report.scheme_used.k_products == 7
+        assert report.scaling_exponent == 0
+        assert report.total_products == 7
+        assert report.selection_norms == (1.0 + lam, 1.0, 1.0)
+        assert relative_error_2(report.result.cos_part,
+                                math.cos(1.0) * np.eye(2)) <= 1e-15
+        assert relative_error_2(report.result.sin_part,
+                                math.sin(1.0) * a) <= 1e-15
+
+
+def test_vanishing_fourth_power_takes_the_cheapest_scheme():
+    a = np.array([[0.0, 300.0, -7.0], [0.0, 0.0, 450.0], [0.0, 0.0, 0.0]])
+    y = a @ a                      # nonzero, but y^2 = A^4 = 0
+    report = cos_sin(a)
+    assert (report.scheme_used.k_products, report.scaling_exponent) == (3, 0)
+    assert report.selection_norms[2] == 0.0
+    assert np.array_equal(report.result.cos_part, np.eye(3) - 0.5 * y)
+    assert np.array_equal(report.result.sin_part, a)
+    pade = pade_cos_sin(a)
+    assert pade.scaling_exponent == 0
+    assert pade.total_products == Fraction(22, 3)
+    b = np.array([[0.0, 5e3], [0.0, 0.0]])       # B^2 = 0
+    wave = wave_cos_sin(b, 2.0)
+    assert (wave.scheme_used.k_products, wave.scaling_exponent) == (3, 0)
+    assert wave.selection_norms == (2e4, 0.0)
+    assert np.array_equal(wave.result.c_part, np.eye(2) - 0.5 * 4.0 * b)
+    assert wave.result.s_part == pytest.approx(
+        2.0 * (np.eye(2) - 4.0 * b / 6.0), rel=1e-15)
+    assert select_scheme(5.0, DOUBLE_TAYLOR, 1.0, 0.0) == (
+        SchemeId(SchemeFamily.COS_SIN_TAYLOR, 3), 0)
+
+
+def test_huge_norm_selection_raises_no_overflow_warning(rng):
+    big = 2.0 ** 520
+    involutory = np.array([[1.0, big], [0.0, -1.0]])
+    dense = rng.standard_normal((6, 6))
+    dense *= 2.0 ** 510 / norm1(dense)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cos_sin(involutory)
+        for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
+            ledger = CostLedger()
+            _scheme, _s, powers, norms = driver._trig_selection(
+                dense, table, ledger)
+            # A^2 is formed from A 2^-11; its norm is too large to square
+            assert powers[1] is None and ledger.products == 1
+            assert np.isfinite(powers[0]).all()
+            assert all(math.isfinite(x) for x in norms)
+        wave = wave_cos_sin(np.array([[0.0, big], [0.0, 0.0]]), 1.0)
+    assert report.selection_norms == (1.0 + big, 1.0, 1.0)
+    assert report.scaling_exponent <= select_scheme(1.0 + big,
+                                                    DOUBLE_TAYLOR)[1]
+    assert report.total_products == 7 + 2 * report.scaling_exponent
+    assert np.isfinite(report.result.cos_part).all()
+    assert np.isfinite(report.result.sin_part).all()
+    assert wave.selection_norms == (big, big)
+    assert wave.total_products == \
+        wave.scheme_used.k_products + 2 * wave.scaling_exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run, table in ((cos_sin, DOUBLE_TAYLOR),
+                           (pade_cos_sin, DOUBLE_PADE)):
+            out = run(dense)
+            assert out.scaling_exponent <= select_scheme(norm1(dense),
+                                                         table)[1]
+            assert out.total_products == \
+                _pair_cost(table, out.scheme_used) + 2 * out.scaling_exponent
+    assert out.scheme_used == PADE8

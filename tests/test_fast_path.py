@@ -169,6 +169,48 @@ def test_pade_pair_matches_naive_arithmetic(name):
     assert fast_ledger.total_cost == Fraction(22, 3)
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("s", [0, 3])
+def test_handed_in_powers_match_the_chains_own(name, s):
+    """Powers formed once and scaled by 2^-s per factor of A give the bits
+    the chain forms at A 2^-s itself, with their products not charged."""
+    a = INPUTS[name]
+    y = matmul(a, a, CostLedger())
+    y2 = matmul(y, y, CostLedger())
+    powers = (np.ldexp(y, -2 * s), np.ldexp(y2, -4 * s))
+    scaled = a * 2.0 ** -s
+    for k in sorted(TAYLOR_CHAINS):
+        scheme = SchemeId(SchemeFamily.COS_SIN_TAYLOR, k)
+        own_ledger, handed_ledger = CostLedger(), CostLedger()
+        own = taylor_cos_sin(scaled, scheme, own_ledger)
+        handed = taylor_cos_sin(scaled, scheme, handed_ledger, powers=powers)
+        assert _same_bits(handed.cos_part, own.cos_part)
+        assert _same_bits(handed.sin_part, own.sin_part)
+        assert handed_ledger.products == own_ledger.products - 2 == k - 2
+        only_y = taylor_cos_sin(scaled, scheme, CostLedger(),
+                                powers=(powers[0], None))
+        assert _same_bits(only_y.sin_part, own.sin_part)
+    own_ledger, handed_ledger = CostLedger(), CostLedger()
+    own = pade8_cos_sin(scaled, own_ledger)
+    handed = pade8_cos_sin(scaled, handed_ledger, powers=powers)
+    assert _same_bits(handed.cos_part, own.cos_part)
+    assert _same_bits(handed.sin_part, own.sin_part)
+    assert handed_ledger.products == own_ledger.products - 2
+    t = 1.3
+    b = t * t * a
+    b2 = matmul(b, b, CostLedger())
+    wave_powers = (np.ldexp(b, -2 * s), np.ldexp(b2, -4 * s))
+    for k in sorted(WAVE_CHAINS):
+        scheme = SchemeId(SchemeFamily.WAVE_KERNEL, k)
+        own_ledger, handed_ledger = CostLedger(), CostLedger()
+        own = wave_kernels(a, t / 2.0 ** s, scheme, own_ledger)
+        handed = wave_kernels(a, t / 2.0 ** s, scheme, handed_ledger,
+                              powers=wave_powers)
+        assert _same_bits(handed.c_part, own.c_part)
+        assert _same_bits(handed.s_part, own.s_part)
+        assert handed_ledger.products == own_ledger.products - 1 == k - 1
+
+
 def _scheme_pair(a, wave):
     if wave:
         part = wave_kernels(a, 1.3, SchemeId(SchemeFamily.WAVE_KERNEL, 4),
@@ -264,13 +306,17 @@ def test_tracer_sees_linear_combination_terms(monkeypatch):
 
 
 def _exact_rule(norm, table):
-    """Selection as specified: Fraction costs, theta_eff read per entry."""
+    """Selection on the norm alone as specified: Fraction costs, theta_eff
+    read per entry, and steps in log4 for the wave pair, whose operand
+    quarters per step."""
     for entry in table.entries:
         if norm <= entry.theta_eff:
             return entry.scheme, 0
+    wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
     best = None
     for entry in table.entries:
-        s = max(0, math.ceil(math.log2(norm / entry.theta_eff)))
+        bits = math.log2(norm / entry.theta_eff)
+        s = max(0, math.ceil(bits / 2 if wave else bits))
         total = entry.cost + 2 * s
         if best is None or (total, s) < (best[0], best[1]):
             best = (total, s, entry.scheme)

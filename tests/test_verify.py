@@ -23,7 +23,9 @@ from cossinm.verify import (
     extract_scheme_poly,
     extract_sin9_poly,
     extract_wave_s34_poly,
+    _tail_bound,
     generate_theta_table,
+    leading_degree,
     reference_cos_sin,
     relative_error_2,
     true_coefficient,
@@ -283,6 +285,39 @@ def test_shipped_tables_regenerate(family, table):
             assert got.scheme == want.scheme
             assert got.theta_cos == pytest.approx(want.theta_cos, rel=1e-6)
             assert got.theta_sin == pytest.approx(want.theta_sin, rel=1e-6)
+            assert (got.ell_cos, got.ell_sin) == (want.ell_cos, want.ell_sin)
+
+
+def _sides(entry):
+    if entry.scheme.family is SchemeFamily.WAVE_KERNEL:
+        return ((Which.WAVE_C, entry.theta_cos, entry.ell_cos),
+                (Which.WAVE_S, entry.theta_sin, entry.ell_sin))
+    return ((Which.COS, entry.theta_cos, entry.ell_cos),
+            (Which.SIN, entry.theta_sin, entry.ell_sin))
+
+
+@pytest.mark.parametrize("table", [TAYLOR_TABLE, PADE_TABLE, WAVE_TABLE],
+                         ids=["taylor", "pade", "wave"])
+def test_shipped_leading_degrees_regenerate(table):
+    """Each shipped ell is the first degree of the side's error series,
+    and below theta the tail bound falls at least as fast as x^ell, the
+    property selection on norms of powers rests on."""
+    u = UNIT_ROUNDOFF[Precision.DOUBLE]
+    for entry in table[Precision.DOUBLE].entries:
+        for which, theta, ell in _sides(entry):
+            assert leading_degree(entry.scheme, which) == ell
+            poly = extract_scheme_poly(entry.scheme, which)
+            with mp.workdps(poly.precision_digits):
+                diffs = difference_series(poly, which)
+                assert diffs[0][0] == ell
+                for shrink in (0.9, 0.5, 1e-3):
+                    x = theta * shrink
+                    assert _tail_bound(diffs, x) <= u * shrink ** ell * (
+                        1.0 + 1e-9)
+    for entry, single in zip(table[Precision.DOUBLE].entries,
+                             table[Precision.SINGLE].entries):
+        assert (entry.ell_cos, entry.ell_sin) == (single.ell_cos,
+                                                  single.ell_sin)
 
 
 def test_wave_c_threshold_is_cosine_threshold_squared():
