@@ -4,9 +4,10 @@ The library computes cos(A) and sin(A) in one pass (sharing every matrix
 product between them), the wave kernels c(t^2 A) and s(t, A) without any
 matrix square root, and a rational order-8 baseline for comparison.  Norms
 beyond a scheme's threshold are handled by exact power-of-two scaling and
-double-angle recovery.  The verify module re-derives every shipped
-threshold and checks every scheme's order conditions against the true
-series with extended-precision coefficient extraction.
+double-angle recovery.  The cossinm.verify module, imported on its own
+(it needs mpmath), re-derives every shipped threshold and checks every
+scheme's order conditions against the true series with extended-precision
+coefficient extraction.
 """
 
 from .driver import (
@@ -40,16 +41,6 @@ from .schemes import (
     wave_sin34,
 )
 from .theta_tables import Precision, ThetaEntry, ThetaTable
-from .verify import (
-    ScalarPoly,
-    ThetaComputation,
-    Which,
-    compute_theta,
-    compute_theta_pair,
-    extract_scheme_poly,
-    generate_theta_table,
-    reference_cos_sin,
-)
 
 __version__ = "0.1.0"
 
@@ -62,27 +53,19 @@ __all__ = [
     "MatrixInputError",
     "PADE8",
     "Precision",
-    "ScalarPoly",
     "SchemeFamily",
     "SchemeId",
     "SingularMatrixError",
-    "ThetaComputation",
     "ThetaEntry",
     "ThetaTable",
     "WaveResult",
-    "Which",
-    "compute_theta",
-    "compute_theta_pair",
     "cos_sin",
-    "extract_scheme_poly",
     "generate_corpus",
-    "generate_theta_table",
     "matrix_from_rows",
     "norm1",
     "pade8_cos_sin",
     "pade_cos_sin",
     "read_matrix",
-    "reference_cos_sin",
     "select_scheme",
     "taylor_cos_sin",
     "taylor_sin9",

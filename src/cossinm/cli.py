@@ -44,7 +44,6 @@ from .theta_tables import (
     Precision,
     ThetaEntry,
 )
-from .verify import generate_theta_table, reference_cos_sin, relative_error_2
 
 
 @dataclass
@@ -89,8 +88,6 @@ def _precision(name: str) -> Precision:
 
 
 def _cmd_cossin(args: argparse.Namespace) -> int:
-    if args.wave:
-        return _run_wave(args.path, args.t, args.precision)
     a = read_matrix(args.path)
     precision = _precision(args.precision)
     report = pade_cos_sin(a, precision) if args.method == "pade" \
@@ -101,19 +98,13 @@ def _cmd_cossin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_wave(path: str, t: float | None, precision_name: str) -> int:
-    if t is None:
-        raise MatrixInputError("wave mode needs a time step (--t)")
-    a = read_matrix(path)
-    report = wave_cos_sin(a, t, _precision(precision_name))
-    write_matrix(f"{path}.c", report.result.c_part)
-    write_matrix(f"{path}.s", report.result.s_part)
+def _cmd_wave(args: argparse.Namespace) -> int:
+    a = read_matrix(args.path)
+    report = wave_cos_sin(a, args.t, _precision(args.precision))
+    write_matrix(f"{args.path}.c", report.result.c_part)
+    write_matrix(f"{args.path}.s", report.result.s_part)
     print(_report_line(report))
     return 0
-
-
-def _cmd_wave(args: argparse.Namespace) -> int:
-    return _run_wave(args.path, args.t, args.precision)
 
 
 def _bench_counts(total: int) -> tuple[int, int, int, int]:
@@ -126,6 +117,8 @@ def _bench_counts(total: int) -> tuple[int, int, int, int]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .verify import reference_cos_sin, relative_error_2
+
     spec = CorpusSpec(
         dimension_cap=args.dim_cap,
         count_per_class=_bench_counts(args.count),
@@ -196,6 +189,8 @@ def _theta_rows(precision: Precision) -> list[ThetaEntry]:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
+    from .verify import generate_theta_table
+
     precision = _precision(args.precision)
     unit = "2^-53" if precision is Precision.DOUBLE else "2^-24"
     print(f"{args.precision} precision (u = {unit})")
@@ -257,10 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("taylor", "pade"), default="taylor")
     p.add_argument("--precision", choices=("double", "single"),
                    default="double")
-    p.add_argument("--wave", action="store_true",
-                   help="compute the wave kernel pair instead")
-    p.add_argument("--t", type=float, default=None,
-                   help="time step for wave mode")
     p.set_defaults(func=_cmd_cossin)
 
     p = sub.add_parser("wave", help="compute the wave kernel pair")

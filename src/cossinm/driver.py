@@ -1,21 +1,24 @@
 """Full-norm evaluation: scheme selection, scaling, and doubling recovery.
 
-Every chain starts from the even variable and its square: y = A^2 and y^2
-for the trigonometric pairs, B = t^2 A (free) and B^2 for the wave pair.
-The driver forms those two powers once, before selection, and picks the
-scheme and the scaling exponent s from their norms (select_scheme), which
-sees through nonnormal input whose 1-norm far exceeds what its powers do.
-The input is scaled by an exact power of two, the chain is evaluated there
-with the powers scaled to match (2^-s per factor of A, also exact, so the
-chain forms neither again and the cost law stays pair cost + 2s), and the
-result is pushed back up with double-angle steps, each costing two
-products formed from the old pair and scaled in place: S <- 2 S C and
-C <- I - 2 S^2.  The sine form keeps I - C, all the information a cosine
-near the identity carries, to full relative accuracy; 2 C^2 - I would
-rebuild it by cancellation and lose about a factor 4 per step.  The wave
-pair scales the time step instead (halving t quarters the even variable)
-and doubles with c <- 2 c^2 - I: its s kernel is sin(t sqrt(A))/sqrt(A),
-so the sine form would need A s^2, a third product per step.
+cos_sin, wave_cos_sin and pade_cos_sin run one body, which takes the family
+from the threshold table it is given.  Every chain starts from the even
+variable and its square: y = A^2 and y^2 for the trigonometric pairs,
+B = t^2 A (free) and B^2 for the wave pair.  The driver forms those two
+powers once, before selection (an operand above 2^500 first brought under
+it by an exact power of two), and picks the scheme and the scaling exponent
+s from their norms (select_scheme), which sees through nonnormal input
+whose 1-norm far exceeds what its powers do.  The input is scaled by an
+exact power of two, the chain is evaluated there with the powers scaled to
+match (2^-s per factor of A, also exact, so the chain forms neither again
+and the cost law stays pair cost + 2s), and the result is pushed back up
+with double-angle steps, each costing two products formed from the old pair
+and scaled in place: S <- 2 S C and C <- I - 2 S^2.  The sine form keeps
+I - C, all the information a cosine near the identity carries, to full
+relative accuracy; 2 C^2 - I would rebuild it by cancellation and lose
+about a factor 4 per step.  The wave pair scales the time step instead
+(halving t quarters the even variable) and doubles with c <- 2 c^2 - I: its
+s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
+third product per step.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .matcore import (
 )
 from .schemes import (
     CosSinResult,
+    SchemeFamily,
     SchemeId,
     WaveResult,
     pade8_cos_sin,
@@ -70,8 +74,9 @@ class ComputationReport:
     selection_norms holds the norms selection was given: (||A||_1,
     ||A^2||_1^(1/2), ||A^4||_1^(1/4)) for the trigonometric pairs and
     (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where a
-    square was not formed before selection (a norm above 2^500, or one the
-    cheapest scheme covers unscaled), its entry repeats the one before it.
+    square was not formed before selection (an A^2 norm above 2^500, or a
+    norm the cheapest scheme covers unscaled), its entry repeats the one
+    before it.
     """
 
     result: CosSinResult | WaveResult
@@ -81,9 +86,9 @@ class ComputationReport:
     selection_norms: tuple[float, ...] = ()
 
 
-# Largest norm whose operand is squared before selection.  A larger A is
-# first brought under it by an exact power of two, so A^2 stays finite; a
-# larger A^2 (or B) is not squared again, so A^4 (or B^2) stays finite.
+# Largest norm whose operand is squared before selection.  A larger A (or
+# B) is first brought under it by an exact power of two, so A^2 (or B^2)
+# stays finite; a larger A^2 is not squared again, so A^4 stays finite.
 _SQUARE_LIMIT_BITS = 500
 _SQUARE_LIMIT = 2.0 ** _SQUARE_LIMIT_BITS
 
@@ -178,13 +183,6 @@ def _double_angle(
     return cos, sin
 
 
-def _check_finite_square(a: DenseMatrix) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise MatrixInputError("matrix entries must be finite")
-
-
 def _scaled(m: DenseMatrix | None, bits: int) -> DenseMatrix | None:
     # exact, as ldexp is: multiplying by 2.0 ** bits, a normal number down
     # to 2^-1022, rounds each entry once; ldexp takes the larger shifts
@@ -193,55 +191,90 @@ def _scaled(m: DenseMatrix | None, bits: int) -> DenseMatrix | None:
     return m * 2.0 ** bits if bits >= -1022 else np.ldexp(m, bits)
 
 
-def _trig_selection(
-    a: DenseMatrix, table: ThetaTable, ledger: CostLedger
-) -> tuple[SchemeId, int, tuple | None, tuple[float, float, float]]:
-    """Form A^2 and A^4 once, select on their norms, and scale them.
+def _selection(
+    x: DenseMatrix, table: ThetaTable, ledger: CostLedger, wave: bool
+) -> tuple[SchemeId, int, tuple | None, tuple[float, ...]]:
+    """Select on the norms of the even variable y and of y^2, formed once.
 
-    Returns the scheme, s, the powers of A 2^-s for the chain (None when
-    none were formed) and the selection norms.  A is first taken to
-    A 2^-p, with p > 0 only for norms above 2^500; selection then runs on
-    that operand and s counts p on top, so the powers are only ever
-    scaled down.
+    x is A, whose y = A^2 costs a product, or B = t^2 A, which is its own
+    y.  Above 2^500, x is first taken to x 2^-p (x 4^-p for B, which
+    quarters per step) so the squares stay finite, and s counts p on top.
+    Returns the scheme, s, the powers scaled to the chain's operand (None
+    when none were formed) and the selection norms.
     """
-    norm = norm1(a)
+    norm = norm1(x)
     if norm <= table.floor:
         # the cheapest scheme unscaled, whatever the powers: the chain
         # forms them
-        return table.entries[0].scheme, 0, None, (norm, norm, norm)
-    p = max(0, math.frexp(norm)[1] - _SQUARE_LIMIT_BITS)
-    base = a * 2.0 ** -p if p else a
-    y = matmul(base, base, ledger)
-    y_norm = norm1(y)
-    beta = math.sqrt(y_norm)
-    y2, delta = None, beta
+        return table.entries[0].scheme, 0, None, (norm,) * (2 if wave else 3)
+    bits = table.step_bits
+    p = max(0, -(-(math.frexp(norm)[1] - _SQUARE_LIMIT_BITS) // bits))
+    base = x * 2.0 ** (-bits * p) if p else x
+    base_norm = math.ldexp(norm, -bits * p)
+    if wave:
+        y, y_norm = base, base_norm
+    else:
+        y = matmul(base, base, ledger)
+        y_norm = norm1(y)
+    # root is ||y^2||^(1/2), or ||y|| when y^2 is not formed
+    y2, root = None, y_norm
     if y_norm <= _SQUARE_LIMIT:
         y2 = matmul(y, y, ledger)
-        delta = math.sqrt(math.sqrt(norm1(y2)))
-    scheme, s = select_scheme(math.ldexp(norm, -p), table, beta, delta)
+        root = math.sqrt(norm1(y2))
+    if wave:
+        beta, delta = None, root
+        norms = (norm, math.ldexp(delta, 2 * p))
+    else:
+        beta, delta = math.sqrt(y_norm), math.sqrt(root)
+        norms = (norm, math.ldexp(beta, p), math.ldexp(delta, p))
+    scheme, s = select_scheme(base_norm, table, beta, delta)
     powers = (_scaled(y, -2 * s), _scaled(y2, -4 * s))
-    norms = (norm, math.ldexp(beta, p), math.ldexp(delta, p))
     return scheme, s + p, powers, norms
+
+
+def _evaluate(
+    a: DenseMatrix, table: ThetaTable, t: float | None = None
+) -> ComputationReport:
+    """The one evaluation body: check, select, scale, evaluate, double.
+
+    The family comes from the table; t is read for the wave pair only.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise MatrixInputError("matrix entries must be finite")
+    ledger = CostLedger()
+    family = table.entries[0].scheme.family
+    if family is SchemeFamily.WAVE_KERNEL:
+        t = float(t)
+        scheme, s, powers, norms = _selection(t * t * a, table, ledger, True)
+        part = wave_kernels(a, t / 2.0 ** s, scheme, ledger, powers=powers)
+        c, s_part = _double_angle(part.c_part, part.s_part, s, ledger,
+                                  wave=True)
+        result = WaveResult(c_part=c, s_part=s_part, cost=ledger)
+    else:
+        scheme, s, powers, norms = _selection(a, table, ledger, False)
+        scaled = a * 2.0 ** -s
+        if family is SchemeFamily.PADE8:
+            part = pade8_cos_sin(scaled, ledger, powers=powers)
+        else:
+            part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
+        cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
+        result = CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
+    return ComputationReport(
+        result=result,
+        scheme_used=scheme,
+        scaling_exponent=s,
+        total_products=ledger.total_cost,
+        selection_norms=norms,
+    )
 
 
 def cos_sin(
     a: DenseMatrix, precision: Precision = Precision.DOUBLE
 ) -> ComputationReport:
     """Simultaneous cos(a) and sin(a) via the factored Taylor pipeline."""
-    _check_finite_square(a)
-    ledger = CostLedger()
-    scheme, s, powers, norms = _trig_selection(a, TAYLOR_TABLE[precision],
-                                               ledger)
-    scaled = a * 2.0 ** -s
-    part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
-    cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
-    return ComputationReport(
-        result=CosSinResult(cos_part=cos, sin_part=sin, cost=ledger),
-        scheme_used=scheme,
-        scaling_exponent=s,
-        total_products=ledger.total_cost,
-        selection_norms=norms,
-    )
+    return _evaluate(a, TAYLOR_TABLE[precision])
 
 
 def wave_cos_sin(
@@ -254,45 +287,11 @@ def wave_cos_sin(
     B^2 16^-s); each doubling step applies s(2t, A) = 2 s(t, A) c(t^2 A)
     and c(4 t^2 A) = 2 c(t^2 A)^2 - I, both from the old pair.
     """
-    _check_finite_square(a)
-    ledger = CostLedger()
-    table = WAVE_TABLE[precision]
-    t = float(t)
-    b = t * t * a
-    norm = norm1(b)
-    b2, delta = None, norm
-    if table.floor < norm <= _SQUARE_LIMIT:
-        b2 = matmul(b, b, ledger)
-        delta = math.sqrt(norm1(b2))
-    scheme, s = select_scheme(norm, table, delta=delta)
-    part = wave_kernels(a, t / 2.0 ** s, scheme, ledger,
-                        powers=(_scaled(b, -2 * s), _scaled(b2, -4 * s)))
-    c, s_part = _double_angle(part.c_part, part.s_part, s, ledger,
-                              wave=True)
-    return ComputationReport(
-        result=WaveResult(c_part=c, s_part=s_part, cost=ledger),
-        scheme_used=scheme,
-        scaling_exponent=s,
-        total_products=ledger.total_cost,
-        selection_norms=(norm, delta),
-    )
+    return _evaluate(a, WAVE_TABLE[precision], t)
 
 
 def pade_cos_sin(
     a: DenseMatrix, precision: Precision = Precision.DOUBLE
 ) -> ComputationReport:
     """Baseline pipeline: the rational order-8 pair under the same driver."""
-    _check_finite_square(a)
-    ledger = CostLedger()
-    scheme, s, powers, norms = _trig_selection(a, PADE_TABLE[precision],
-                                               ledger)
-    scaled = a * 2.0 ** -s
-    part = pade8_cos_sin(scaled, ledger, powers=powers)
-    cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
-    return ComputationReport(
-        result=CosSinResult(cos_part=cos, sin_part=sin, cost=ledger),
-        scheme_used=scheme,
-        scaling_exponent=s,
-        total_products=ledger.total_cost,
-        selection_norms=norms,
-    )
+    return _evaluate(a, PADE_TABLE[precision])

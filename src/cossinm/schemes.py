@@ -11,7 +11,8 @@ Because the two families share their even-variable cores, the chains here
 are written once over an abstract operand algebra: the driver runs them with
 dense matrices (charging a cost ledger per product), and the verification
 oracle replays the identical code path with exact scalar polynomials to
-extract every coefficient a scheme actually computes.
+extract every coefficient a scheme actually computes.  SCHEMES, the one
+registry, maps each scheme to its chain and its cost.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
@@ -28,8 +29,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
-from typing import Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .matcore import (
     CostLedger,
@@ -64,30 +66,23 @@ class SchemeFamily(enum.Enum):
     PADE8 = "pade8"
 
 
-_VALID_K = {
-    SchemeFamily.COS_SIN_TAYLOR: (3, 4, 6, 7),
-    SchemeFamily.WAVE_KERNEL: (3, 4, 5),
-    SchemeFamily.PADE8: (5,),
-}
-
-
 @dataclass(frozen=True)
 class SchemeId:
-    """Identifies one scheme: family plus total products for the cos+sin pair."""
+    """Identifies one scheme: family plus total products for the cos+sin pair.
+
+    Valid pairs are the keys of SCHEMES.
+    """
 
     family: SchemeFamily
     k_products: int
 
     def __post_init__(self) -> None:
-        valid = _VALID_K[self.family]
-        if self.k_products not in valid:
+        if (self.family, self.k_products) not in SCHEMES:
+            valid = tuple(k for f, k in SCHEMES if f is self.family)
             raise ValueError(
                 f"k_products for {self.family.value} must be one of {valid},"
                 f" got {self.k_products}"
             )
-
-
-PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
 @dataclass
@@ -440,10 +435,40 @@ def chain_deg12(
     return cos, sin_core
 
 
-# Which even-variable chain each trigonometric scheme uses. The wave family
-# uses the same chains one step down: its even variable needs no product.
-_TAYLOR_CHAIN = {3: chain_deg2, 4: chain_deg4, 6: chain_deg8, 7: chain_deg12}
-_WAVE_CHAIN = {3: chain_deg4, 4: chain_deg8, 5: chain_deg12}
+# --------------------------------------------------------------------------
+# The scheme registry.
+
+
+@dataclass(frozen=True)
+class RegisteredScheme:
+    """One scheme's even-variable chain and its cost in products.
+
+    chain(alg, y, y2=None) returns the (cosine core, sine core) pair; the
+    rational baseline has none, its cores being series quotients.
+    """
+
+    chain: Callable[..., tuple] | None
+    cost: Fraction
+
+
+_TAYLOR, _WAVE = SchemeFamily.COS_SIN_TAYLOR, SchemeFamily.WAVE_KERNEL
+
+# Every scheme, keyed by (family, k_products), each family in ascending
+# cost.  The wave family uses the trigonometric chains one step down: its
+# even variable needs no product, and its degree-4 sine is the exact one.
+SCHEMES: dict[tuple[SchemeFamily, int], RegisteredScheme] = {
+    (_TAYLOR, 3): RegisteredScheme(chain_deg2, F(3)),
+    (_TAYLOR, 4): RegisteredScheme(partial(chain_deg4, exact_sine=False),
+                                   F(4)),
+    (_TAYLOR, 6): RegisteredScheme(chain_deg8, F(6)),
+    (_TAYLOR, 7): RegisteredScheme(chain_deg12, F(7)),
+    (_WAVE, 3): RegisteredScheme(partial(chain_deg4, exact_sine=True), F(3)),
+    (_WAVE, 4): RegisteredScheme(chain_deg8, F(4)),
+    (_WAVE, 5): RegisteredScheme(chain_deg12, F(5)),
+    (SchemeFamily.PADE8, 5): RegisteredScheme(None, F(22, 3)),
+}
+
+PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
 def _require_square(a: DenseMatrix) -> int:
@@ -473,11 +498,8 @@ def taylor_cos_sin(
     n = _require_square(a)
     alg = MatrixAlgebra(n, ledger)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
-    chain = _TAYLOR_CHAIN[scheme.k_products]
-    if chain is chain_deg4:
-        cos, sin_core = chain_deg4(alg, y, exact_sine=False, y2=y2)
-    else:
-        cos, sin_core = chain(alg, y, y2=y2)
+    cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
+        alg, y, y2=y2)
     sin = alg.mul(a, sin_core)
     return CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
 
@@ -515,11 +537,7 @@ def wave_kernels(
     n = _require_square(a)
     alg = MatrixAlgebra(n, ledger)
     y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
-    chain = _WAVE_CHAIN[scheme.k_products]
-    if chain is chain_deg4:
-        c, s_core = chain_deg4(alg, y, exact_sine=True, y2=y2)
-    else:
-        c, s_core = chain(alg, y, y2=y2)
+    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
     return WaveResult(c_part=c, s_part=float(t) * s_core, cost=ledger)
 
 

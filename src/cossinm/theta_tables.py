@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .schemes import PADE8, SchemeFamily, SchemeId
+from .schemes import SCHEMES, SchemeFamily, SchemeId
 
 F = Fraction
 
@@ -126,39 +126,42 @@ class ThetaTable:
         ))
 
 
-def _taylor(k: int) -> SchemeId:
-    return SchemeId(SchemeFamily.COS_SIN_TAYLOR, k)
+_TAYLOR, _WAVE = SchemeFamily.COS_SIN_TAYLOR, SchemeFamily.WAVE_KERNEL
+_PADE = SchemeFamily.PADE8
 
 
-def _wave(k: int) -> SchemeId:
-    return SchemeId(SchemeFamily.WAVE_KERNEL, k)
+def _entry(family: SchemeFamily, k: int, theta_cos: float, theta_sin: float,
+           ell_cos: int, ell_sin: int) -> ThetaEntry:
+    """A shipped entry, at the cost the scheme registry gives."""
+    return ThetaEntry(SchemeId(family, k), theta_cos, theta_sin,
+                      SCHEMES[family, k].cost, ell_cos, ell_sin)
 
 
 TAYLOR_TABLE: dict[Precision, ThetaTable] = {
     Precision.DOUBLE: ThetaTable(
         Precision.DOUBLE,
         (
-            ThetaEntry(_taylor(3), 0.006563322289762723, 0.01777015697577729,
-                       F(3), 6, 7),
-            ThetaEntry(_taylor(4), 0.11495105915204516, 0.08043801069944813,
-                       F(4), 10, 9),
-            ThetaEntry(_taylor(6), 0.9810763216215669, 1.118352319366378,
-                       F(6), 18, 19),
-            ThetaEntry(_taylor(7), 2.5674905328502904, 1.8554811337390547,
-                       F(7), 26, 23),
+            _entry(_TAYLOR, 3, 0.006563322289762723, 0.01777015697577729,
+                   6, 7),
+            _entry(_TAYLOR, 4, 0.11495105915204516, 0.08043801069944813,
+                   10, 9),
+            _entry(_TAYLOR, 6, 0.9810763216215669, 1.118352319366378,
+                   18, 19),
+            _entry(_TAYLOR, 7, 2.5674905328502904, 1.8554811337390547,
+                   26, 23),
         ),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
         (
-            ThetaEntry(_taylor(3), 0.18709270369684675, 0.3138563386485543,
-                       F(3), 6, 7),
-            ThetaEntry(_taylor(4), 0.8575551381567614, 0.7492030342174507,
-                       F(4), 10, 9),
-            ThetaEntry(_taylor(6), 2.9935285064988997, 3.215172177750302,
-                       F(6), 18, 19),
-            ThetaEntry(_taylor(7), 5.555547236845219, 4.381922344660116,
-                       F(7), 26, 23),
+            _entry(_TAYLOR, 3, 0.18709270369684675, 0.3138563386485543,
+                   6, 7),
+            _entry(_TAYLOR, 4, 0.8575551381567614, 0.7492030342174507,
+                   10, 9),
+            _entry(_TAYLOR, 6, 2.9935285064988997, 3.215172177750302,
+                   18, 19),
+            _entry(_TAYLOR, 7, 5.555547236845219, 4.381922344660116,
+                   26, 23),
         ),
     ),
 }
@@ -166,13 +169,13 @@ TAYLOR_TABLE: dict[Precision, ThetaTable] = {
 PADE_TABLE: dict[Precision, ThetaTable] = {
     Precision.DOUBLE: ThetaTable(
         Precision.DOUBLE,
-        (ThetaEntry(PADE8, 0.13959229566058115, 0.11212687277599737,
-                    F(22, 3), 10, 9),),
+        (_entry(_PADE, 5, 0.13959229566058115, 0.11212687277599737,
+                10, 9),),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
-        (ThetaEntry(PADE8, 1.021836815484684, 0.9951082066593949,
-                    F(22, 3), 10, 9),),
+        (_entry(_PADE, 5, 1.021836815484684, 0.9951082066593949,
+                10, 9),),
     ),
 }
 
@@ -180,32 +183,23 @@ WAVE_TABLE: dict[Precision, ThetaTable] = {
     Precision.DOUBLE: ThetaTable(
         Precision.DOUBLE,
         (
-            ThetaEntry(_wave(3), 0.013213746049765359, 0.021345252850722786,
-                       F(3), 5, 5),
-            ThetaEntry(_wave(4), 0.9625107503945455, 1.266344610496533,
-                       F(4), 9, 9),
-            ThetaEntry(_wave(5), 6.592007661014267, 3.640429549980952,
-                       F(5), 13, 11),
+            _entry(_WAVE, 3, 0.013213746049765359, 0.021345252850722786,
+                   5, 5),
+            _entry(_WAVE, 4, 0.9625107503945455, 1.266344610496533,
+                   9, 9),
+            _entry(_WAVE, 5, 6.592007661014267, 3.640429549980952,
+                   13, 11),
         ),
     ),
     Precision.SINGLE: ThetaTable(
         Precision.SINGLE,
         (
-            ThetaEntry(_wave(3), 0.7354008169503493, 1.1874758013210427,
-                       F(3), 5, 5),
-            ThetaEntry(_wave(4), 8.961212972067917, 11.761988215232014,
-                       F(4), 9, 9),
-            ThetaEntry(_wave(5), 30.86410513391181, 21.848395783984834,
-                       F(5), 13, 11),
+            _entry(_WAVE, 3, 0.7354008169503493, 1.1874758013210427,
+                   5, 5),
+            _entry(_WAVE, 4, 8.961212972067917, 11.761988215232014,
+                   9, 9),
+            _entry(_WAVE, 5, 30.86410513391181, 21.848395783984834,
+                   13, 11),
         ),
     ),
 }
-
-
-def table_for(family: SchemeFamily, precision: Precision) -> ThetaTable:
-    tables = {
-        SchemeFamily.COS_SIN_TAYLOR: TAYLOR_TABLE,
-        SchemeFamily.WAVE_KERNEL: WAVE_TABLE,
-        SchemeFamily.PADE8: PADE_TABLE,
-    }
-    return tables[family][precision]

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -44,20 +43,17 @@ from .matcore import (
     norm1,
 )
 from .schemes import (
-    PADE8,
     PADE8_DEN,
     PADE8_NUM_COS,
     PADE8_NUM_SIN,
+    SCHEMES,
     Constants,
     CosSinResult,
     ExactScalar,
     SchemeFamily,
     SchemeId,
     SqrtCoeff,
-    chain_deg2,
     chain_deg4,
-    chain_deg8,
-    chain_deg12,
 )
 from .theta_tables import Precision, ThetaEntry, ThetaTable, UNIT_ROUNDOFF
 
@@ -189,22 +185,8 @@ def _core_pair(scheme: SchemeId) -> tuple[ScalarPoly, ScalarPoly]:
         cos = _series_quotient(PADE8_NUM_COS, PADE8_DEN, _PADE_SERIES_TERMS)
         sin = _series_quotient(PADE8_NUM_SIN, PADE8_DEN, _PADE_SERIES_TERMS)
         return ScalarPoly(cos), ScalarPoly(sin)
-    alg = PolyAlgebra()
-    y = ScalarPoly([0, 1])
-    k = scheme.k_products
-    if scheme.family is SchemeFamily.COS_SIN_TAYLOR:
-        if k == 3:
-            return chain_deg2(alg, y)
-        if k == 4:
-            return chain_deg4(alg, y, exact_sine=False)
-        if k == 6:
-            return chain_deg8(alg, y)
-        return chain_deg12(alg, y)
-    if k == 3:
-        return chain_deg4(alg, y, exact_sine=True)
-    if k == 4:
-        return chain_deg8(alg, y)
-    return chain_deg12(alg, y)
+    chain = SCHEMES[scheme.family, scheme.k_products].chain
+    return chain(PolyAlgebra(), ScalarPoly([0, 1]))
 
 
 def _spread(core: ScalarPoly, odd: bool) -> ScalarPoly:
@@ -295,15 +277,6 @@ def difference_series(
     return out
 
 
-@dataclass(frozen=True)
-class ThetaComputation:
-    scheme: SchemeId
-    target_u: float
-    theta_cos: float
-    theta_sin: float
-    tail_terms: int = 150
-
-
 def _tail_bound(
     diffs: Sequence[tuple[int, mpmath.mpf]], theta: float
 ) -> mpmath.mpf:
@@ -353,40 +326,18 @@ def leading_degree(scheme: SchemeId, which: Which) -> int:
         return difference_series(poly, which)[0][0]
 
 
-def compute_theta_pair(
-    scheme: SchemeId, target_u: float, tail_terms: int = 150
-) -> ThetaComputation:
-    if scheme.family is SchemeFamily.WAVE_KERNEL:
-        pair = (Which.WAVE_C, Which.WAVE_S)
-    else:
-        pair = (Which.COS, Which.SIN)
-    return ThetaComputation(
-        scheme=scheme,
-        target_u=target_u,
-        theta_cos=compute_theta(scheme, pair[0], target_u, tail_terms),
-        theta_sin=compute_theta(scheme, pair[1], target_u, tail_terms),
-        tail_terms=tail_terms,
-    )
-
-
-def _family_schemes(family: SchemeFamily) -> Iterator[tuple[SchemeId, Fraction]]:
-    if family is SchemeFamily.PADE8:
-        yield PADE8, F(22, 3)
-        return
-    ks = (3, 4, 6, 7) if family is SchemeFamily.COS_SIN_TAYLOR else (3, 4, 5)
-    for k in ks:
-        yield SchemeId(family, k), F(k)
-
-
 def generate_theta_table(
     family: SchemeFamily, precision: Precision
 ) -> ThetaTable:
-    """Recompute one shipped threshold table from scratch."""
+    """Recompute one shipped threshold table from scratch: one entry per
+    registered scheme of the family, at the registry's cost."""
     u = UNIT_ROUNDOFF[precision]
     if family is SchemeFamily.WAVE_KERNEL:
         cos_side, sin_side = Which.WAVE_C, Which.WAVE_S
     else:
         cos_side, sin_side = Which.COS, Which.SIN
+    schemes = [(SchemeId(f, k), registered.cost)
+               for (f, k), registered in SCHEMES.items() if f is family]
     entries = tuple(
         ThetaEntry(
             scheme=scheme,
@@ -396,7 +347,7 @@ def generate_theta_table(
             ell_cos=leading_degree(scheme, cos_side),
             ell_sin=leading_degree(scheme, sin_side),
         )
-        for scheme, cost in _family_schemes(family)
+        for scheme, cost in schemes
     )
     return ThetaTable(precision, entries)
 

@@ -50,12 +50,6 @@ def test_wave_subcommand(tmp_path):
     assert s[0, 0] == pytest.approx(math.sin(0.5) / 0.5, abs=1e-14)
 
 
-def test_cossin_wave_flag_requires_t(tmp_path, capsys):
-    path = _write(tmp_path, "w2.mat", [[0.1]])
-    assert main(["cossin", str(path), "--wave"]) == 2
-    assert "t" in capsys.readouterr().err
-
-
 def test_malformed_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.mat"
     path.write_text("bogus\n")

@@ -400,8 +400,8 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         report = cos_sin(involutory)
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
             ledger = CostLedger()
-            _scheme, _s, powers, norms = driver._trig_selection(
-                dense, table, ledger)
+            _scheme, _s, powers, norms = driver._selection(
+                dense, table, ledger, False)
             # A^2 is formed from A 2^-11; its norm is too large to square
             assert powers[1] is None and ledger.products == 1
             assert np.isfinite(powers[0]).all()
@@ -413,7 +413,12 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
     assert report.total_products == 7 + 2 * report.scaling_exponent
     assert np.isfinite(report.result.cos_part).all()
     assert np.isfinite(report.result.sin_part).all()
-    assert wave.selection_norms == (big, big)
+    # B is prescaled by 4^-11 like A, so B^2 = 0 is formed: the cheapest
+    # scheme with the 11 prescale steps, and the exact outputs
+    assert wave.selection_norms == (big, 0.0)
+    assert (wave.scheme_used.k_products, wave.scaling_exponent) == (3, 11)
+    assert np.array_equal(wave.result.c_part, [[1.0, -big / 2], [0.0, 1.0]])
+    assert np.array_equal(wave.result.s_part, [[1.0, -big / 6], [0.0, 1.0]])
     assert wave.total_products == \
         wave.scheme_used.k_products + 2 * wave.scaling_exponent
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,3 +430,21 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
             assert out.total_products == \
                 _pair_cost(table, out.scheme_used) + 2 * out.scaling_exponent
     assert out.scheme_used == PADE8
+
+
+def test_wave_huge_norm_is_prescaled_like_cos_sin():
+    # ||B||_1 = 1e307 is finite but 1e307 / theta is not; B is first taken
+    # to B 4^-260, as cos_sin takes A to A 2^-p, so selection stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = wave_cos_sin(np.array([[1e307]]), 1.0)
+    assert report.selection_norms == (1e307, 1e307)
+    rest = select_scheme(math.ldexp(1e307, -520), DOUBLE_WAVE,
+                         delta=math.ldexp(1e307, -520))
+    assert (report.scheme_used, report.scaling_exponent) == \
+        (rest[0], 260 + rest[1])
+    assert (report.scheme_used.k_products, report.scaling_exponent) == \
+        (5, 509)
+    assert report.total_products == 5 + 2 * 509
+    assert np.isfinite(report.result.c_part).all()
+    assert np.isfinite(report.result.s_part).all()

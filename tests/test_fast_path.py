@@ -303,6 +303,12 @@ def test_tracer_sees_linear_combination_terms(monkeypatch):
     assert (spans["terms"][combos] >= 1).all()
     products = sum(r.result.cost.products for r in reports)
     assert (names == "matcore.matmul").sum() == products
+    # every input is above every floor, so each entry call selects once and
+    # evaluates once, through the names the tracer rebinds
+    entries = (names == tracing.ENTRY).sum()
+    assert entries == len(reports)
+    assert (names == "schemes.evaluate").sum() == entries
+    assert (names == "driver.select_scheme").sum() == entries
 
 
 def _exact_rule(norm, table):
@@ -352,9 +358,12 @@ def test_precomputed_selection_matches_exact_rule(table):
 
 
 def test_import_does_not_load_scipy_linalg():
-    code = "import sys, cossinm; print('scipy.linalg' in sys.modules)"
+    # nor mpmath: it serves cossinm.verify only, imported on its own
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cossinm.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "False"
+    for module in ("cossinm", "cossinm.cli"):
+        code = (f"import sys, {module}; print('scipy.linalg' in sys.modules,"
+                " 'mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False False", module

@@ -10,6 +10,7 @@ from cossinm.matcore import CostLedger, MatrixInputError
 from cossinm.schemes import (
     COEFFICIENTS,
     PADE8,
+    SCHEMES,
     SchemeFamily,
     SchemeId,
     X_DEG8,
@@ -35,10 +36,12 @@ def _wave(k):
 
 @pytest.mark.parametrize("k", TAYLOR_KS)
 def test_taylor_product_budget(k):
-    """Each pair scheme charges exactly its advertised product count."""
+    """Each pair scheme charges exactly its advertised product count,
+    which is the cost the registry gives selection."""
     ledger = CostLedger()
     taylor_cos_sin(np.zeros((3, 3)), _taylor(k), ledger)
     assert ledger.total_cost == Fraction(k)
+    assert SCHEMES[SchemeFamily.COS_SIN_TAYLOR, k].cost == Fraction(k)
 
 
 @pytest.mark.parametrize("k", WAVE_KS)
@@ -46,6 +49,7 @@ def test_wave_product_budget(k):
     ledger = CostLedger()
     wave_kernels(np.zeros((3, 3)), 0.5, _wave(k), ledger)
     assert ledger.total_cost == Fraction(k)
+    assert SCHEMES[SchemeFamily.WAVE_KERNEL, k].cost == Fraction(k)
 
 
 def test_sin9_standalone_budget():
@@ -64,6 +68,7 @@ def test_pade8_budget_is_7_and_a_third():
     ledger = CostLedger()
     pade8_cos_sin(np.zeros((3, 3)), ledger)
     assert ledger.total_cost == Fraction(22, 3)
+    assert SCHEMES[PADE8.family, PADE8.k_products].cost == Fraction(22, 3)
 
 
 @pytest.mark.parametrize("k", TAYLOR_KS)
