@@ -33,12 +33,9 @@ from .schemes import (
     CosSinResult,
     SchemeFamily,
     SchemeId,
-    WaveResult,
     pade8_cos_sin,
     taylor_cos_sin,
-    taylor_sin9,
     wave_kernels,
-    wave_sin34,
 )
 from .theta_tables import Precision, ThetaEntry, ThetaTable
 
@@ -58,7 +55,6 @@ __all__ = [
     "SingularMatrixError",
     "ThetaEntry",
     "ThetaTable",
-    "WaveResult",
     "cos_sin",
     "generate_corpus",
     "matrix_from_rows",
@@ -68,9 +64,7 @@ __all__ = [
     "read_matrix",
     "select_scheme",
     "taylor_cos_sin",
-    "taylor_sin9",
     "wave_cos_sin",
     "wave_kernels",
-    "wave_sin34",
     "write_matrix",
 ]

@@ -101,8 +101,8 @@ def _cmd_cossin(args: argparse.Namespace) -> int:
 def _cmd_wave(args: argparse.Namespace) -> int:
     a = read_matrix(args.path)
     report = wave_cos_sin(a, args.t, _precision(args.precision))
-    write_matrix(f"{args.path}.c", report.result.c_part)
-    write_matrix(f"{args.path}.s", report.result.s_part)
+    write_matrix(f"{args.path}.c", report.result.cos_part)
+    write_matrix(f"{args.path}.s", report.result.sin_part)
     print(_report_line(report))
     return 0
 

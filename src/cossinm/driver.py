@@ -19,6 +19,11 @@ about a factor 4 per step.  The wave pair scales the time step instead
 (halving t quarters the even variable) and doubles with c <- 2 c^2 - I: its
 s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
 third product per step.
+
+All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
+c(t^2 A) and s(t, A).  The body accepts a nonempty square matrix of finite
+real entries (bool, integer or float), evaluated in binary64, and raises
+MatrixInputError for anything else.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .schemes import (
     CosSinResult,
     SchemeFamily,
     SchemeId,
-    WaveResult,
     pade8_cos_sin,
     taylor_cos_sin,
     wave_kernels,
@@ -79,7 +83,7 @@ class ComputationReport:
     before it.
     """
 
-    result: CosSinResult | WaveResult
+    result: CosSinResult
     scheme_used: SchemeId
     scaling_exponent: int
     total_products: Fraction
@@ -241,17 +245,22 @@ def _evaluate(
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
+    if a.dtype.kind not in "biuf":
+        raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
+    if a.size == 0:
+        raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
+    # binary64 throughout: a bool matmul is logical, an int64 one wraps,
+    # a float32 one rounds to single
+    a = a.astype(np.float64, copy=False)
     if not np.all(np.isfinite(a)):
         raise MatrixInputError("matrix entries must be finite")
     ledger = CostLedger()
     family = table.entries[0].scheme.family
-    if family is SchemeFamily.WAVE_KERNEL:
+    wave = family is SchemeFamily.WAVE_KERNEL
+    if wave:
         t = float(t)
         scheme, s, powers, norms = _selection(t * t * a, table, ledger, True)
         part = wave_kernels(a, t / 2.0 ** s, scheme, ledger, powers=powers)
-        c, s_part = _double_angle(part.c_part, part.s_part, s, ledger,
-                                  wave=True)
-        result = WaveResult(c_part=c, s_part=s_part, cost=ledger)
     else:
         scheme, s, powers, norms = _selection(a, table, ledger, False)
         scaled = a * 2.0 ** -s
@@ -259,8 +268,8 @@ def _evaluate(
             part = pade8_cos_sin(scaled, ledger, powers=powers)
         else:
             part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
-        cos, sin = _double_angle(part.cos_part, part.sin_part, s, ledger)
-        result = CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
+    result = CosSinResult(
+        *_double_angle(part.cos_part, part.sin_part, s, ledger, wave))
     return ComputationReport(
         result=result,
         scheme_used=scheme,

@@ -49,11 +49,6 @@ class CostLedger:
     lu_factorizations: int = 0
     lu_solves: int = 0
 
-    def charge_product(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("cost counters only increase")
-        self.products += count
-
     def charge_lu(self, solves: int) -> None:
         """Charge one factorization plus `solves` full solves against it."""
         if solves < 0:

@@ -12,7 +12,9 @@ are written once over an abstract operand algebra: the driver runs them with
 dense matrices (charging a cost ledger per product), and the verification
 oracle replays the identical code path with exact scalar polynomials to
 extract every coefficient a scheme actually computes.  SCHEMES, the one
-registry, maps each scheme to its chain and its cost.
+registry, maps each scheme to its chain and its cost.  All three pairs
+(taylor_cos_sin, wave_kernels, pade8_cos_sin) return one CosSinResult and
+charge their products to the ledger the caller passes in.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
@@ -68,9 +70,13 @@ class SchemeFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class SchemeId:
-    """Identifies one scheme: family plus total products for the cos+sin pair.
+    """Identifies one scheme: its family and its matrix-product count.
 
-    Valid pairs are the keys of SCHEMES.
+    k_products counts the matrix products one evaluation of the pair
+    charges, the even variable's own included.  The Pade pair's LU
+    factorization and its two solves are charged apart, so PADE8 has
+    k_products = 5 and a ledger total of 22/3.  Valid pairs are the keys of
+    SCHEMES.
     """
 
     family: SchemeFamily
@@ -87,16 +93,10 @@ class SchemeId:
 
 @dataclass
 class CosSinResult:
+    """One computed pair: cos(A) and sin(A), or wave c(t^2 A) and s(t, A)."""
+
     cos_part: DenseMatrix
     sin_part: DenseMatrix
-    cost: CostLedger
-
-
-@dataclass
-class WaveResult:
-    c_part: DenseMatrix
-    s_part: DenseMatrix
-    cost: CostLedger
 
 
 # --------------------------------------------------------------------------
@@ -199,30 +199,6 @@ PADE8_NUM_COS: tuple[Fraction, ...] = (
 )
 PADE8_NUM_SIN: tuple[Fraction, ...] = (
     F(1), F(-11, 84), F(37, 11760), F(-1, 70560),
-)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Every stored scheme constant, bundled for inspection and testing."""
-
-    x_deg8: dict[int, ExactScalar]
-    z_deg8: dict[int, Fraction]
-    a_deg12: dict[tuple[int, int], Fraction]
-    z_deg12: dict[int, Fraction]
-    pade_den: tuple[Fraction, ...]
-    pade_num_cos: tuple[Fraction, ...]
-    pade_num_sin: tuple[Fraction, ...]
-
-
-COEFFICIENTS = CoefficientSet(
-    x_deg8=X_DEG8,
-    z_deg8=Z_DEG8,
-    a_deg12=A_DEG12,
-    z_deg12=Z_DEG12,
-    pade_den=PADE8_DEN,
-    pade_num_cos=PADE8_NUM_COS,
-    pade_num_sin=PADE8_NUM_SIN,
 )
 
 
@@ -501,20 +477,7 @@ def taylor_cos_sin(
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, y, y2=y2)
     sin = alg.mul(a, sin_core)
-    return CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
-
-
-def taylor_sin9(a: DenseMatrix, ledger: CostLedger) -> DenseMatrix:
-    """Degree-9 sine alone: the exact-sine variant of the degree-4 chain.
-
-    Costs 2 products beyond the 3 shared with the paired cosine when the
-    intermediates are reused; evaluated standalone it charges 5.
-    """
-    n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger)
-    y = alg.mul(a, a)
-    _, sin_core = chain_deg4(alg, y, exact_sine=True)
-    return alg.mul(a, sin_core)
+    return CosSinResult(cos, sin)
 
 
 def wave_kernels(
@@ -524,7 +487,7 @@ def wave_kernels(
     ledger: CostLedger,
     *,
     powers: Powers | None = None,
-) -> WaveResult:
+) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
@@ -538,20 +501,7 @@ def wave_kernels(
     alg = MatrixAlgebra(n, ledger)
     y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
-    return WaveResult(c_part=c, s_part=float(t) * s_core, cost=ledger)
-
-
-def wave_sin34(a: DenseMatrix, t: float, ledger: CostLedger) -> DenseMatrix:
-    """Cheaper wave sine variant: order 3 in B, reusing the c-chain products.
-
-    Standalone cost is 2 products; alongside the matching c kernel it is
-    free.  The highest-order pair stays the default in the driver.
-    """
-    n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger)
-    y = float(t) * float(t) * a
-    _, s_core = chain_deg4(alg, y, exact_sine=False)
-    return float(t) * s_core
+    return CosSinResult(c, float(t) * s_core)
 
 
 def pade8_cos_sin(
@@ -576,4 +526,4 @@ def pade8_cos_sin(
     num_cos = alg.lin(list(zip(k.num_cos, powers)))
     num_sin = alg.mul(a, alg.lin(list(zip(k.num_sin, powers))))
     cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger)
-    return CosSinResult(cos_part=cos, sin_part=sin, cost=ledger)
+    return CosSinResult(cos, sin)

@@ -36,7 +36,6 @@ import mpmath
 import numpy as np
 
 from .matcore import (
-    CostLedger,
     DenseMatrix,
     MatrixInputError,
     identity,
@@ -450,7 +449,6 @@ def reference_cos_sin(a: DenseMatrix) -> CosSinResult:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
-    ledger = CostLedger()
     norm = norm1(a)
     s = 0
     if norm > _REF_NORM_CAP:
@@ -461,26 +459,19 @@ def reference_cos_sin(a: DenseMatrix) -> CosSinResult:
     # let the infs propagate silently rather than warn on every product.
     with np.errstate(over="ignore", invalid="ignore"):
         yh, yl = _dd_matmul(bh, zero, bh, zero)
-        ledger.charge_product()
         powers = [(identity(a.shape[0]), zero), (yh, yl)]
         for _ in range(5):
             ph, pl = _dd_matmul(*powers[-1], yh, yl)
-            ledger.charge_product()
             powers.append((ph, pl))
         cos_h, cos_l = _dd_series(powers, _REF_COS_CORE)
         sin_h, sin_l = _dd_matmul(bh, zero, *_dd_series(powers, _REF_SIN_CORE))
-        ledger.charge_product()
         eye = identity(a.shape[0])
         for _ in range(s):
             sh, sl = _dd_matmul(sin_h, sin_l, cos_h, cos_l)
             sin_h, sin_l = 2.0 * sh, 2.0 * sl
             ch, cl = _dd_matmul(cos_h, cos_l, cos_h, cos_l)
             cos_h, cos_l = _dd_add(2.0 * ch, 2.0 * cl, -eye, zero)
-            ledger.charge_product()
-            ledger.charge_product()
-    return CosSinResult(
-        cos_part=cos_h + cos_l, sin_part=sin_h + sin_l, cost=ledger
-    )
+    return CosSinResult(cos_h + cos_l, sin_h + sin_l)
 
 
 def relative_error_2(approx: DenseMatrix, reference: DenseMatrix) -> float:

@@ -267,8 +267,8 @@ def test_criterion_6_wave_block_identity():
         trig = cos_sin(t * root)
         sin_scaled = np.linalg.solve(root, trig.result.sin_part)
         block_wave = np.block([
-            [wave.result.c_part, wave.result.s_part],
-            [-a @ wave.result.s_part, wave.result.c_part],
+            [wave.result.cos_part, wave.result.sin_part],
+            [-a @ wave.result.sin_part, wave.result.cos_part],
         ])
         block_trig = np.block([
             [trig.result.cos_part, sin_scaled],
@@ -294,8 +294,8 @@ def test_criterion_7_property_suite():
             and np.array_equal(zero.result.sin_part, np.zeros((3, 3)))):
         problems.append("zero-matrix identity")
     wave_zero = wave_cos_sin(np.zeros((2, 2)), 0.4)
-    if not (np.array_equal(wave_zero.result.c_part, np.eye(2))
-            and np.array_equal(wave_zero.result.s_part, 0.4 * np.eye(2))):
+    if not (np.array_equal(wave_zero.result.cos_part, np.eye(2))
+            and np.array_equal(wave_zero.result.sin_part, 0.4 * np.eye(2))):
         problems.append("wave zero-matrix identity")
 
     # diagonal reduction

@@ -112,11 +112,35 @@ def test_cos_sin_pi_diagonal():
     assert np.max(np.abs(report.result.sin_part)) <= 1e-13
 
 
+# Input the product path cannot compute: not square, not finite, empty, or
+# not real (complex, or Python objects).
+_BAD_INPUTS = (
+    np.zeros((2, 3)),
+    np.array([[math.inf, 0.0], [0.0, 0.0]]),
+    np.zeros((0, 0)),
+    np.array([[1j, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=object),
+)
+
+
 def test_cos_sin_rejects_bad_input():
-    with pytest.raises(MatrixInputError):
-        cos_sin(np.zeros((2, 3)))
-    with pytest.raises(MatrixInputError):
-        cos_sin(np.array([[math.inf, 0.0], [0.0, 0.0]]))
+    for call in (cos_sin, pade_cos_sin):
+        for a in _BAD_INPUTS:
+            with pytest.raises(MatrixInputError):
+                call(a)
+
+
+def test_real_input_of_any_dtype_evaluates_in_binary64():
+    # a bool matmul is logical, an int64 one wraps and a float32 one rounds
+    # to single, so the driver takes such input to float64 first
+    for a in (np.array([[True, True], [False, True]]),
+              np.array([[3037000500, 0], [0, 1]]),
+              np.array([[0.5, 2.0], [3.0, 4.0]], dtype=np.float32)):
+        for call in (cos_sin, pade_cos_sin, lambda m: wave_cos_sin(m, 0.5)):
+            want = call(a.astype(np.float64)).result
+            got = call(a).result
+            assert np.array_equal(got.cos_part, want.cos_part)
+            assert np.array_equal(got.sin_part, want.sin_part)
 
 
 def _power_norms(a):
@@ -182,18 +206,18 @@ def test_wave_diagonal_example():
     # under the top entry's thresholds (6.59, 3.64), 16 / 4 = 4 is not
     assert report.scheme_used.k_products == 5
     assert report.scaling_exponent == 2
-    assert np.max(np.abs(report.result.c_part - math.cos(4.0) * np.eye(2))
+    assert np.max(np.abs(report.result.cos_part - math.cos(4.0) * np.eye(2))
                   ) <= 1e-13
-    assert np.max(np.abs(report.result.s_part - (math.sin(4.0) / 2.0)
+    assert np.max(np.abs(report.result.sin_part - (math.sin(4.0) / 2.0)
                          * np.eye(2))) <= 1e-13
 
 
 def test_wave_small_norm_unscaled():
     report = wave_cos_sin(np.diag([0.25, 0.01]), 1.0)
     assert report.scaling_exponent == 0
-    assert report.result.c_part[0, 0] == pytest.approx(
+    assert report.result.cos_part[0, 0] == pytest.approx(
         math.cos(0.5), abs=1e-15)
-    assert report.result.s_part[0, 0] == pytest.approx(
+    assert report.result.sin_part[0, 0] == pytest.approx(
         math.sin(0.5) / 0.5, abs=1e-15)
 
 
@@ -208,8 +232,8 @@ def test_wave_block_identity_on_spd(rng):
     trig = cos_sin(t * root)
     sin_scaled = np.linalg.solve(root, trig.result.sin_part)
     block_wave = np.block([
-        [wave.result.c_part, wave.result.s_part],
-        [-a @ wave.result.s_part, wave.result.c_part],
+        [wave.result.cos_part, wave.result.sin_part],
+        [-a @ wave.result.sin_part, wave.result.cos_part],
     ])
     block_trig = np.block([
         [trig.result.cos_part, sin_scaled],
@@ -248,8 +272,9 @@ def test_single_precision_selection(rng):
 
 
 def test_wave_rejects_bad_input():
-    with pytest.raises(MatrixInputError):
-        wave_cos_sin(np.zeros((2, 3)), 1.0)
+    for a in _BAD_INPUTS:
+        with pytest.raises(MatrixInputError):
+            wave_cos_sin(a, 1.0)
 
 
 # ------------------------------------------------- selection on powers
@@ -383,8 +408,8 @@ def test_vanishing_fourth_power_takes_the_cheapest_scheme():
     wave = wave_cos_sin(b, 2.0)
     assert (wave.scheme_used.k_products, wave.scaling_exponent) == (3, 0)
     assert wave.selection_norms == (2e4, 0.0)
-    assert np.array_equal(wave.result.c_part, np.eye(2) - 0.5 * 4.0 * b)
-    assert wave.result.s_part == pytest.approx(
+    assert np.array_equal(wave.result.cos_part, np.eye(2) - 0.5 * 4.0 * b)
+    assert wave.result.sin_part == pytest.approx(
         2.0 * (np.eye(2) - 4.0 * b / 6.0), rel=1e-15)
     assert select_scheme(5.0, DOUBLE_TAYLOR, 1.0, 0.0) == (
         SchemeId(SchemeFamily.COS_SIN_TAYLOR, 3), 0)
@@ -417,8 +442,8 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
     # scheme with the 11 prescale steps, and the exact outputs
     assert wave.selection_norms == (big, 0.0)
     assert (wave.scheme_used.k_products, wave.scaling_exponent) == (3, 11)
-    assert np.array_equal(wave.result.c_part, [[1.0, -big / 2], [0.0, 1.0]])
-    assert np.array_equal(wave.result.s_part, [[1.0, -big / 6], [0.0, 1.0]])
+    assert np.array_equal(wave.result.cos_part, [[1.0, -big / 2], [0.0, 1.0]])
+    assert np.array_equal(wave.result.sin_part, [[1.0, -big / 6], [0.0, 1.0]])
     assert wave.total_products == \
         wave.scheme_used.k_products + 2 * wave.scaling_exponent
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,5 +471,5 @@ def test_wave_huge_norm_is_prescaled_like_cos_sin():
     assert (report.scheme_used.k_products, report.scaling_exponent) == \
         (5, 509)
     assert report.total_products == 5 + 2 * 509
-    assert np.isfinite(report.result.c_part).all()
-    assert np.isfinite(report.result.s_part).all()
+    assert np.isfinite(report.result.cos_part).all()
+    assert np.isfinite(report.result.sin_part).all()

@@ -46,7 +46,7 @@ from cossinm.theta_tables import (
     ThetaTable,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class NaiveAlgebra:
@@ -139,8 +139,8 @@ def test_wave_chain_matches_naive_arithmetic(name, k):
         c, core = chain(alg, y, exact_sine=True)
     else:
         c, core = chain(alg, y)
-    assert _same_bits(fast.c_part, c)
-    assert _same_bits(fast.s_part, t * core)
+    assert _same_bits(fast.cos_part, c)
+    assert _same_bits(fast.sin_part, t * core)
     assert fast_ledger.total_cost == naive_ledger.total_cost == k
 
 
@@ -206,8 +206,8 @@ def test_handed_in_powers_match_the_chains_own(name, s):
         own = wave_kernels(a, t / 2.0 ** s, scheme, own_ledger)
         handed = wave_kernels(a, t / 2.0 ** s, scheme, handed_ledger,
                               powers=wave_powers)
-        assert _same_bits(handed.c_part, own.c_part)
-        assert _same_bits(handed.s_part, own.s_part)
+        assert _same_bits(handed.cos_part, own.cos_part)
+        assert _same_bits(handed.sin_part, own.sin_part)
         assert handed_ledger.products == own_ledger.products - 1 == k - 1
 
 
@@ -215,9 +215,9 @@ def _scheme_pair(a, wave):
     if wave:
         part = wave_kernels(a, 1.3, SchemeId(SchemeFamily.WAVE_KERNEL, 4),
                             CostLedger())
-        return part.c_part, part.s_part
-    part = taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
-                          CostLedger())
+    else:
+        part = taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
+                              CostLedger())
     return part.cos_part, part.sin_part
 
 
@@ -259,22 +259,32 @@ def test_no_exact_constant_is_converted_at_call_time(monkeypatch):
     assert conversions == []
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_cossinm_tracing",
-                                                  TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"_cossinm_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_bench_reads_the_result_arrays_themselves():
+    calls = _load_perfbench("calls")
+    a = INPUTS["random"]
+    for report in (cossinm.cos_sin(a), cossinm.wave_cos_sin(a, 1.3),
+                   cossinm.pade_cos_sin(a)):
+        cos, sin = calls.pair(report.result)
+        assert cos is report.result.cos_part
+        assert sin is report.result.sin_part
+
+
 def test_tracer_rebind_targets_still_resolve():
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     for module, attribute, _span in tracing.REBIND:
         assert callable(getattr(module, attribute)), (module, attribute)
 
 
 def test_tracer_sees_linear_combination_terms(monkeypatch):
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     seen = []
     original = schemes.linear_combination
 
@@ -301,8 +311,10 @@ def test_tracer_sees_linear_combination_terms(monkeypatch):
     assert combos.sum() == len(seen)
     assert (spans["n"][combos] == a.shape[0]).all()
     assert (spans["terms"][combos] >= 1).all()
-    products = sum(r.result.cost.products for r in reports)
-    assert (names == "matcore.matmul").sum() == products
+    # the Pade LU is one factorization (1/3) and two solves (2)
+    charged = ((names == "matcore.matmul").sum()
+               + Fraction(7, 3) * (names == "matcore.lu_solve_pair").sum())
+    assert charged == sum(r.total_products for r in reports)
     # every input is above every floor, so each entry call selects once and
     # evaluates once, through the names the tracer rebinds
     entries = (names == tracing.ENTRY).sum()

@@ -143,8 +143,7 @@ def test_linear_combination_rejects_empty_and_mismatch():
 def test_cost_ledger_totals():
     ledger = CostLedger()
     assert ledger.total_cost == Fraction(0)
-    ledger.charge_product()
-    ledger.charge_product(2)
+    ledger.products += 3
     ledger.charge_lu(solves=2)
     # 3 products + one factorization at 1/3 + two solves at 1 each
     assert ledger.total_cost == Fraction(16, 3)

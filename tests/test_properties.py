@@ -35,10 +35,7 @@ times = st.floats(0.5, 2.0)
 
 
 def _pair(report):
-    result = report.result
-    if hasattr(result, "cos_part"):
-        return result.cos_part, result.sin_part
-    return result.c_part, result.s_part
+    return report.result.cos_part, report.result.sin_part
 
 
 def _close(x, y, s):

@@ -8,7 +8,6 @@ import pytest
 
 from cossinm.matcore import CostLedger, MatrixInputError
 from cossinm.schemes import (
-    COEFFICIENTS,
     PADE8,
     SCHEMES,
     SchemeFamily,
@@ -17,9 +16,7 @@ from cossinm.schemes import (
     Z_DEG12,
     pade8_cos_sin,
     taylor_cos_sin,
-    taylor_sin9,
     wave_kernels,
-    wave_sin34,
 )
 
 TAYLOR_KS = (3, 4, 6, 7)
@@ -52,22 +49,11 @@ def test_wave_product_budget(k):
     assert SCHEMES[SchemeFamily.WAVE_KERNEL, k].cost == Fraction(k)
 
 
-def test_sin9_standalone_budget():
-    ledger = CostLedger()
-    taylor_sin9(np.zeros((2, 2)), ledger)
-    assert ledger.total_cost == Fraction(5)
-
-
-def test_wave_sin34_standalone_budget():
-    ledger = CostLedger()
-    wave_sin34(np.zeros((2, 2)), 1.0, ledger)
-    assert ledger.total_cost == Fraction(2)
-
-
 def test_pade8_budget_is_7_and_a_third():
     ledger = CostLedger()
     pade8_cos_sin(np.zeros((3, 3)), ledger)
     assert ledger.total_cost == Fraction(22, 3)
+    assert ledger.products == PADE8.k_products
     assert SCHEMES[PADE8.family, PADE8.k_products].cost == Fraction(22, 3)
 
 
@@ -82,16 +68,16 @@ def test_taylor_zero_matrix(k):
 def test_wave_zero_matrix(k):
     # s(t, 0) is the sinc limit t*I, not zero
     out = wave_kernels(np.zeros((4, 4)), 0.7, _wave(k), CostLedger())
-    assert np.array_equal(out.c_part, np.eye(4))
-    assert np.array_equal(out.s_part, 0.7 * np.eye(4))
+    assert np.array_equal(out.cos_part, np.eye(4))
+    assert np.array_equal(out.sin_part, 0.7 * np.eye(4))
 
 
 @pytest.mark.parametrize("k", WAVE_KS)
 def test_wave_zero_time(k, rng):
     out = wave_kernels(rng.standard_normal((3, 3)), 0.0, _wave(k),
                        CostLedger())
-    assert np.array_equal(out.c_part, np.eye(3))
-    assert np.array_equal(out.s_part, np.zeros((3, 3)))
+    assert np.array_equal(out.cos_part, np.eye(3))
+    assert np.array_equal(out.sin_part, np.zeros((3, 3)))
 
 
 def test_pade_zero_matrix():
@@ -115,15 +101,6 @@ def test_taylor_diagonal_reduction(k):
             assert out.sin_part[i, i] == pytest.approx(math.sin(x), abs=1e-15)
 
 
-def test_sin9_scalar_accuracy():
-    # degree-9 truncation error is x^11/11!, so keep |x| small enough
-    # that it sits below the float64 tolerance
-    d = np.diag([0.1, -0.05])
-    got = taylor_sin9(d, CostLedger())
-    assert got[0, 0] == pytest.approx(math.sin(0.1), abs=1e-15)
-    assert got[1, 1] == pytest.approx(math.sin(-0.05), abs=1e-15)
-
-
 def test_wave_scalar_values():
     # c(t^2 a) = cos(t sqrt(a)) and s(t, a) = sin(t sqrt(a))/sqrt(a) on
     # positive scalars
@@ -132,8 +109,8 @@ def test_wave_scalar_values():
     out = wave_kernels(a, t, _wave(5), CostLedger())
     for i, x in enumerate(np.diag(a)):
         w = math.sqrt(x)
-        assert out.c_part[i, i] == pytest.approx(math.cos(t * w), abs=1e-14)
-        assert out.s_part[i, i] == pytest.approx(
+        assert out.cos_part[i, i] == pytest.approx(math.cos(t * w), abs=1e-14)
+        assert out.sin_part[i, i] == pytest.approx(
             math.sin(t * w) / w, abs=1e-14)
 
 
@@ -142,8 +119,8 @@ def test_wave_hyperbolic_continuation():
     w = 0.7
     a = np.diag([-(w * w)])
     out = wave_kernels(a, 1.0, _wave(5), CostLedger())
-    assert out.c_part[0, 0] == pytest.approx(math.cosh(w), abs=1e-14)
-    assert out.s_part[0, 0] == pytest.approx(math.sinh(w) / w, abs=1e-14)
+    assert out.cos_part[0, 0] == pytest.approx(math.cosh(w), abs=1e-14)
+    assert out.sin_part[0, 0] == pytest.approx(math.sinh(w) / w, abs=1e-14)
 
 
 def test_wave_matches_taylor_twin_bitwise(rng):
@@ -152,7 +129,7 @@ def test_wave_matches_taylor_twin_bitwise(rng):
     square = r @ r
     wave_out = wave_kernels(square, 1.0, _wave(4), CostLedger())
     taylor_out = taylor_cos_sin(r, _taylor(6), CostLedger())
-    assert np.array_equal(wave_out.c_part, taylor_out.cos_part)
+    assert np.array_equal(wave_out.cos_part, taylor_out.cos_part)
 
 
 def test_taylor_rejects_nonsquare_and_wrong_family():
@@ -189,8 +166,8 @@ def test_result_shapes(rng):
     assert out.cos_part.shape == (4, 4)
     assert out.sin_part.shape == (4, 4)
     wout = wave_kernels(a, 0.3, _wave(4), CostLedger())
-    assert wout.c_part.shape == (4, 4)
-    assert wout.s_part.shape == (4, 4)
+    assert wout.cos_part.shape == (4, 4)
+    assert wout.sin_part.shape == (4, 4)
 
 
 def test_surd_coefficient_closed_form():
@@ -202,12 +179,6 @@ def test_surd_coefficient_closed_form():
 
 def test_degree12_inner_slot_is_unity():
     assert Z_DEG12[6] == Fraction(1)
-
-
-def test_coefficient_bundle_exposes_all_sets():
-    assert COEFFICIENTS.x_deg8 is X_DEG8
-    assert len(COEFFICIENTS.pade_den) == 5
-    assert COEFFICIENTS.pade_den[0] == Fraction(1)
 
 
 def test_pade8_matches_taylor_at_small_norm(rng):
