@@ -21,9 +21,13 @@ s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
 third product per step.
 
 All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
-c(t^2 A) and s(t, A).  The body accepts a nonempty square matrix of finite
-real entries (bool, integer or float), evaluated in binary64, and raises
-MatrixInputError for anything else.
+c(t^2 A) and s(t, A).  The body accepts a nonempty square matrix, as an
+array or nested sequences, of finite real entries (bool, integer or float),
+evaluated in binary64, and raises MatrixInputError for anything else.  An
+upper-triangular input at or above matcore's crossover size runs the
+chain's and the doubling's products as triangular ones and the Pade solves
+as triangular solves, after the same selection as dense input; the ledger
+is charged as for dense input.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .matcore import (
     CostLedger,
     DenseMatrix,
     MatrixInputError,
+    is_upper_triangular,
     linear_combination,
     matmul,
     norm1,
@@ -166,6 +171,7 @@ def _double_angle(
     steps: int,
     ledger: CostLedger,
     wave: bool = False,
+    upper: bool = False,
 ) -> tuple[DenseMatrix, DenseMatrix]:
     # Both products of a step read the old pair; each fresh, C-contiguous
     # product is then scaled in place and its identity term added on the
@@ -174,14 +180,14 @@ def _double_angle(
     n = cos.shape[0]
     for _ in range(steps):
         if wave:
-            square = matmul(cos, cos, ledger)
+            square = matmul(cos, cos, ledger, upper=upper)
             square *= 2.0
             square.ravel()[:: n + 1] -= 1.0
         else:
-            square = matmul(sin, sin, ledger)
+            square = matmul(sin, sin, ledger, upper=upper)
             square *= -2.0
             square.ravel()[:: n + 1] += 1.0
-        sin = matmul(sin, cos, ledger)
+        sin = matmul(sin, cos, ledger, upper=upper)
         sin *= 2.0
         cos = square
     return cos, sin
@@ -242,7 +248,19 @@ def _evaluate(
     """The one evaluation body: check, select, scale, evaluate, double.
 
     The family comes from the table; t is read for the wave pair only.
+    An upper-triangular A keeps every matrix formed from it upper
+    triangular, so before doubling it is tested once
+    (matcore.is_upper_triangular) and the steps take the triangular path,
+    as the chain's products do (the schemes test their own operand).
+    Selection's products stay dense: a triangular product may round
+    differently (by an ulp in ||A^2||_1 on a 512 x 512 triangle), and the
+    choice of scheme and s, with the norms it read, stays the dense
+    path's bit for bit.
     """
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise MatrixInputError(f"ragged or non-numeric rows: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
     if a.dtype.kind not in "biuf":
@@ -268,8 +286,9 @@ def _evaluate(
             part = pade8_cos_sin(scaled, ledger, powers=powers)
         else:
             part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
+    upper = s > 0 and is_upper_triangular(a)
     result = CosSinResult(
-        *_double_angle(part.cos_part, part.sin_part, s, ledger, wave))
+        *_double_angle(part.cos_part, part.sin_part, s, ledger, wave, upper))
     return ComputationReport(
         result=result,
         scheme_used=scheme,

@@ -14,7 +14,9 @@ oracle replays the identical code path with exact scalar polynomials to
 extract every coefficient a scheme actually computes.  SCHEMES, the one
 registry, maps each scheme to its chain and its cost.  All three pairs
 (taylor_cos_sin, wave_kernels, pade8_cos_sin) return one CosSinResult and
-charge their products to the ledger the caller passes in.
+charge their products to the ledger the caller passes in; each tests its
+own operand (matcore.is_upper_triangular), and on an upper-triangular one
+runs every product, and the Pade solves, as triangular ones.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
@@ -40,6 +42,7 @@ from .matcore import (
     DenseMatrix,
     MatrixInputError,
     identity,
+    is_upper_triangular,
     linear_combination,
     lu_solve_pair,
     matmul,
@@ -274,12 +277,17 @@ class MatrixAlgebra:
     Chains read the float64 constants.  A combination whose first term is
     the identity hands that coefficient to linear_combination as its
     diagonal start value, so no identity multiple is formed; every chain
-    puts its identity term first.
+    puts its identity term first.  With upper, every operand is upper
+    triangular, as every polynomial in an upper-triangular matrix is, and
+    each product is a triangular one (matmul's upper).
     """
 
-    def __init__(self, n: int, ledger: CostLedger) -> None:
+    def __init__(
+        self, n: int, ledger: CostLedger, upper: bool = False
+    ) -> None:
         self._one = identity(n)
         self._ledger = ledger
+        self._upper = upper
 
     @property
     def one(self) -> DenseMatrix:
@@ -289,7 +297,7 @@ class MatrixAlgebra:
         return table.floats
 
     def mul(self, p: DenseMatrix, q: DenseMatrix) -> DenseMatrix:
-        return matmul(p, q, self._ledger)
+        return matmul(p, q, self._ledger, upper=self._upper)
 
     def lin(self, terms: Sequence[tuple[float, DenseMatrix]]) -> DenseMatrix:
         c, m = terms[0]
@@ -472,7 +480,7 @@ def taylor_cos_sin(
     if scheme.family is not SchemeFamily.COS_SIN_TAYLOR:
         raise ValueError(f"not a trigonometric scheme: {scheme}")
     n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger)
+    alg = MatrixAlgebra(n, ledger, is_upper_triangular(a))
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, y, y2=y2)
@@ -498,7 +506,7 @@ def wave_kernels(
     if scheme.family is not SchemeFamily.WAVE_KERNEL:
         raise ValueError(f"not a wave-kernel scheme: {scheme}")
     n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger)
+    alg = MatrixAlgebra(n, ledger, is_upper_triangular(a))
     y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
     return CosSinResult(c, float(t) * s_core)
@@ -515,7 +523,8 @@ def pade8_cos_sin(
     powers = (A^2, A^4) or (A^2, None).
     """
     n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger)
+    upper = is_upper_triangular(a)
+    alg = MatrixAlgebra(n, ledger, upper)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
     y2 = _square(alg, y, y2)
     y3 = alg.mul(y, y2)
@@ -525,5 +534,5 @@ def pade8_cos_sin(
     den = alg.lin(list(zip(k.den, powers)))
     num_cos = alg.lin(list(zip(k.num_cos, powers)))
     num_sin = alg.mul(a, alg.lin(list(zip(k.num_sin, powers))))
-    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger)
+    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=upper)
     return CosSinResult(cos, sin)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import driver
+from cossinm import driver, matcore
 from cossinm.driver import (
     cos_sin,
     pade_cos_sin,
@@ -120,6 +120,7 @@ _BAD_INPUTS = (
     np.zeros((0, 0)),
     np.array([[1j, 0.0], [0.0, 1.0]]),
     np.array([[1.0, 0.0], [0.0, 1.0]], dtype=object),
+    [[1.0, 2.0], [3.0]],
 )
 
 
@@ -141,6 +142,110 @@ def test_real_input_of_any_dtype_evaluates_in_binary64():
             got = call(a).result
             assert np.array_equal(got.cos_part, want.cos_part)
             assert np.array_equal(got.sin_part, want.sin_part)
+
+
+def test_nested_list_input_matches_the_array():
+    rows = [[1.0, 2.0], [0.0, 1.0]]
+    for call in (cos_sin, pade_cos_sin, lambda m: wave_cos_sin(m, 0.5)):
+        want = call(np.array(rows)).result
+        got = call(rows).result
+        assert got.cos_part.tobytes() == want.cos_part.tobytes()
+        assert got.sin_part.tobytes() == want.sin_part.tobytes()
+
+
+# ------------------------------------------------- upper-triangular input
+
+
+_ENTRY_POINTS = {
+    "cos_sin": cos_sin,
+    "wave_cos_sin": lambda a: wave_cos_sin(a, 1.5),
+    "pade_cos_sin": pade_cos_sin,
+}
+
+
+def _triangular_inputs(n):
+    rng = np.random.default_rng(8)
+    jordan = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
+    triu = np.triu(rng.standard_normal((n, n)))
+    return {"jordan": jordan * (4.0 / norm1(jordan)),
+            "triu": triu * (24.0 / norm1(triu))}
+
+
+def _blas_spy(monkeypatch):
+    """Count the calls to the triangular kernels matcore imports on use."""
+    import scipy.linalg.blas as blas
+
+    calls = {"dtrmm": 0, "dtrsm": 0}
+    for name in calls:
+        kernel = getattr(blas, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(blas, name, counted)
+    return calls
+
+
+def _dense_path(monkeypatch, call, a):
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_TRIANGULAR_MIN_N", math.inf)
+        return call(a)
+
+
+def _same_choice(got, want):
+    assert got.scheme_used == want.scheme_used
+    assert got.scaling_exponent == want.scaling_exponent
+    assert got.total_products == want.total_products
+    assert got.selection_norms == want.selection_norms
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["jordan", "triu"])
+def test_upper_triangular_input_takes_the_triangular_kernels(
+        monkeypatch, entry, kind):
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    a = _triangular_inputs(n)[kind]
+    call = _ENTRY_POINTS[entry]
+    want = _dense_path(monkeypatch, call, a)
+    calls = _blas_spy(monkeypatch)
+    got = call(a)
+    # selection forms y = A^2 (free for the wave pair) and y^2 densely;
+    # every other product is one dtrmm, and the Pade solves (charged 1/3 + 2)
+    # are two dtrsm
+    dense = 1 if entry == "wave_cos_sin" else 2
+    solves = 2 if entry == "pade_cos_sin" else 0
+    assert calls == {
+        "dtrmm": got.total_products - dense - Fraction(7, 6) * solves,
+        "dtrsm": solves}
+    _same_choice(got, want)
+    tol = 1e3 * n * 4.0 ** got.scaling_exponent * 2.0 ** -53
+    for x, ref in ((got.result.cos_part, want.result.cos_part),
+                   (got.result.sin_part, want.result.sin_part)):
+        assert norm1(x - ref) <= tol * norm1(ref)
+        assert not np.tril(x, -1).any()
+
+
+def _nearly_upper(n):
+    a = _triangular_inputs(n)["triu"]
+    a[n - 1, 0] = 1e-3
+    return a
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("a", [
+    _nearly_upper(2 * matcore._TRIANGULAR_MIN_N),
+    _triangular_inputs(matcore._TRIANGULAR_MIN_N - 1)["triu"],
+], ids=["one-entry-below", "below-crossover"])
+def test_other_input_keeps_the_dense_path_bit_for_bit(monkeypatch, entry, a):
+    call = _ENTRY_POINTS[entry]
+    want = _dense_path(monkeypatch, call, a)
+    calls = _blas_spy(monkeypatch)
+    got = call(a)
+    assert calls == {"dtrmm": 0, "dtrsm": 0}
+    _same_choice(got, want)
+    assert got.result.cos_part.tobytes() == want.result.cos_part.tobytes()
+    assert got.result.sin_part.tobytes() == want.result.sin_part.tobytes()
 
 
 def _power_norms(a):

@@ -379,3 +379,20 @@ def test_import_does_not_load_scipy_linalg():
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "False False", module
+
+
+def test_dense_call_does_not_load_the_triangular_kernels():
+    # scipy.linalg comes in on the first upper-triangular call only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cossinm.__file__).resolve().parents[1])
+    code = (
+        "import sys\nimport numpy as np\nimport cossinm\n"
+        "a = np.random.default_rng(0).standard_normal((256, 256)) / 256\n"
+        "cossinm.cos_sin(a)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "cossinm.cos_sin(np.triu(a))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["False", "True"]

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cossinm import matcore
 from cossinm.matcore import (
     CostLedger,
     MatrixInputError,
     SingularMatrixError,
     identity,
+    is_upper_triangular,
     linear_combination,
     lu_solve_pair,
     matmul,
@@ -82,6 +84,38 @@ def test_matmul_charges_one_product_each():
 def test_matmul_inner_dimension_mismatch():
     with pytest.raises(MatrixInputError):
         matmul(np.zeros((2, 3)), np.zeros((2, 3)), CostLedger())
+
+
+def _upper_pair(rng, n):
+    """A full upper triangle and an upper bidiagonal (Jordan-like) matrix."""
+    jordan = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
+    return np.triu(rng.standard_normal((n, n))), jordan
+
+
+def test_upper_triangular_predicate(rng):
+    n = matcore._TRIANGULAR_MIN_N
+    for a in _upper_pair(rng, n):
+        assert is_upper_triangular(a)
+        assert not is_upper_triangular(a[1:, 1:])  # below the crossover
+        for i, j in ((1, 0), (n - 1, 0), (n - 1, n - 3)):
+            b = a.copy()
+            b[i, j] = 5e-324
+            assert not is_upper_triangular(b)
+    assert not is_upper_triangular(rng.standard_normal((n, n)))
+
+
+def test_upper_matmul_matches_the_dense_product(rng):
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    triu, jordan = _upper_pair(rng, n)
+    for a, b in ((triu, jordan), (jordan, triu), (triu, triu)):
+        ledger = CostLedger()
+        got = matmul(a, b, ledger, upper=True)
+        want = a @ b
+        bound = n * 2.0 ** -53 * norm1(a) * norm1(b)
+        assert norm1(got - want) <= bound
+        assert not np.tril(got, -1).any()
+        assert got.flags.c_contiguous
+        assert ledger.products == 1 and ledger.total_cost == Fraction(1)
 
 
 def test_norm1_is_max_column_sum(rng):
@@ -158,6 +192,30 @@ def test_lu_solve_pair_residuals(rng):
     assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
     assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
     assert ledger.total_cost == Fraction(7, 3)
+
+
+def test_upper_lu_solve_pair_residuals(rng):
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
+    rhs1, rhs2 = _upper_pair(rng, n)
+    ledger = CostLedger()
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=True)
+    assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
+    assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
+    assert ledger.total_cost == Fraction(7, 3)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_upper_lu_solve_pair_detects_a_zero_diagonal_entry():
+    den = matrix_from_rows([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0],
+                            [0.0, 0.0, 4.0]])
+    messages = []
+    for upper in (False, True):
+        with pytest.raises(SingularMatrixError, match="singular") as err:
+            lu_solve_pair(den, identity(3), identity(3), CostLedger(),
+                          upper=upper)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
