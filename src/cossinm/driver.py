@@ -94,6 +94,17 @@ class ComputationReport:
     total_products: Fraction
     selection_norms: tuple[float, ...] = ()
 
+    @property
+    def nonfinite(self) -> bool:
+        """Whether either matrix of the result holds an inf or a NaN.
+
+        Overflow in the products is reported here, not as a numpy warning;
+        the test runs when this is read, so a caller who never reads it
+        pays nothing for it.
+        """
+        return not (np.isfinite(self.result.cos_part).all()
+                    and np.isfinite(self.result.sin_part).all())
+
 
 # Largest norm whose operand is squared before selection.  A larger A (or
 # B) is first brought under it by an exact power of two, so A^2 (or B^2)
@@ -201,6 +212,14 @@ def _scaled(m: DenseMatrix | None, bits: int) -> DenseMatrix | None:
     return m * 2.0 ** bits if bits >= -1022 else np.ldexp(m, bits)
 
 
+def _upscaled(x: float, bits: int) -> float:
+    # x 2^bits, inf where that overflows (math.ldexp would raise)
+    try:
+        return math.ldexp(x, bits)
+    except OverflowError:
+        return math.inf
+
+
 def _selection(
     x: DenseMatrix, table: ThetaTable, ledger: CostLedger, wave: bool
 ) -> tuple[SchemeId, int, tuple | None, tuple[float, ...]]:
@@ -208,7 +227,10 @@ def _selection(
 
     x is A, whose y = A^2 costs a product, or B = t^2 A, which is its own
     y.  Above 2^500, x is first taken to x 2^-p (x 4^-p for B, which
-    quarters per step) so the squares stay finite, and s counts p on top.
+    quarters per step) so the squares stay finite, and s counts p on top;
+    a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and the
+    q steps count in p.  A B with an inf or NaN entry (t^2 A overflowed)
+    raises MatrixInputError.
     Returns the scheme, s, the powers scaled to the chain's operand (None
     when none were formed) and the selection norms.
     """
@@ -218,9 +240,21 @@ def _selection(
         # forms them
         return table.entries[0].scheme, 0, None, (norm,) * (2 if wave else 3)
     bits = table.step_bits
-    p = max(0, -(-(math.frexp(norm)[1] - _SQUARE_LIMIT_BITS) // bits))
+    # q steps taken first when the 1-norm itself overflows, though every
+    # entry is finite: 2^(bits q) > 2n brings every column sum under the
+    # largest double
+    q, norm_q = 0, norm
+    if not math.isfinite(norm):
+        if not np.isfinite(x).all():
+            # only B = t^2 A can get here: A was checked finite
+            raise MatrixInputError(
+                "t^2 A overflows: the wave pair needs a smaller t")
+        q = -(-(x.shape[0].bit_length() + 1) // bits)
+        norm_q = norm1(x * 2.0 ** (-bits * q))
+    p = max(0, -(-(math.frexp(norm_q)[1] + bits * q - _SQUARE_LIMIT_BITS)
+                 // bits))
     base = x * 2.0 ** (-bits * p) if p else x
-    base_norm = math.ldexp(norm, -bits * p)
+    base_norm = math.ldexp(norm_q, bits * (q - p))
     if wave:
         y, y_norm = base, base_norm
     else:
@@ -233,10 +267,10 @@ def _selection(
         root = math.sqrt(norm1(y2))
     if wave:
         beta, delta = None, root
-        norms = (norm, math.ldexp(delta, 2 * p))
+        norms = (norm, _upscaled(delta, 2 * p))
     else:
         beta, delta = math.sqrt(y_norm), math.sqrt(root)
-        norms = (norm, math.ldexp(beta, p), math.ldexp(delta, p))
+        norms = (norm, _upscaled(beta, p), _upscaled(delta, p))
     scheme, s = select_scheme(base_norm, table, beta, delta)
     powers = (_scaled(y, -2 * s), _scaled(y2, -4 * s))
     return scheme, s + p, powers, norms
@@ -247,15 +281,16 @@ def _evaluate(
 ) -> ComputationReport:
     """The one evaluation body: check, select, scale, evaluate, double.
 
-    The family comes from the table; t is read for the wave pair only.
-    An upper-triangular A keeps every matrix formed from it upper
-    triangular, so before doubling it is tested once
-    (matcore.is_upper_triangular) and the steps take the triangular path,
-    as the chain's products do (the schemes test their own operand).
-    Selection's products stay dense: a triangular product may round
-    differently (by an ulp in ||A^2||_1 on a 512 x 512 triangle), and the
-    choice of scheme and s, with the norms it read, stays the dense
-    path's bit for bit.
+    The family comes from the table; t is read for the wave pair only, and
+    must be finite.  An upper-triangular A keeps every matrix formed from
+    it upper triangular, so it is tested once (matcore.is_upper_triangular)
+    and the flag is handed to the scheme and the doubling steps, whose
+    products then take the triangular path.  Selection's products stay
+    dense: a triangular product may round differently (by an ulp in
+    ||A^2||_1 on a 512 x 512 triangle), and the choice of scheme and s,
+    with the norms it read, stays the dense path's bit for bit.  The
+    arithmetic runs with numpy's overflow and invalid-operation warnings
+    off: a result that overflowed says so in the report's nonfinite.
     """
     try:
         a = np.asarray(a)
@@ -270,25 +305,32 @@ def _evaluate(
     # binary64 throughout: a bool matmul is logical, an int64 one wraps,
     # a float32 one rounds to single
     a = a.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
     ledger = CostLedger()
     family = table.entries[0].scheme.family
     wave = family is SchemeFamily.WAVE_KERNEL
-    if wave:
-        t = float(t)
-        scheme, s, powers, norms = _selection(t * t * a, table, ledger, True)
-        part = wave_kernels(a, t / 2.0 ** s, scheme, ledger, powers=powers)
-    else:
-        scheme, s, powers, norms = _selection(a, table, ledger, False)
-        scaled = a * 2.0 ** -s
-        if family is SchemeFamily.PADE8:
-            part = pade8_cos_sin(scaled, ledger, powers=powers)
+    upper = is_upper_triangular(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if wave:
+            t = float(t)
+            if not math.isfinite(t):
+                raise MatrixInputError(f"t must be finite, got {t}")
+            scheme, s, powers, norms = _selection(t * t * a, table, ledger,
+                                                  True)
+            part = wave_kernels(a, t / 2.0 ** s, scheme, ledger,
+                                powers=powers, upper=upper)
         else:
-            part = taylor_cos_sin(scaled, scheme, ledger, powers=powers)
-    upper = s > 0 and is_upper_triangular(a)
-    result = CosSinResult(
-        *_double_angle(part.cos_part, part.sin_part, s, ledger, wave, upper))
+            scheme, s, powers, norms = _selection(a, table, ledger, False)
+            scaled = a * 2.0 ** -s
+            if family is SchemeFamily.PADE8:
+                part = pade8_cos_sin(scaled, ledger, powers=powers,
+                                     upper=upper)
+            else:
+                part = taylor_cos_sin(scaled, scheme, ledger, powers=powers,
+                                      upper=upper)
+        result = CosSinResult(*_double_angle(
+            part.cos_part, part.sin_part, s, ledger, wave, upper))
     return ComputationReport(
         result=result,
         scheme_used=scheme,

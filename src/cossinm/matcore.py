@@ -5,12 +5,15 @@ that the cost of a computation can be read off a :class:`CostLedger`
 afterwards.  Additions and scalar multiplications are free, matching the
 usual convention of counting only O(n^3) operations: one product costs 1,
 an LU factorization 1/3, and each triangular solve against n right-hand
-sides 1 (so a full inverse comes to 4/3).
+sides 1 (so a full inverse comes to 4/3).  The free work is done in bulk:
+linear_combination forms all the combinations of one chain stage in one
+call over a (k, n, n) basis stack, and matmul can write a product straight
+into a slab of such a stack (out=).
 
 The ledger counts products, not flops.  An upper-triangular operand, the
 form a Schur factor takes, keeps every polynomial and rational function of
-it upper triangular, so the schemes and the doubling steps test their
-operand (is_upper_triangular) and pass upper=True down: matmul then makes
+it upper triangular, so the driver tests its input once
+(is_upper_triangular) and passes upper=True down: matmul then makes
 one triangular BLAS product (dtrmm, about half the flops of a dense one)
 and lu_solve_pair triangular solves (dtrsm) without an LU.  Each is still
 charged as before.  Below _TRIANGULAR_MIN_N the triangular product saves
@@ -30,7 +33,6 @@ from typing import Sequence, TypeAlias
 import numpy as np
 
 DenseMatrix: TypeAlias = np.ndarray
-Scalar: TypeAlias = float
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -110,13 +112,20 @@ def is_upper_triangular(a: DenseMatrix) -> bool:
 
 
 def matmul(
-    a: DenseMatrix, b: DenseMatrix, ledger: CostLedger, *, upper: bool = False
+    a: DenseMatrix,
+    b: DenseMatrix,
+    ledger: CostLedger,
+    *,
+    upper: bool = False,
+    out: DenseMatrix | None = None,
 ) -> DenseMatrix:
     """Matrix product, charged to the ledger as one product unit.
 
-    With upper, a is upper triangular (its lower part is not read) and the
-    product is one dtrmm, imported on first use; it is charged 1 all the
-    same.
+    With out, the product is written there (np.matmul's out, the same bits
+    as a @ b) and out is returned.  With upper, a is upper triangular (its
+    lower part is not read) and the product is one dtrmm, imported on first
+    use, whose result is copied into out when one is given; it is charged
+    1 all the same.
     """
     if a.shape[1] != b.shape[0]:
         raise MatrixInputError(
@@ -129,8 +138,12 @@ def matmul(
         # AB = (B^T A^T)^T: the transposes of C-contiguous operands are
         # Fortran-contiguous, so neither is reordered (B^T is copied once,
         # into the result), and A^T is lower triangular
-        return dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-    return a @ b
+        product = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    return np.matmul(a, b, out=out)
 
 
 def norm1(a: DenseMatrix) -> float:
@@ -140,44 +153,41 @@ def norm1(a: DenseMatrix) -> float:
     return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
 
 
-def linear_combination(
-    terms: Sequence[tuple[Scalar, DenseMatrix]],
-    diag: Scalar = 0.0,
-) -> DenseMatrix:
-    """diag * I plus the float multiples c * m of same-shape matrices.
+def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Every row of combinations of one basis stack, in one pass.
 
-    The sum starts from zeros with diag written on the diagonal, then adds
-    the terms in the order given into that one output buffer.  This is the
-    arithmetic of the plain sum (0 + diag * I) + c_1 m_1 + c_2 m_2 + ...
-    bit for bit, signed zeros included: passing the identity term of a
-    combination as diag, when it comes first, changes no output bit.
-    Multiples are formed in one scratch buffer reused across terms, and a
-    coefficient of exactly 1 adds its matrix directly.  Never charged.
+    basis is a (k, n, n) stack whose slab 0 is, by convention, the
+    identity; block is an r x k float64 coefficient array.  Row i of the
+    (r, n, n) result is the plain sum 0 + block[i, 0] basis[0] + ... +
+    block[i, k-1] basis[k-1], each product rounded and added in that order,
+    bit for bit, signed zeros included (a sum started from +0 never ends at
+    -0).  One einsum forms all r rows: over a C-contiguous stack numpy's
+    einsum walks the entries of a slab innermost and the basis index
+    outside them, so it adds the terms of every entry in basis order with
+    an unfused multiply and add.  Never charged.
+
+    A stack whose basis index is not outermost in memory is copied first:
+    einsum would walk that index innermost, with its dot-product kernel,
+    in another order.  So would it for n = 1, where a slab has one entry;
+    there the terms are added one slab at a time.
     """
-    if not terms:
-        raise MatrixInputError("empty linear combination")
-    shape = terms[0][1].shape
-    out = np.zeros(shape, dtype=np.float64)
-    if diag:
-        if shape[0] != shape[1]:
-            raise MatrixInputError(
-                f"diagonal start needs square terms, got shape {shape}"
-            )
-        out.ravel()[:: shape[0] + 1] = diag
-    scratch = None
-    for c, m in terms:
-        if m.shape != shape:
-            raise MatrixInputError(
-                f"shape mismatch in linear combination: {m.shape} vs {shape}"
-            )
-        if c == 1.0:
-            out += m
-            continue
-        if scratch is None:
-            scratch = np.empty(shape, dtype=np.float64)
-        np.multiply(m, c, out=scratch)
-        out += scratch
-    return out
+    basis = np.ascontiguousarray(basis)
+    k = basis.shape[0]
+    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+        raise MatrixInputError(
+            f"basis must be a stack of square slabs, got shape {basis.shape}"
+        )
+    if block.ndim != 2 or block.shape[1] != k or not block.size:
+        raise MatrixInputError(
+            f"coefficient block of shape {block.shape} does not fit a basis"
+            f" of {k} slabs"
+        )
+    if basis.shape[1] == 1:
+        out = np.zeros((block.shape[0], 1, 1))
+        for j in range(k):
+            out += block[:, j, None, None] * basis[j]
+        return out
+    return np.einsum("rk,kij->rij", block, basis)
 
 
 def lu_solve_pair(

@@ -14,17 +14,28 @@ oracle replays the identical code path with exact scalar polynomials to
 extract every coefficient a scheme actually computes.  SCHEMES, the one
 registry, maps each scheme to its chain and its cost.  All three pairs
 (taylor_cos_sin, wave_kernels, pade8_cos_sin) return one CosSinResult and
-charge their products to the ledger the caller passes in; each tests its
-own operand (matcore.is_upper_triangular), and on an upper-triangular one
-runs every product, and the Pade solves, as triangular ones.
+charge their products to the ledger the caller passes in; on an
+upper-triangular operand (the caller's upper flag, or the pair's own
+matcore.is_upper_triangular test when the caller passes none) they run
+every product, and the Pade solves, as triangular ones.
+
+A chain works in stages over one basis stack: the identity, y, y^2, then
+the products and sums the chain forms, each written straight into its slab.
+A stage forms all its combinations with one lin call, a coefficient block
+(one row per combination, one column per slab) against a prefix of the
+stack; on dense matrices that is one matcore.linear_combination, in the
+rounding order of the plain term-by-term sum.  The two-term sums between
+stages (alg.add) always start from a stage's combination, which a sum
+started from zero never leaves at -0, so they too round as the plain sums
+0 + p + q do.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
 degree-8 core, and as exactly-parsed decimal ``Fraction`` values for the
 degree-12 core, whose constants are roots of a nonlinear system, stored to
-45 significant digits.  Each chain reads its constants through the algebra
-it runs in: the exact values for the oracle, float64 copies made once at
-import for the dense path.
+45 significant digits.  Each chain reads its stage blocks through the
+algebra it runs in: the exact values for the oracle, float64 arrays made
+once at import for the dense path.
 """
 
 from __future__ import annotations
@@ -37,11 +48,12 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Protocol, Sequence, TypeVar
 
+import numpy as np
+
 from .matcore import (
     CostLedger,
     DenseMatrix,
     MatrixInputError,
-    identity,
     is_upper_triangular,
     linear_combination,
     lu_solve_pair,
@@ -216,38 +228,66 @@ SIN_SERIES: tuple[Fraction, ...] = tuple(
 )
 
 
-def _as_floats(value):
-    if isinstance(value, dict):
-        return {key: float(v) for key, v in value.items()}
-    if isinstance(value, tuple):
-        return tuple(float(v) for v in value)
-    return float(value)
+def _as_floats(block: tuple[tuple, ...]) -> np.ndarray:
+    floats = np.array([[float(c) for c in row] for row in block])
+    floats.flags.writeable = False
+    return floats
 
 
 class Constants:
-    """Named groups of exact scheme constants, with float64 copies.
+    """Named stage blocks of exact scheme constants, with float64 copies.
 
-    A group is one exact scalar, or a tuple or dict of them; its float64
-    copy has the same shape and is made once, when the module is imported,
-    so no exact value is converted during an evaluation.
+    A block is a tuple of rows, one per combination a chain stage forms,
+    each holding one exact scalar per basis slab; its float64 copy is a
+    read-only array of the same shape, made once, when the module is
+    imported, so no exact value is converted during an evaluation.
     """
 
-    def __init__(self, **groups) -> None:
-        self.exact = SimpleNamespace(**groups)
+    def __init__(self, **blocks: tuple[tuple, ...]) -> None:
+        self.exact = SimpleNamespace(**blocks)
         self.floats = SimpleNamespace(
-            **{name: _as_floats(value) for name, value in groups.items()}
+            **{name: _as_floats(block) for name, block in blocks.items()}
         )
 
 
-# The constants each chain reads.  Coefficients that are exact in binary
-# (1, -1/2) are written in the chains as float literals.
+_C, _S = COS_SERIES, SIN_SERIES
+_X, _Z = X_DEG8, Z_DEG8
+
+# The stage blocks each chain reads, named after what their rows form; the
+# comment over each gives the basis its columns multiply.
 TAYLOR_CONSTANTS = Constants(
-    cos=COS_SERIES, sin=SIN_SERIES, sin_from_cos=F(720, 5040)
+    # [I, y, y^2] -> both degree-2 cores
+    deg2=(_C[:3], _S[:3]),
+    # [I, y, y^2] -> the inner factor c3 y + c4 y^2 of q, and with the exact
+    # sine that of q9 too
+    deg4_inner=((F(0), _C[3], _C[4]),),
+    deg4_exact_inner=((F(0), _C[3], _C[4]), (F(0), _S[3], _S[4])),
+    # [I, y, y^2, q] -> both cores, the sine reusing q scaled by 6!/7!
+    deg4=((*_C[:3], F(1)), (*_S[:3], F(720, 5040))),
+    # [I, y, y^2, q, q9] -> both cores
+    deg4_exact=((*_C[:3], F(1), F(0)), (*_S[:3], F(0), F(1))),
 )
-DEG8_CONSTANTS = Constants(x=X_DEG8, z=Z_DEG8)
-DEG12_CONSTANTS = Constants(a=A_DEG12, z=Z_DEG12)
+DEG8_CONSTANTS = Constants(
+    # [I, y, y^2] -> p8's factor and the cosine's part below p16
+    low=((F(0), _X[1], _X[2]), (F(1), F(-1, 2), _X[8])),
+    # [I, y, y^2, p8] -> the two factors of p16
+    p16=((F(0), F(0), _X[3], F(1)), (_X[4], _X[5], _X[6], _X[7])),
+    # [I, y, y^2, p8, cos] -> the tail's factor and the sine's part below it
+    sin=((_Z[5], _Z[5], _Z[6], _Z[7], _Z[8]),
+         (_Z[0], _Z[1], _Z[2], _Z[3], _Z[4])),
+)
+DEG12_CONSTANTS = Constants(
+    # [I, y, y^2, y^3] -> the cubic factors c1..c4
+    c=tuple(tuple(A_DEG12[(i, j)] for i in range(4)) for j in (1, 2, 3, 4)),
+    # [I, y, y^2, y^3, mid, cos] -> the tail's factor and the sine's part
+    # below it
+    sin=(tuple(Z_DEG12[i] for i in range(6, 12)),
+         tuple(Z_DEG12[i] for i in range(6))),
+)
 PADE8_CONSTANTS = Constants(
-    den=PADE8_DEN, num_cos=PADE8_NUM_COS, num_sin=PADE8_NUM_SIN
+    # [I, y, ..., y^4] -> the denominator, the cosine numerator and the
+    # even factor of the sine numerator
+    block=(PADE8_DEN, PADE8_NUM_COS, (*PADE8_NUM_SIN, F(0))),
 )
 
 
@@ -258,58 +298,83 @@ T = TypeVar("T")
 
 
 class OperandAlgebra(Protocol[T]):
-    """Operations a chain needs: identity, charged product, free lin. comb.,
-    and the chain's constants in the algebra's own scalar type."""
+    """Operations a chain needs: a basis stack, charged products, free
+    combinations and sums, and the stage blocks in the algebra's own
+    scalar type.
 
-    @property
-    def one(self) -> T: ...
+    basis(depth, *operands) is a stack of depth slabs: the identity, the
+    operands, then slabs for the chain to fill, which mul and add write
+    through out= (the slab itself, as numpy's out does).  lin(basis, block)
+    returns one combination of the basis's slabs per row of block.
+    """
 
     def constants(self, table: Constants) -> SimpleNamespace: ...
 
-    def mul(self, p: T, q: T) -> T: ...
+    def basis(self, depth: int, *operands: T) -> Sequence[T]: ...
 
-    def lin(self, terms: Sequence[tuple[object, T]]) -> T: ...
+    def mul(self, p: T, q: T, out: T | None = None) -> T: ...
+
+    def lin(self, basis: Sequence[T], block) -> Sequence[T]: ...
+
+    def add(self, p: T, q: T, out: T | None = None) -> T: ...
 
 
 class MatrixAlgebra:
     """Dense-matrix operand algebra; every mul is charged to the ledger.
 
-    Chains read the float64 constants.  A combination whose first term is
-    the identity hands that coefficient to linear_combination as its
-    diagonal start value, so no identity multiple is formed; every chain
-    puts its identity term first.  With upper, every operand is upper
-    triangular, as every polynomial in an upper-triangular matrix is, and
-    each product is a triangular one (matmul's upper).
+    Chains read the float64 blocks.  A basis is one C-contiguous
+    (depth, n, n) array, so a stage's combinations are one
+    linear_combination over a prefix of it, and its rows (views into one
+    result array) are returned as they are.  With upper, every operand is
+    upper triangular, as every polynomial in an upper-triangular matrix is,
+    and each product is a triangular one (matmul's upper).
     """
 
     def __init__(
         self, n: int, ledger: CostLedger, upper: bool = False
     ) -> None:
-        self._one = identity(n)
+        self._n = n
         self._ledger = ledger
-        self._upper = upper
-
-    @property
-    def one(self) -> DenseMatrix:
-        return self._one
+        self.upper = upper
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.floats
 
-    def mul(self, p: DenseMatrix, q: DenseMatrix) -> DenseMatrix:
-        return matmul(p, q, self._ledger, upper=self._upper)
+    def basis(self, depth: int, *operands: DenseMatrix) -> np.ndarray:
+        n = self._n
+        # the slabs past the operands are written before they are read
+        stack = np.empty((depth, n, n))
+        stack[0] = 0.0
+        stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
+        for i, operand in enumerate(operands, start=1):
+            stack[i] = operand
+        return stack
 
-    def lin(self, terms: Sequence[tuple[float, DenseMatrix]]) -> DenseMatrix:
-        c, m = terms[0]
-        if m is self._one and len(terms) > 1:
-            return linear_combination(terms[1:], c)
-        return linear_combination(terms)
+    def mul(
+        self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
+    ) -> DenseMatrix:
+        return matmul(p, q, self._ledger, upper=self.upper, out=out)
+
+    def lin(self, basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return linear_combination(basis, block)
+
+    def add(
+        self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
+    ) -> DenseMatrix:
+        return np.add(p, q, out=out)
 
 
-def _square(alg: OperandAlgebra[T], y: T, y2: T | None) -> T:
-    """y^2, which every chain starts from, unless the caller formed it
-    already and passed it as y2: then the chain charges one product less."""
-    return alg.mul(y, y) if y2 is None else y2
+def _basis(alg: OperandAlgebra[T], depth: int, y: T, y2: T | None):
+    """The chain's stack: I, y, y^2, then depth - 3 slabs the chain fills.
+
+    y^2 costs one product unless the caller formed it already and passed
+    it as y2.
+    """
+    if y2 is not None:
+        return alg.basis(depth, y, y2)
+    basis = alg.basis(depth, y)
+    alg.mul(basis[1], basis[1], out=basis[2])
+    return basis
 
 
 def chain_deg2(
@@ -320,10 +385,7 @@ def chain_deg2(
     One product (y^2).  Trigonometric instantiation: T4c and T5s.
     """
     k = alg.constants(TAYLOR_CONSTANTS)
-    c, s = k.cos, k.sin
-    y2 = _square(alg, y, y2)
-    cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2)])
-    sin_core = alg.lin([(s[0], alg.one), (s[1], y), (s[2], y2)])
+    cos, sin_core = alg.lin(_basis(alg, 3, y, y2), k.deg2)
     return cos, sin_core
 
 
@@ -341,16 +403,14 @@ def chain_deg4(
     P4c with P3,4s or P4s.
     """
     k = alg.constants(TAYLOR_CONSTANTS)
-    c, s = k.cos, k.sin
-    y2 = _square(alg, y, y2)
-    q = alg.mul(y2, alg.lin([(c[3], y), (c[4], y2)]))
-    cos = alg.lin([(c[0], alg.one), (c[1], y), (c[2], y2), (1.0, q)])
-    base = [(s[0], alg.one), (s[1], y), (s[2], y2)]
-    if exact_sine:
-        q9 = alg.mul(y2, alg.lin([(s[3], y), (s[4], y2)]))
-        sin_core = alg.lin(base + [(1.0, q9)])
-    else:
-        sin_core = alg.lin(base + [(k.sin_from_cos, q)])
+    inner, cores = ((k.deg4_exact_inner, k.deg4_exact) if exact_sine
+                    else (k.deg4_inner, k.deg4))
+    # I, y, y^2, then q = y^2 (c3 y + c4 y^2) and, with the exact sine,
+    # q9 = y^2 (s3 y + s4 y^2)
+    basis = _basis(alg, 3 + len(inner), y, y2)
+    for slab, factor in enumerate(alg.lin(basis[:3], inner), start=3):
+        alg.mul(basis[2], factor, out=basis[slab])
+    cos, sin_core = alg.lin(basis, cores)
     return cos, sin_core
 
 
@@ -363,22 +423,13 @@ def chain_deg8(
     instantiation: P8c and P8,12s.
     """
     k = alg.constants(DEG8_CONSTANTS)
-    x, z = k.x, k.z
-    y2 = _square(alg, y, y2)
-    p8 = alg.mul(y2, alg.lin([(x[1], y), (x[2], y2)]))
-    p16 = alg.mul(
-        alg.lin([(x[3], y2), (1.0, p8)]),
-        alg.lin([(x[4], alg.one), (x[5], y), (x[6], y2), (x[7], p8)]),
-    )
-    cos = alg.lin([(1.0, alg.one), (-0.5, y), (x[8], y2), (1.0, p16)])
-    inner = alg.lin(
-        [(z[5], alg.one), (z[5], y), (z[6], y2), (z[7], p8), (z[8], cos)]
-    )
-    tail = alg.mul(inner, p8)
-    sin_core = alg.lin(
-        [(z[0], alg.one), (z[1], y), (z[2], y2), (z[3], p8), (z[4], cos),
-         (1.0, tail)]
-    )
+    basis = _basis(alg, 5, y, y2)  # I, y, y^2, p8, cos
+    p8_factor, cos_low = alg.lin(basis[:3], k.low)
+    p8 = alg.mul(basis[2], p8_factor, out=basis[3])
+    left, right = alg.lin(basis[:4], k.p16)
+    cos = alg.add(cos_low, alg.mul(left, right), out=basis[4])
+    inner, sin_low = alg.lin(basis, k.sin)
+    sin_core = alg.add(sin_low, alg.mul(inner, p8))
     return cos, sin_core
 
 
@@ -393,29 +444,13 @@ def chain_deg12(
     shape (see Z_DEG12).
     """
     k = alg.constants(DEG12_CONSTANTS)
-    a, z = k.a, k.z
-    y2 = _square(alg, y, y2)
-    y3 = alg.mul(y2, y)
-    c1, c2, c3, c4 = (
-        alg.lin(
-            [(a[(0, j)], alg.one), (a[(1, j)], y), (a[(2, j)], y2),
-             (a[(3, j)], y3)]
-        )
-        for j in (1, 2, 3, 4)
-    )
-    mid = alg.lin([(1.0, c3), (1.0, alg.mul(c4, c4))])
-    cos = alg.lin(
-        [(1.0, c1), (1.0, alg.mul(alg.lin([(1.0, c2), (1.0, mid)]), mid))]
-    )
-    inner = alg.lin(
-        [(z[6], alg.one), (z[7], y), (z[8], y2), (z[9], y3), (z[10], mid),
-         (z[11], cos)]
-    )
-    tail = alg.mul(inner, cos)
-    sin_core = alg.lin(
-        [(z[0], alg.one), (z[1], y), (z[2], y2), (z[3], y3), (z[4], mid),
-         (z[5], cos), (1.0, tail)]
-    )
+    basis = _basis(alg, 6, y, y2)  # I, y, y^2, y^3, mid, cos
+    alg.mul(basis[2], basis[1], out=basis[3])
+    c1, c2, c3, c4 = alg.lin(basis[:4], k.c)
+    mid = alg.add(c3, alg.mul(c4, c4), out=basis[4])
+    cos = alg.add(c1, alg.mul(alg.add(c2, mid), mid), out=basis[5])
+    inner, sin_low = alg.lin(basis, k.sin)
+    sin_core = alg.add(sin_low, alg.mul(inner, cos))
     return cos, sin_core
 
 
@@ -464,28 +499,45 @@ def _require_square(a: DenseMatrix) -> int:
 Powers = tuple[DenseMatrix, DenseMatrix | None]
 
 
+def _algebra(
+    a: DenseMatrix, ledger: CostLedger, upper: bool | None
+) -> MatrixAlgebra:
+    n = _require_square(a)
+    if upper is None:
+        upper = is_upper_triangular(a)
+    return MatrixAlgebra(n, ledger, upper)
+
+
+def _owned(m: DenseMatrix) -> DenseMatrix:
+    """m, or a copy of it when it is a slab of a larger stack: a returned
+    slab would keep the whole stack alive, through doubling and after."""
+    base = m.base
+    return m.copy() if base is not None and base.nbytes > m.nbytes else m
+
+
 def taylor_cos_sin(
     a: DenseMatrix,
     scheme: SchemeId,
     ledger: CostLedger,
     *,
     powers: Powers | None = None,
+    upper: bool | None = None,
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
     Total products charged: exactly scheme.k_products (one for A^2, the
     chain's internal products, one for the leading sine factor), less the
-    ones the caller formed: powers = (A^2, A^4) or (A^2, None).
+    ones the caller formed: powers = (A^2, A^4) or (A^2, None).  upper says
+    whether a is upper triangular (matcore.is_upper_triangular); left out,
+    a is tested here.
     """
     if scheme.family is not SchemeFamily.COS_SIN_TAYLOR:
         raise ValueError(f"not a trigonometric scheme: {scheme}")
-    n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger, is_upper_triangular(a))
+    alg = _algebra(a, ledger, upper)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, y, y2=y2)
-    sin = alg.mul(a, sin_core)
-    return CosSinResult(cos, sin)
+    return CosSinResult(_owned(cos), alg.mul(a, sin_core))
 
 
 def wave_kernels(
@@ -495,44 +547,46 @@ def wave_kernels(
     ledger: CostLedger,
     *,
     powers: Powers | None = None,
+    upper: bool | None = None,
 ) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
     B = t^2 A.  The s part is the even-variable sine core times the scalar
     t, so the pair costs exactly scheme.k_products products, less one when
-    the caller formed B^2: powers = (B, B^2), or (B, None).
+    the caller formed B^2: powers = (B, B^2), or (B, None).  upper is read
+    as in taylor_cos_sin.
     """
     if scheme.family is not SchemeFamily.WAVE_KERNEL:
         raise ValueError(f"not a wave-kernel scheme: {scheme}")
-    n = _require_square(a)
-    alg = MatrixAlgebra(n, ledger, is_upper_triangular(a))
+    alg = _algebra(a, ledger, upper)
     y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
-    return CosSinResult(c, float(t) * s_core)
+    return CosSinResult(_owned(c), float(t) * s_core)
 
 
 def pade8_cos_sin(
-    a: DenseMatrix, ledger: CostLedger, *, powers: Powers | None = None
+    a: DenseMatrix,
+    ledger: CostLedger,
+    *,
+    powers: Powers | None = None,
+    upper: bool | None = None,
 ) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 
     Five products (A^2, A^4, A^6, A^8 and the odd numerator's leading
     factor) plus one LU factorization shared by two solves: 7 + 1/3
     product-equivalents total, less the powers the caller formed:
-    powers = (A^2, A^4) or (A^2, None).
+    powers = (A^2, A^4) or (A^2, None).  upper is read as in
+    taylor_cos_sin.
     """
-    n = _require_square(a)
-    upper = is_upper_triangular(a)
-    alg = MatrixAlgebra(n, ledger, upper)
+    alg = _algebra(a, ledger, upper)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
-    y2 = _square(alg, y, y2)
-    y3 = alg.mul(y, y2)
-    y4 = alg.mul(y, y3)
+    basis = _basis(alg, 5, y, y2)  # I, y, ..., y^4
+    alg.mul(basis[1], basis[2], out=basis[3])
+    alg.mul(basis[1], basis[3], out=basis[4])
     k = alg.constants(PADE8_CONSTANTS)
-    powers = [alg.one, y, y2, y3, y4]
-    den = alg.lin(list(zip(k.den, powers)))
-    num_cos = alg.lin(list(zip(k.num_cos, powers)))
-    num_sin = alg.mul(a, alg.lin(list(zip(k.num_sin, powers))))
-    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=upper)
+    den, num_cos, num_sin_factor = alg.lin(basis, k.block)
+    num_sin = alg.mul(a, num_sin_factor)
+    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=alg.upper)
     return CosSinResult(cos, sin)

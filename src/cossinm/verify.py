@@ -140,26 +140,52 @@ class ScalarPoly:
 
 
 class PolyAlgebra:
-    """Operand algebra over ScalarPoly: replays chains to expose coefficients."""
+    """Operand algebra over ScalarPoly: replays chains to expose coefficients.
+
+    A basis is a list of polynomials, its unfilled slabs zero polynomials
+    that out= overwrites in place; lin sums each row's exact coefficients
+    term by term.
+    """
 
     def __init__(self, digits: int = WORKING_DIGITS) -> None:
         self.digits = digits
 
-    @property
-    def one(self) -> ScalarPoly:
-        return ScalarPoly([1], self.digits)
-
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.exact
 
-    def mul(self, p: ScalarPoly, q: ScalarPoly) -> ScalarPoly:
-        return p * q
+    def basis(self, depth: int, *operands: ScalarPoly) -> list[ScalarPoly]:
+        slabs = [ScalarPoly([1], self.digits), *operands]
+        return slabs + [ScalarPoly([], self.digits)
+                        for _ in range(depth - len(slabs))]
 
-    def lin(self, terms: Sequence[tuple]) -> ScalarPoly:
-        acc = ScalarPoly([], self.digits)
-        for coeff, poly in terms:
-            acc = acc + poly.scale(coeff)
-        return acc
+    @staticmethod
+    def _into(value: ScalarPoly, out: ScalarPoly | None) -> ScalarPoly:
+        if out is None:
+            return value
+        out.coefficients = value.coefficients
+        out.precision_digits = value.precision_digits
+        return out
+
+    def mul(
+        self, p: ScalarPoly, q: ScalarPoly, out: ScalarPoly | None = None
+    ) -> ScalarPoly:
+        return self._into(p * q, out)
+
+    def lin(
+        self, basis: Sequence[ScalarPoly], block: Sequence[Sequence]
+    ) -> list[ScalarPoly]:
+        rows = []
+        for row in block:
+            acc = ScalarPoly([], self.digits)
+            for coeff, poly in zip(row, basis, strict=True):
+                acc = acc + poly.scale(coeff)
+            rows.append(acc)
+        return rows
+
+    def add(
+        self, p: ScalarPoly, q: ScalarPoly, out: ScalarPoly | None = None
+    ) -> ScalarPoly:
+        return self._into(p + q, out)
 
 
 def _series_quotient(

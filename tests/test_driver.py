@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import driver, matcore
+from cossinm import driver, matcore, schemes
 from cossinm.driver import (
     cos_sin,
     pade_cos_sin,
@@ -578,3 +578,86 @@ def test_wave_huge_norm_is_prescaled_like_cos_sin():
     assert report.total_products == 5 + 2 * 509
     assert np.isfinite(report.result.cos_part).all()
     assert np.isfinite(report.result.sin_part).all()
+
+
+# ------------------------------------------- overflow, huge norms, structure
+
+
+_ROTATION = np.array([[0.0, 800.0], [-800.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_overflow_is_reported_in_the_report_not_warned(entry):
+    # cos(800 J) = cosh(800) I overflows; so does the wave pair at t = 40,
+    # whose c(t^2 A) grows like e^(40 * 20)
+    call = {"wave_cos_sin": lambda a: wave_cos_sin(a, 40.0)}.get(
+        entry, _ENTRY_POINTS[entry])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = call(_ROTATION)
+        tame = call(_ROTATION / 800.0)
+    assert report.nonfinite
+    assert not (np.isfinite(report.result.cos_part).all()
+                and np.isfinite(report.result.sin_part).all())
+    assert not tame.nonfinite
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_finite_input_whose_norm_overflows_is_prescaled(entry):
+    # every entry is finite, but ||A||_1 = 2e308 is not: selection sizes
+    # A from A 2^-q and counts q among the prescale steps
+    a = np.full((2, 2), 1e308)
+    wave = entry == "wave_cos_sin"
+    call = (lambda m: wave_cos_sin(m, 1.0)) if wave else _ENTRY_POINTS[entry]
+    table = {"cos_sin": DOUBLE_TAYLOR, "pade_cos_sin": DOUBLE_PADE,
+             "wave_cos_sin": DOUBLE_WAVE}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = call(a)
+    assert report.selection_norms[0] == math.inf
+    s = report.scaling_exponent
+    # the operand is brought under 2^500 first: A by 2^-p, B by 4^-p
+    assert s >= (1024 - driver._SQUARE_LIMIT_BITS) // (2 if wave else 1)
+    assert report.total_products == \
+        _pair_cost(table, report.scheme_used) + 2 * s
+    # the same choice as for half the input, one step (or for B, a quarter
+    # of it) further out
+    smaller = call(a / (4.0 if wave else 2.0))
+    assert math.isfinite(smaller.selection_norms[0])
+    assert report.scheme_used == smaller.scheme_used
+    assert s == smaller.scaling_exponent + 1
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_wave_rejects_a_nonfinite_time(t):
+    with pytest.raises(MatrixInputError, match="t must be finite"):
+        wave_cos_sin(np.eye(2), t)
+
+
+@pytest.mark.parametrize("a, t", [
+    (np.ones((2, 2)), 1e200),       # t^2 itself overflows
+    (np.full((2, 2), 1e10), 1e154),  # t^2 is finite, t^2 A is not
+    (np.zeros((2, 2)), 1e200),      # inf * 0
+])
+def test_wave_rejects_a_time_whose_operand_overflows(a, t):
+    with pytest.raises(MatrixInputError, match="t\\^2 A overflows"):
+        wave_cos_sin(a, t)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["jordan", "triu"])
+def test_structure_is_tested_once_per_call(monkeypatch, entry, kind):
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    a = _triangular_inputs(n)[kind]
+    seen = []
+    for module in (driver, schemes):
+        original = module.is_upper_triangular
+
+        def counted(m, _original=original):
+            seen.append(m.shape)
+            return _original(m)
+
+        monkeypatch.setattr(module, "is_upper_triangular", counted)
+    report = _ENTRY_POINTS[entry](a)
+    assert report.scaling_exponent > 0
+    assert seen == [a.shape]

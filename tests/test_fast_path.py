@@ -1,11 +1,13 @@
 """The dense fast path against plain arithmetic, and what tracers rely on.
 
 The product path converts scheme constants to float64 once at import,
-puts identity terms on the diagonal, accumulates combinations into one
-buffer, doubles in place and calls LAPACK directly.  None of that may
-change a product, a ledger total or an output bit: the chains are replayed
-here through a naive algebra (explicit identity, float(c) per term, sums
-started from zeros, scipy's LU wrappers) and compared bit for bit.
+forms each chain stage's combinations in one call over a shared basis
+stack, writes products straight into that stack, doubles in place and
+calls LAPACK directly.  None of that may change a product, a ledger total
+or an output bit: the chains are replayed here through a naive algebra (a
+list of separate matrices for a basis, explicit identity, float(c) per
+term, every sum started from zeros, scipy's LU wrappers) and compared bit
+for bit.
 """
 
 import importlib.util
@@ -13,7 +15,6 @@ import math
 import os
 import subprocess
 import sys
-from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,10 +23,12 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 import cossinm
-from cossinm import driver, schemes
+from cossinm import driver, matcore, schemes
 from cossinm.matcore import CostLedger, matmul
 from cossinm.schemes import (
-    PADE8_CONSTANTS,
+    PADE8_DEN,
+    PADE8_NUM_COS,
+    PADE8_NUM_SIN,
     SchemeFamily,
     SchemeId,
     SqrtCoeff,
@@ -59,14 +62,31 @@ class NaiveAlgebra:
     def constants(self, table):
         return table.exact
 
-    def mul(self, p, q):
-        return matmul(p, q, self.ledger)
+    def basis(self, depth, *operands):
+        slabs = [self.one, *operands]
+        return slabs + [np.zeros(self.one.shape)
+                        for _ in range(depth - len(slabs))]
 
-    def lin(self, terms):
-        out = np.zeros(terms[0][1].shape)
-        for c, m in terms:
-            out += float(c) * m
-        return out
+    @staticmethod
+    def _into(value, out):
+        if out is not None:
+            out[...] = value
+        return value
+
+    def mul(self, p, q, out=None):
+        return self._into(matmul(p, q, self.ledger), out)
+
+    def lin(self, basis, block):
+        rows = []
+        for row in block:
+            out = np.zeros(basis[0].shape)
+            for c, m in zip(row, basis, strict=True):
+                out += float(c) * m
+            rows.append(out)
+        return rows
+
+    def add(self, p, q, out=None):
+        return self._into(np.zeros(p.shape) + p + q, out)
 
 
 def _naive_double_angle(cos, sin, steps, ledger, wave):
@@ -93,6 +113,8 @@ def _inputs():
         "random": dense * (0.9 / np.abs(dense).sum(axis=0).max()),
         "zero": np.zeros((4, 4)),
         "nilpotent": nilpotent * 3.0,
+        # one entry per slab: linear_combination's own summation loop
+        "scalar": np.array([[-0.83]]),
     }
 
 
@@ -150,15 +172,14 @@ def test_pade_pair_matches_naive_arithmetic(name):
     fast_ledger, naive_ledger = CostLedger(), CostLedger()
     fast = pade8_cos_sin(a, fast_ledger)
     alg = NaiveAlgebra(a.shape[0], naive_ledger)
-    k = alg.constants(PADE8_CONSTANTS)
     y = alg.mul(a, a)
     y2 = alg.mul(y, y)
     y3 = alg.mul(y, y2)
     y4 = alg.mul(y, y3)
     powers = [alg.one, y, y2, y3, y4]
-    den = alg.lin(list(zip(k.den, powers)))
-    num_cos = alg.lin(list(zip(k.num_cos, powers)))
-    num_sin = alg.mul(a, alg.lin(list(zip(k.num_sin, powers))))
+    den, num_cos = alg.lin(powers, (PADE8_DEN, PADE8_NUM_COS))
+    (num_sin_factor,) = alg.lin(powers[:4], (PADE8_NUM_SIN,))
+    num_sin = alg.mul(a, num_sin_factor)
     factors = lu_factor(den, check_finite=False)
     assert _same_bits(fast.cos_part,
                       lu_solve(factors, num_cos, check_finite=False))
@@ -240,6 +261,33 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         assert _same_bits(sin0, kept_sin)
 
 
+def _triangular():
+    rng = np.random.default_rng(96)
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    a = np.triu(rng.standard_normal((n, n)))
+    return a * (0.9 / np.abs(a).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS) + ["triangular"])
+def test_returned_pairs_are_not_views_into_a_stack(name):
+    # a slab of a chain's basis stack, or a row of a stage's combinations,
+    # would keep the whole stack alive as long as the result lives
+    a = _triangular() if name == "triangular" else INPUTS[name]
+    parts = [taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k),
+                            CostLedger()) for k in TAYLOR_CHAINS]
+    parts += [wave_kernels(a, 1.3, SchemeId(SchemeFamily.WAVE_KERNEL, k),
+                           CostLedger()) for k in WAVE_CHAINS]
+    parts.append(pade8_cos_sin(a, CostLedger()))
+    for scale in (1.0, 40.0):
+        parts += [report.result for report in (
+            cossinm.cos_sin(a * scale), cossinm.wave_cos_sin(a * scale, 1.3),
+            cossinm.pade_cos_sin(a * scale))]
+    for part in parts:
+        for m in (part.cos_part, part.sin_part):
+            assert m.shape == a.shape
+            assert m.base is None or m.base.nbytes == m.nbytes
+
+
 def test_no_exact_constant_is_converted_at_call_time(monkeypatch):
     conversions = []
     for cls in (Fraction, SqrtCoeff):
@@ -283,14 +331,25 @@ def test_tracer_rebind_targets_still_resolve():
         assert callable(getattr(module, attribute)), (module, attribute)
 
 
+# Chain stages, each one linear_combination call; the Pade pair has one.
+STAGES = {chain_deg2: 1, chain_deg4: 2, chain_deg8: 3, chain_deg12: 2}
+
+
+def _stages(scheme):
+    if scheme.family is SchemeFamily.PADE8:
+        return 1
+    chain = schemes.SCHEMES[scheme.family, scheme.k_products].chain
+    return STAGES[getattr(chain, "func", chain)]
+
+
 def test_tracer_sees_linear_combination_terms(monkeypatch):
     tracing = _load_perfbench("tracing")
     seen = []
     original = schemes.linear_combination
 
-    def recording(terms, *args, **kwargs):
-        seen.append(terms)
-        return original(terms, *args, **kwargs)
+    def recording(basis, block):
+        seen.append((basis, block))
+        return original(basis, block)
 
     monkeypatch.setattr(schemes, "linear_combination", recording)
     a = INPUTS["random"] * 40.0
@@ -298,19 +357,19 @@ def test_tracer_sees_linear_combination_terms(monkeypatch):
     with tracer.installed():
         reports = [cossinm.cos_sin(a), cossinm.wave_cos_sin(a, 3.0),
                    cossinm.pade_cos_sin(a)]
-    assert seen
-    for terms in seen:
-        assert isinstance(terms, Sequence) and terms
-        coefficient, matrix = terms[0]
-        assert isinstance(coefficient, float)
-        assert isinstance(matrix, np.ndarray)
-        assert matrix.shape == a.shape
+    # one call per chain stage: every combination of the stage, one block
+    # row each, over one basis stack with the identity first
+    assert len(seen) == sum(_stages(r.scheme_used) for r in reports)
+    for basis, block in seen:
+        assert isinstance(basis, np.ndarray) and basis.ndim == 3
+        assert basis.shape[1:] == a.shape
+        assert np.array_equal(basis[0], np.eye(a.shape[0]))
+        assert block.dtype == np.float64 and block.ndim == 2
+        assert block.shape[1] == basis.shape[0]
     spans = tracer.arrays()
     names = np.array(tracing.NAMES)[spans["name"]]
     combos = names == "matcore.linear_combination"
     assert combos.sum() == len(seen)
-    assert (spans["n"][combos] == a.shape[0]).all()
-    assert (spans["terms"][combos] >= 1).all()
     # the Pade LU is one factorization (1/3) and two solves (2)
     charged = ((names == "matcore.matmul").sum()
                + Fraction(7, 3) * (names == "matcore.lu_solve_pair").sum())

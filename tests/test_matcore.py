@@ -118,6 +118,20 @@ def test_upper_matmul_matches_the_dense_product(rng):
         assert ledger.products == 1 and ledger.total_cost == Fraction(1)
 
 
+@pytest.mark.parametrize("upper", [False, True])
+def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
+    n = matcore._TRIANGULAR_MIN_N
+    a, b = _upper_pair(rng, n)
+    stack = np.full((3, n, n), np.nan)
+    ledger = CostLedger()
+    got = matmul(a, b, ledger, upper=upper, out=stack[1])
+    assert np.shares_memory(got, stack[1])
+    want = matmul(a, b, CostLedger(), upper=upper)
+    assert stack[1].tobytes() == want.tobytes()
+    assert np.isnan(stack[[0, 2]]).all()
+    assert ledger.products == 1
+
+
 def test_norm1_is_max_column_sum(rng):
     m = matrix_from_rows([[1.0, -2.0], [3.0, 0.5]])
     assert norm1(m) == 4.0
@@ -133,29 +147,84 @@ def test_linear_combination_exact_and_unpriced():
     ledger = CostLedger()
     eye = identity(2)
     m = matrix_from_rows([[0.0, 1.0], [1.0, 0.0]])
-    got = linear_combination([(1.0, eye), (-2.0, m)])
-    assert np.array_equal(got, eye - 2.0 * m)
+    got = linear_combination(np.stack([eye, m]), np.array([[1.0, -2.0]]))
+    assert got.shape == (1, 2, 2)
+    assert np.array_equal(got[0], eye - 2.0 * m)
     assert ledger.total_cost == Fraction(0)
+
+
+def _plain_sums(basis, block):
+    """Each row's zero-started sum, one rounded product added at a time."""
+    rows = []
+    for row in block:
+        out = np.zeros(basis.shape[1:])
+        for c, m in zip(row, basis):
+            out += c * m
+        rows.append(out)
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("diag", [0.0, 1.0, -0.5])
 def test_linear_combination_is_the_zero_started_sum_bit_for_bit(rng, diag):
-    # -0.0 products too: a sum started from zeros turns them into +0.0
-    m1 = rng.standard_normal((4, 4))
-    m1[0, 1] = 0.0
-    terms = [(-3.0, m1), (1.0, -m1), (-0.25, m1)]
-    want = np.zeros((4, 4)) + diag * np.eye(4)
-    for c, m in terms:
-        want += c * m
-    got = linear_combination(terms, diag)
-    assert got.tobytes() == want.tobytes()
-    assert not np.signbit(got[0, 1])
+    # the identity slab comes first, so its coefficient diag is the first
+    # term; -0.0 products too: a sum started from zeros turns them into +0.0
+    for n in (1, 4, 9):
+        m1 = rng.standard_normal((n, n))
+        m1[0, -1] = 0.0
+        basis = np.stack([np.eye(n), m1, -m1, m1])
+        block = np.array([[diag, -3.0, 1.0, -0.25], [diag, 0.0, 1.0, 0.0]])
+        got = linear_combination(basis, block)
+        assert got.tobytes() == _plain_sums(basis, block).tobytes()
+        if n > 1:
+            assert not np.signbit(got[:, 0, -1]).any()
+        assert np.array_equal(np.diagonal(got[1]),
+                              np.diagonal(diag - m1))
+
+
+def test_linear_combination_matches_the_plain_sum_at_every_stage_shape(rng):
+    # the chains' stages have r <= 4 rows over k <= 6 slabs; every slab
+    # mixes magnitudes 1e-8..1e8 and signed zeros, and some coefficients
+    # are 0 or 1, as in the stage blocks
+    for n in (1, 2, 3, 5, 8, 16, 33):
+        for k in range(1, 7):
+            for r in range(1, 5):
+                basis = rng.standard_normal((k, n, n))
+                basis *= 10.0 ** rng.integers(-8, 9, (k, 1, 1))
+                basis[rng.random(basis.shape) < 0.1] = -0.0
+                basis[0] = np.eye(n)
+                block = rng.standard_normal((r, k))
+                block[rng.random(block.shape) < 0.2] = 0.0
+                block[rng.random(block.shape) < 0.2] = 1.0
+                got = linear_combination(basis, block)
+                want = _plain_sums(basis, block)
+                assert got.tobytes() == want.tobytes(), (n, k, r)
+
+
+def test_linear_combination_keeps_the_order_on_any_memory_layout(rng):
+    # stacks laid out with the basis index innermost, and transposed
+    # blocks, give the bits of the plain sums all the same
+    for n in (2, 5, 9):
+        for k in (3, 6):
+            basis = rng.standard_normal((k, n, n))
+            basis *= 10.0 ** rng.integers(-8, 9, (k, 1, 1))
+            basis[0] = np.eye(n)
+            block = rng.standard_normal((4, k))
+            want = _plain_sums(basis, block)
+            strided = np.moveaxis(np.moveaxis(basis, 0, 2).copy(), 2, 0)
+            assert not strided.flags.c_contiguous
+            for got in (linear_combination(strided, block),
+                        linear_combination(basis, np.asfortranarray(block))):
+                assert got.tobytes() == want.tobytes(), (n, k)
 
 
 def test_linear_combination_diag_needs_square_terms():
+    # slab 0 is the identity, so the slabs must be square
     with pytest.raises(MatrixInputError, match="square"):
-        linear_combination([(1.0, np.ones((2, 3)))], diag=1.0)
-    assert linear_combination([(1.0, np.ones((2, 3)))]).shape == (2, 3)
+        linear_combination(np.ones((2, 2, 3)), np.ones((1, 2)))
+    with pytest.raises(MatrixInputError, match="square"):
+        linear_combination(np.ones((2, 3)), np.ones((1, 2)))
+    assert linear_combination(np.ones((2, 3, 3)),
+                              np.ones((1, 2))).shape == (1, 3, 3)
 
 
 def test_cost_ledger_counts_products_as_an_int():
@@ -168,10 +237,13 @@ def test_cost_ledger_counts_products_as_an_int():
 
 
 def test_linear_combination_rejects_empty_and_mismatch():
+    basis = np.stack([identity(2), identity(2)])
     with pytest.raises(MatrixInputError):
-        linear_combination([])
+        linear_combination(basis, np.ones((0, 2)))
     with pytest.raises(MatrixInputError):
-        linear_combination([(1.0, identity(2)), (1.0, identity(3))])
+        linear_combination(basis, np.ones((1, 3)))
+    with pytest.raises(MatrixInputError):
+        linear_combination(basis, np.ones(2))
 
 
 def test_cost_ledger_totals():
