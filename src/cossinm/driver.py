@@ -20,6 +20,21 @@ about a factor 4 per step.  The wave pair scales the time step instead
 s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
 third product per step.
 
+A large pair (n >= _FLUSH_MIN_N) is tested once as it enters the doubling.
+If it is finite and one of its matrices holds a nonzero entry below 2^-511
+of that matrix's largest, every such entry is zeroed (times +0.0, so each
+zero keeps its sign) in that pair and in each later pair a product reads;
+the returned pair keeps its own.  Each product of two surviving entries is
+at least 2^-1022 times that of the two matrices' largest, so for a pair of
+order one no product reads a subnormal operand or multiplies two entries
+into one, which makes a BLAS product 2-4 times slower (the Pade pair of a
+Jordan-type matrix decays far below 2^-1022 away from the diagonal).
+Zeroing changes a matrix M by at most n 2^-511 max|M| <= n 2^-511 ||M||_1
+in the 1-norm, at most 2^-458 of the n u ||S|| ||C|| (u = 2^-53) rounding
+the step's products carry anyway, and later steps amplify both alike.
+Selection, scheme, s and the ledger do not move, and a pair without such an
+entry doubles bit for bit as it did without the test.
+
 All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
 c(t^2 A) and s(t, A).  The body accepts a nonempty square matrix, as an
 array or nested sequences, of finite real entries (bool, integer or float),
@@ -176,6 +191,28 @@ def select_scheme(
     return best[1], best[0][1]
 
 
+# Smallest n whose doubling zeroes the pair's tiny entries.  On a 2-core
+# Xeon VM with one OpenBLAS thread (zeroing on and off interleaved, best of
+# 7-60), zeroing took a Jordan-type pade_cos_sin call (norms 4 and 12, s = 5
+# to 7) to 1.03-1.29 of its time at n = 96-144, 0.76-1.07 at 160,
+# 0.58-0.79 at 176 and 0.45-0.68 at 192-256; the entry test costs 3-8 % of
+# a call that zeroes nothing at n <= 128, about 1 % from 160 up.
+_FLUSH_MIN_N = 176
+# An entry below 2^-511 of its matrix's largest one is tiny (see the
+# module docstring).
+_FLUSH_BITS = 511
+
+
+def _tiny_mask(m: DenseMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    # the entries of m below 2^-511 of its largest one (zeros included) and
+    # the magnitudes of all, or None when m holds an inf or a NaN
+    magnitude = np.abs(m)
+    top = magnitude.max()
+    if not top < math.inf:
+        return None
+    return magnitude < math.ldexp(top, -_FLUSH_BITS), magnitude
+
+
 def _double_angle(
     cos: DenseMatrix,
     sin: DenseMatrix,
@@ -187,9 +224,24 @@ def _double_angle(
     # Both products of a step read the old pair; each fresh, C-contiguous
     # product is then scaled in place and its identity term added on the
     # diagonal: C <- I - 2 (S S), or C <- 2 (C C) - I for the wave pair,
-    # and S <- 2 (S C).
+    # and S <- 2 (S C).  Tiny entries are zeroed as the module docstring
+    # says: the entering pair is tested once, and zeroing runs only when it
+    # is finite and one of its matrices holds a nonzero tiny entry.
     n = cos.shape[0]
-    for _ in range(steps):
+    flush = False
+    if steps and n >= _FLUSH_MIN_N:
+        tiny = _tiny_mask(cos), _tiny_mask(sin)
+        flush = all(t is not None for t in tiny) and any(
+            np.max(magnitude, where=mask, initial=0.0)
+            for mask, magnitude in tiny)
+    for step in range(steps):
+        if flush:
+            if step:
+                tiny = _tiny_mask(cos), _tiny_mask(sin)
+            for m, t in zip((cos, sin), tiny):
+                if t is not None:
+                    # each tiny entry times +0.0: a zero keeps its sign
+                    np.multiply(m, 0.0, out=m, where=t[0])
         if wave:
             square = matmul(cos, cos, ledger, upper=upper)
             square *= 2.0

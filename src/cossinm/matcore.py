@@ -124,8 +124,9 @@ def matmul(
     With out, the product is written there (np.matmul's out, the same bits
     as a @ b) and out is returned.  With upper, a is upper triangular (its
     lower part is not read) and the product is one dtrmm, imported on first
-    use, whose result is copied into out when one is given; it is charged
-    1 all the same.
+    use; it is charged 1 all the same.  A C-contiguous float64 out that
+    does not overlap a takes a copy of b, which the dtrmm overwrites in
+    place; any other out gets a copy of the result.
     """
     if a.shape[1] != b.shape[0]:
         raise MatrixInputError(
@@ -137,11 +138,15 @@ def matmul(
 
         # AB = (B^T A^T)^T: the transposes of C-contiguous operands are
         # Fortran-contiguous, so neither is reordered (B^T is copied once,
-        # into the result), and A^T is lower triangular
-        product = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+        # into the result or into out), and A^T is lower triangular
         if out is None:
-            return product
-        out[...] = product
+            return dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+        if (out.dtype == np.float64 and out.flags.c_contiguous
+                and not np.shares_memory(out, a)):
+            out[...] = b
+            dtrmm(1.0, a.T, out.T, side=1, lower=1, overwrite_b=1)
+        else:
+            out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
         return out
     return np.matmul(a, b, out=out)
 

@@ -16,7 +16,7 @@ from cossinm.driver import (
 )
 from cossinm.gallery import CorpusSpec, generate_corpus
 from cossinm.matcore import CostLedger, MatrixInputError, norm1
-from cossinm.schemes import PADE8, SchemeFamily, SchemeId
+from cossinm.schemes import PADE8, CosSinResult, SchemeFamily, SchemeId
 from cossinm.theta_tables import (
     PADE_TABLE,
     TAYLOR_TABLE,
@@ -661,3 +661,145 @@ def test_structure_is_tested_once_per_call(monkeypatch, entry, kind):
     report = _ENTRY_POINTS[entry](a)
     assert report.scaling_exponent > 0
     assert seen == [a.shape]
+
+
+# ------------------------------------------- tiny entries in the doubling
+
+
+_FLUSH_N = 2 * driver._FLUSH_MIN_N
+
+
+def _jordan(n, norm=12.0):
+    rng = np.random.default_rng(8)
+    a = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
+    return a * (norm / norm1(a))
+
+
+def _without_tiny_entries(n):
+    rng = np.random.default_rng(9)
+    dense = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    triu = np.triu(rng.standard_normal((n, n)))
+    return {name: m * (norm / norm1(m)) for name, m, norm in (
+        ("dense", dense, 30.0), ("negdef", -(b @ b.T), 30.0),
+        ("triu", triu, 24.0))}
+
+
+def _has_subnormal(m):
+    magnitude = np.abs(m)
+    return bool(((magnitude > 0.0)
+                 & (magnitude < np.finfo(np.float64).tiny)).any())
+
+
+def _flushed_at(monkeypatch, min_n, call, a):
+    """call(a) with the crossover at min_n, and how many of the driver's
+    products (selection's and the doubling's) read a subnormal entry."""
+    reads = []
+
+    def spied(p, q, *args, _matmul=driver.matmul, **kwargs):
+        reads.append(_has_subnormal(p) or _has_subnormal(q))
+        return _matmul(p, q, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "_FLUSH_MIN_N", min_n)
+        m.setattr(driver, "matmul", spied)
+        return call(a), sum(reads)
+
+
+def _same_bits(got, want):
+    return (got.cos_part.tobytes() == want.cos_part.tobytes()
+            and got.sin_part.tobytes() == want.sin_part.tobytes())
+
+
+def test_doubling_reads_no_subnormal_entry(monkeypatch):
+    # the Pade pair of a Jordan-type matrix is a full triangle whose
+    # entries decay far below 2^-1022 away from the diagonal
+    a = _jordan(_FLUSH_N)
+    want, before = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
+    got, after = _flushed_at(monkeypatch, driver._FLUSH_MIN_N, pade_cos_sin,
+                             a)
+    assert want.scaling_exponent > 0 and before > 0
+    assert after == 0
+    _same_choice(got, want)
+    assert not _same_bits(got.result, want.result)
+    for x, ref in ((got.result.cos_part, want.result.cos_part),
+                   (got.result.sin_part, want.result.sin_part)):
+        assert norm1(x - ref) <= 2.0 ** -400 * norm1(ref)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("a", [
+    *_without_tiny_entries(_FLUSH_N).values(),
+    _jordan(driver._FLUSH_MIN_N - 1),
+], ids=["dense", "negdef", "triu", "jordan-below-crossover"])
+def test_pairs_without_zeroing_double_bit_for_bit(monkeypatch, entry, a):
+    call = _ENTRY_POINTS[entry]
+    want, _ = _flushed_at(monkeypatch, math.inf, call, a)
+    got = call(a)
+    assert want.scaling_exponent > 0
+    _same_choice(got, want)
+    assert _same_bits(got.result, want.result)
+
+
+def test_the_crossover_is_the_smallest_size_zeroed(monkeypatch):
+    a = _jordan(driver._FLUSH_MIN_N - 1)
+    forced, _ = _flushed_at(monkeypatch, a.shape[0], pade_cos_sin, a)
+    want, _ = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
+    assert not _same_bits(forced.result, want.result)
+    assert _same_bits(pade_cos_sin(a).result, want.result)
+
+
+def test_zeroing_keeps_the_sign_symmetry_exact(monkeypatch):
+    # compared as test_properties compares it, by value: entries that
+    # underflow to zero come out +0 for A and -A alike, zeroing or not
+    a = _jordan(_FLUSH_N)
+    plus, minus = pade_cos_sin(a), pade_cos_sin(-a)
+    want, _ = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
+    assert not _same_bits(plus.result, want.result)
+    assert minus.result.cos_part.tobytes() == plus.result.cos_part.tobytes()
+    assert np.array_equal(minus.result.sin_part, -plus.result.sin_part)
+
+
+def test_a_pair_that_overflowed_doubles_as_before(monkeypatch):
+    # the same entering pair is zeroed while it is finite, and left as it
+    # is once an inf is in it
+    part = schemes.pade8_cos_sin(_jordan(_FLUSH_N) * 2.0 ** -7, CostLedger())
+
+    def doubled(min_n, cos):
+        with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+            m.setattr(driver, "_FLUSH_MIN_N", min_n)
+            return CosSinResult(*driver._double_angle(
+                cos.copy(), part.sin_part.copy(), 1, CostLedger()))
+
+    cos = part.cos_part.copy()
+    assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos),
+                          doubled(math.inf, cos))
+    cos[0, -1] = math.inf
+    assert _same_bits(doubled(driver._FLUSH_MIN_N, cos),
+                      doubled(math.inf, cos))
+
+
+@pytest.mark.parametrize("w", [800.0, 1500.0])
+def test_a_pair_that_overflows_while_doubling_keeps_its_infs(monkeypatch, w):
+    # cos(A) for w J blocks grows like cosh(w): at w = 800 it overflows in
+    # the last step, at 1500 one step earlier.  A step whose pair holds an
+    # inf zeroes nothing in it, so the inf and NaN entries fall where they
+    # did, and the finite ones move by the zeroing, amplified by the steps
+    # as the rounding is
+    n = _FLUSH_N
+    a = np.eye(n, k=1) * 0.5 + np.diag(
+        np.random.default_rng(3).uniform(-1.0, 1.0, n))
+    for i in range(0, n, 2):
+        a[i, i + 1], a[i + 1, i] = w, -w
+    want, _ = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
+    got = pade_cos_sin(a)
+    assert got.nonfinite and want.nonfinite
+    for x, ref in ((got.result.cos_part, want.result.cos_part),
+                   (got.result.sin_part, want.result.sin_part)):
+        finite = np.isfinite(ref)
+        assert (np.isfinite(x) == finite).all()
+        assert np.array_equal(x[~finite], ref[~finite], equal_nan=True)
+        if finite.any():
+            bound = 4.0 ** got.scaling_exponent * 2.0 ** -400
+            top = np.abs(ref[finite]).max()
+            assert np.abs(x[finite] - ref[finite]).max() <= bound * top

@@ -132,6 +132,22 @@ def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
     assert ledger.products == 1
 
 
+@pytest.mark.parametrize("into", ["a", "b", "strided"])
+def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
+    # out overlapping a, or not C-contiguous, takes a copy of the result;
+    # out = b takes the in-place path on b itself
+    n = matcore._TRIANGULAR_MIN_N
+    a, b = _upper_pair(rng, n)
+    want = matmul(a, b, CostLedger(), upper=True)
+    if into == "strided":
+        out = np.empty((n, 2 * n))[:, ::2]
+    else:
+        out = {"a": a, "b": b}[into]
+    got = matmul(a, b, CostLedger(), upper=True, out=out)
+    assert got is out
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 def test_norm1_is_max_column_sum(rng):
     m = matrix_from_rows([[1.0, -2.0], [3.0, 0.5]])
     assert norm1(m) == 4.0
