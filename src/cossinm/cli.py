@@ -29,13 +29,7 @@ from .driver import (
     wave_cos_sin,
 )
 from .gallery import CorpusSpec, generate_corpus
-from .matcore import (
-    MatrixInputError,
-    SingularMatrixError,
-    norm1,
-    read_matrix,
-    write_matrix,
-)
+from .matcore import SingularMatrixError, norm1, read_matrix, write_matrix
 from .schemes import SchemeFamily, SchemeId
 from .theta_tables import (
     PADE_TABLE,
@@ -83,13 +77,9 @@ def format_theta(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def _precision(name: str) -> Precision:
-    return Precision.SINGLE if name == "single" else Precision.DOUBLE
-
-
 def _cmd_cossin(args: argparse.Namespace) -> int:
     a = read_matrix(args.path)
-    precision = _precision(args.precision)
+    precision = Precision(args.precision)
     report = pade_cos_sin(a, precision) if args.method == "pade" \
         else cos_sin(a, precision)
     write_matrix(f"{args.path}.cos", report.result.cos_part)
@@ -100,7 +90,7 @@ def _cmd_cossin(args: argparse.Namespace) -> int:
 
 def _cmd_wave(args: argparse.Namespace) -> int:
     a = read_matrix(args.path)
-    report = wave_cos_sin(a, args.t, _precision(args.precision))
+    report = wave_cos_sin(a, args.t, Precision(args.precision))
     write_matrix(f"{args.path}.c", report.result.cos_part)
     write_matrix(f"{args.path}.s", report.result.sin_part)
     print(_report_line(report))
@@ -132,8 +122,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             reference = reference_cos_sin(matrix)
         for method, run in (("taylor", cos_sin), ("pade", pade_cos_sin)):
             start = time.perf_counter()
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = run(matrix)
+            report = run(matrix)
             wall = time.perf_counter() - start
             records.append(RunRecord(
                 matrix_id=f"{index:05d}",
@@ -191,7 +180,7 @@ def _theta_rows(precision: Precision) -> list[ThetaEntry]:
 def _cmd_theta(args: argparse.Namespace) -> int:
     from .verify import generate_theta_table
 
-    precision = _precision(args.precision)
+    precision = Precision(args.precision)
     unit = "2^-53" if precision is Precision.DOUBLE else "2^-24"
     print(f"{args.precision} precision (u = {unit})")
     recomputed: dict[SchemeId, tuple[float, float]] = {}
@@ -288,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixInputError, SingularMatrixError, ValueError, OSError) as exc:
+    except (SingularMatrixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,9 +36,9 @@ Selection, scheme, s and the ledger do not move, and a pair without such an
 entry doubles bit for bit as it did without the test.
 
 All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
-c(t^2 A) and s(t, A).  The body accepts a nonempty square matrix, as an
-array or nested sequences, of finite real entries (bool, integer or float),
-evaluated in binary64, and raises MatrixInputError for anything else.  An
+c(t^2 A) and s(t, A).  The body takes its input through matcore.as_matrix,
+the rule every evaluator shares (a nonempty square real matrix, evaluated
+in binary64), and raises MatrixInputError for a non-finite entry too.  An
 upper-triangular input at or above matcore's crossover size runs the
 chain's and the doubling's products as triangular ones and the Pade solves
 as triangular solves, after the same selection as dense input; the ledger
@@ -59,6 +59,7 @@ from .matcore import (
     CostLedger,
     DenseMatrix,
     MatrixInputError,
+    as_matrix,
     is_upper_triangular,
     linear_combination,
     matmul,
@@ -344,19 +345,7 @@ def _evaluate(
     arithmetic runs with numpy's overflow and invalid-operation warnings
     off: a result that overflowed says so in the report's nonfinite.
     """
-    try:
-        a = np.asarray(a)
-    except ValueError as exc:
-        raise MatrixInputError(f"ragged or non-numeric rows: {exc}") from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
-    if a.dtype.kind not in "biuf":
-        raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
-    if a.size == 0:
-        raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    # binary64 throughout: a bool matmul is logical, an int64 one wraps,
-    # a float32 one rounds to single
-    a = a.astype(np.float64, copy=False)
+    a = as_matrix(a)
     if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
     ledger = CostLedger()

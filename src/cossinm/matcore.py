@@ -97,6 +97,30 @@ def matrix_from_rows(rows: Sequence[Sequence[float]]) -> DenseMatrix:
     return a
 
 
+def as_matrix(a) -> DenseMatrix:
+    """The one input rule of every evaluator: a nonempty square matrix.
+
+    a is an array or nested sequences of real entries.  Ragged rows,
+    anything not 2-D square, an empty matrix, and complex, object or string
+    entries raise MatrixInputError.  The result is binary64: a bool matmul
+    is logical, an int64 one wraps and a float32 one rounds to single, so
+    bool, integer and other float entries are converted, and float64 input
+    is returned as it is, without a copy.  Entries are not tested for
+    finiteness.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise MatrixInputError(f"ragged or non-numeric rows: {exc}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
+    if a.dtype.kind not in "biuf":
+        raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
+    if a.size == 0:
+        raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
+    return a.astype(np.float64, copy=False)
+
+
 def identity(n: int) -> DenseMatrix:
     return np.eye(n, dtype=np.float64)
 

@@ -13,11 +13,12 @@ dense matrices (charging a cost ledger per product), and the verification
 oracle replays the identical code path with exact scalar polynomials to
 extract every coefficient a scheme actually computes.  SCHEMES, the one
 registry, maps each scheme to its chain and its cost.  All three pairs
-(taylor_cos_sin, wave_kernels, pade8_cos_sin) return one CosSinResult and
-charge their products to the ledger the caller passes in; on an
-upper-triangular operand (the caller's upper flag, or the pair's own
-matcore.is_upper_triangular test when the caller passes none) they run
-every product, and the Pade solves, as triangular ones.
+(taylor_cos_sin, wave_kernels, pade8_cos_sin) take the drivers' input
+(matcore.as_matrix), return one CosSinResult and charge their products
+to the ledger the caller passes in; on an upper-triangular operand (the
+caller's upper flag, or the pair's own matcore.is_upper_triangular test
+when the caller passes none) they run every product, and the Pade
+solves, as triangular ones.
 
 A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
@@ -53,7 +54,7 @@ import numpy as np
 from .matcore import (
     CostLedger,
     DenseMatrix,
-    MatrixInputError,
+    as_matrix,
     is_upper_triangular,
     linear_combination,
     lu_solve_pair,
@@ -490,22 +491,18 @@ SCHEMES: dict[tuple[SchemeFamily, int], RegisteredScheme] = {
 PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
-def _require_square(a: DenseMatrix) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
-    return a.shape[0]
-
-
 Powers = tuple[DenseMatrix, DenseMatrix | None]
 
 
 def _algebra(
     a: DenseMatrix, ledger: CostLedger, upper: bool | None
-) -> MatrixAlgebra:
-    n = _require_square(a)
+) -> tuple[DenseMatrix, MatrixAlgebra]:
+    """a as matcore.as_matrix takes it, which the pair then computes on,
+    and the dense algebra over it."""
+    a = as_matrix(a)
     if upper is None:
         upper = is_upper_triangular(a)
-    return MatrixAlgebra(n, ledger, upper)
+    return a, MatrixAlgebra(a.shape[0], ledger, upper)
 
 
 def _owned(m: DenseMatrix) -> DenseMatrix:
@@ -533,7 +530,7 @@ def taylor_cos_sin(
     """
     if scheme.family is not SchemeFamily.COS_SIN_TAYLOR:
         raise ValueError(f"not a trigonometric scheme: {scheme}")
-    alg = _algebra(a, ledger, upper)
+    a, alg = _algebra(a, ledger, upper)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, y, y2=y2)
@@ -559,7 +556,7 @@ def wave_kernels(
     """
     if scheme.family is not SchemeFamily.WAVE_KERNEL:
         raise ValueError(f"not a wave-kernel scheme: {scheme}")
-    alg = _algebra(a, ledger, upper)
+    a, alg = _algebra(a, ledger, upper)
     y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
     return CosSinResult(_owned(c), float(t) * s_core)
@@ -580,7 +577,7 @@ def pade8_cos_sin(
     powers = (A^2, A^4) or (A^2, None).  upper is read as in
     taylor_cos_sin.
     """
-    alg = _algebra(a, ledger, upper)
+    a, alg = _algebra(a, ledger, upper)
     y, y2 = (alg.mul(a, a), None) if powers is None else powers
     basis = _basis(alg, 5, y, y2)  # I, y, ..., y^4
     alg.mul(basis[1], basis[2], out=basis[3])

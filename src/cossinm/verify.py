@@ -35,12 +35,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from .matcore import (
-    DenseMatrix,
-    MatrixInputError,
-    identity,
-    norm1,
-)
+from .matcore import DenseMatrix, as_matrix, identity, norm1
 from .schemes import (
     PADE8_DEN,
     PADE8_NUM_COS,
@@ -58,7 +53,11 @@ from .theta_tables import Precision, ThetaEntry, ThetaTable, UNIT_ROUNDOFF
 
 F = Fraction
 
+# Decimal digits of every extended-precision coefficient and sum.
 WORKING_DIGITS = 60
+
+# True-series terms past a scheme's degree that a defect series covers.
+TAIL_TERMS = 150
 
 # Relative mismatch below which a scheme coefficient counts as matching the
 # true series (printing noise), not as a structural defect.  See module
@@ -84,21 +83,14 @@ def _mpf(value: ExactScalar | int | float) -> mpmath.mpf:
 
 
 class ScalarPoly:
-    """Dense polynomial with extended-precision coefficients, degree 0 up."""
+    """Dense polynomial with WORKING_DIGITS-digit coefficients, degree 0 up."""
 
-    def __init__(
-        self,
-        coefficients: Sequence,
-        precision_digits: int = WORKING_DIGITS,
-    ) -> None:
-        if precision_digits < 30:
-            raise ValueError("precision_digits must be at least 30")
-        with mpmath.workdps(precision_digits):
+    def __init__(self, coefficients: Sequence) -> None:
+        with mpmath.workdps(WORKING_DIGITS):
             coeffs = [_mpf(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = coeffs
-        self.precision_digits = precision_digits
 
     @property
     def degree(self) -> int:
@@ -110,33 +102,31 @@ class ScalarPoly:
         return mpmath.mpf(0)
 
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        digits = max(self.precision_digits, other.precision_digits)
-        with mpmath.workdps(digits):
+        with mpmath.workdps(WORKING_DIGITS):
             out = [
                 self.coefficient(d) + other.coefficient(d)
                 for d in range(max(len(self.coefficients),
                                    len(other.coefficients)))
             ]
-        return ScalarPoly(out, digits)
+        return ScalarPoly(out)
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
-        digits = max(self.precision_digits, other.precision_digits)
         if not self.coefficients or not other.coefficients:
-            return ScalarPoly([], digits)
-        with mpmath.workdps(digits):
+            return ScalarPoly([])
+        with mpmath.workdps(WORKING_DIGITS):
             out = [mpmath.mpf(0)] * (
                 len(self.coefficients) + len(other.coefficients) - 1
             )
             for i, a in enumerate(self.coefficients):
                 for j, b in enumerate(other.coefficients):
                     out[i + j] += a * b
-        return ScalarPoly(out, digits)
+        return ScalarPoly(out)
 
     def scale(self, factor: ExactScalar | int | float) -> "ScalarPoly":
-        with mpmath.workdps(self.precision_digits):
+        with mpmath.workdps(WORKING_DIGITS):
             f = _mpf(factor)
             out = [f * c for c in self.coefficients]
-        return ScalarPoly(out, self.precision_digits)
+        return ScalarPoly(out)
 
 
 class PolyAlgebra:
@@ -147,23 +137,18 @@ class PolyAlgebra:
     term by term.
     """
 
-    def __init__(self, digits: int = WORKING_DIGITS) -> None:
-        self.digits = digits
-
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.exact
 
     def basis(self, depth: int, *operands: ScalarPoly) -> list[ScalarPoly]:
-        slabs = [ScalarPoly([1], self.digits), *operands]
-        return slabs + [ScalarPoly([], self.digits)
-                        for _ in range(depth - len(slabs))]
+        slabs = [ScalarPoly([1]), *operands]
+        return slabs + [ScalarPoly([]) for _ in range(depth - len(slabs))]
 
     @staticmethod
     def _into(value: ScalarPoly, out: ScalarPoly | None) -> ScalarPoly:
         if out is None:
             return value
         out.coefficients = value.coefficients
-        out.precision_digits = value.precision_digits
         return out
 
     def mul(
@@ -176,7 +161,7 @@ class PolyAlgebra:
     ) -> list[ScalarPoly]:
         rows = []
         for row in block:
-            acc = ScalarPoly([], self.digits)
+            acc = ScalarPoly([])
             for coeff, poly in zip(row, basis, strict=True):
                 acc = acc + poly.scale(coeff)
             rows.append(acc)
@@ -218,7 +203,7 @@ def _spread(core: ScalarPoly, odd: bool) -> ScalarPoly:
     out = [0] * (2 * len(core.coefficients) + (1 if odd else 0))
     for k, c in enumerate(core.coefficients):
         out[2 * k + (1 if odd else 0)] = c
-    return ScalarPoly(out, core.precision_digits)
+    return ScalarPoly(out)
 
 
 def extract_scheme_poly(scheme: SchemeId, which: Which) -> ScalarPoly:
@@ -279,18 +264,18 @@ def true_coefficient(which: Which, deg: int) -> mpmath.mpf:
 
 
 def difference_series(
-    poly: ScalarPoly, which: Which, tail_terms: int = 150
+    poly: ScalarPoly, which: Which
 ) -> list[tuple[int, mpmath.mpf]]:
     """Per-degree absolute defects |scheme - true|, gated against noise.
 
-    Covers every degree of the scheme polynomial plus tail_terms further
+    Covers every degree of the scheme polynomial plus TAIL_TERMS further
     true-series terms.  Degrees whose relative mismatch is below the gate
     contribute nothing.
     """
     step = 1 if which in (Which.WAVE_C, Which.WAVE_S) else 2
-    top = max(poly.degree, 0) + step * tail_terms
+    top = max(poly.degree, 0) + step * TAIL_TERMS
     out: list[tuple[int, mpmath.mpf]] = []
-    with mpmath.workdps(poly.precision_digits):
+    with mpmath.workdps(WORKING_DIGITS):
         for deg in range(top + 1):
             true = true_coefficient(which, deg)
             got = poly.coefficient(deg)
@@ -313,7 +298,6 @@ def compute_theta(
     scheme: SchemeId,
     which: Which,
     target_u: float,
-    tail_terms: int = 150,
 ) -> float:
     """Largest norm at which the scheme's tail bound stays within target_u.
 
@@ -322,8 +306,8 @@ def compute_theta(
     1e-6 relative further out.
     """
     poly = extract_scheme_poly(scheme, which)
-    with mpmath.workdps(poly.precision_digits):
-        diffs = difference_series(poly, which, tail_terms)
+    with mpmath.workdps(WORKING_DIGITS):
+        diffs = difference_series(poly, which)
         u = mpmath.mpf(target_u)
         lo = 1e-8
         hi = 1000.0 if which in (Which.WAVE_C, Which.WAVE_S) else 100.0
@@ -346,9 +330,9 @@ def leading_degree(scheme: SchemeId, which: Which) -> int:
     From there on the tail bound has only nonnegative terms, which is what
     lets selection use norms of powers (see theta_tables).
     """
-    poly = extract_scheme_poly(scheme, which)
-    with mpmath.workdps(poly.precision_digits):
-        return difference_series(poly, which)[0][0]
+    with mpmath.workdps(WORKING_DIGITS):
+        return difference_series(extract_scheme_poly(scheme, which),
+                                 which)[0][0]
 
 
 def generate_theta_table(
@@ -418,19 +402,14 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_normalize(hi, lo):
-    s, e = _two_sum(hi, lo)
-    return s, e
-
-
 def _dd_add(xh, xl, yh, yl):
     s, e = _two_sum(xh, yh)
-    return _dd_normalize(s, e + xl + yl)
+    return _two_sum(s, e + xl + yl)
 
 
 def _dd_mul(xh, xl, yh, yl):
     p, e = _two_prod(xh, yh)
-    return _dd_normalize(p, e + xh * yl + xl * yh)
+    return _two_sum(p, e + xh * yl + xl * yh)
 
 
 def _dd_matmul(xh, xl, yh, yl):
@@ -470,16 +449,15 @@ def reference_cos_sin(a: DenseMatrix) -> CosSinResult:
     The degree-12 series at that norm is exact to far below unit roundoff,
     and the double-double doubling chain keeps the recovery's own rounding
     near 1e-15 for norms through 1e4 (the amplification only outruns the
-    extra digits beyond roughly 1e7).  Test oracle only, never in the
-    product path.
+    extra digits beyond roughly 1e7).  It takes the drivers' input
+    (matcore.as_matrix).  Test oracle only, never in the product path.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
+    a = as_matrix(a)
     norm = norm1(a)
     s = 0
     if norm > _REF_NORM_CAP:
         s = math.ceil(math.log2(norm / _REF_NORM_CAP))
-    zero = np.zeros_like(a, dtype=float)
+    zero = np.zeros_like(a)
     bh = a * (2.0 ** -s)
     # Inputs with large imaginary eigenvalue parts overflow during doubling;
     # let the infs propagate silently rather than warn on every product.

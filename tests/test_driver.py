@@ -16,7 +16,15 @@ from cossinm.driver import (
 )
 from cossinm.gallery import CorpusSpec, generate_corpus
 from cossinm.matcore import CostLedger, MatrixInputError, norm1
-from cossinm.schemes import PADE8, CosSinResult, SchemeFamily, SchemeId
+from cossinm.schemes import (
+    PADE8,
+    CosSinResult,
+    SchemeFamily,
+    SchemeId,
+    pade8_cos_sin,
+    taylor_cos_sin,
+    wave_kernels,
+)
 from cossinm.theta_tables import (
     PADE_TABLE,
     TAYLOR_TABLE,
@@ -25,7 +33,7 @@ from cossinm.theta_tables import (
     ThetaTable,
     Precision,
 )
-from cossinm.verify import relative_error_2
+from cossinm.verify import reference_cos_sin, relative_error_2
 
 DOUBLE_TAYLOR = TAYLOR_TABLE[Precision.DOUBLE]
 DOUBLE_PADE = PADE_TABLE[Precision.DOUBLE]
@@ -112,45 +120,70 @@ def test_cos_sin_pi_diagonal():
     assert np.max(np.abs(report.result.sin_part)) <= 1e-13
 
 
-# Input the product path cannot compute: not square, not finite, empty, or
-# not real (complex, or Python objects).
+# Input no evaluator can compute: not square, empty, ragged, or not real
+# (complex, Python objects or strings).
 _BAD_INPUTS = (
     np.zeros((2, 3)),
-    np.array([[math.inf, 0.0], [0.0, 0.0]]),
     np.zeros((0, 0)),
     np.array([[1j, 0.0], [0.0, 1.0]]),
     np.array([[1.0, 0.0], [0.0, 1.0]], dtype=object),
+    np.array([["1", "0"], ["0", "1"]]),
     [[1.0, 2.0], [3.0]],
+)
+# The drivers turn down a non-finite entry too: selection cannot size it.
+_NONFINITE = np.array([[math.inf, 0.0], [0.0, 0.0]])
+
+# Every evaluator as a function of the matrix alone: the three pair
+# functions at their cheapest schemes and the oracle, then the drivers.
+_PAIRS_AND_ORACLE = (
+    lambda m: taylor_cos_sin(
+        m, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 3), CostLedger()),
+    lambda m: wave_kernels(
+        m, 0.3, SchemeId(SchemeFamily.WAVE_KERNEL, 3), CostLedger()),
+    lambda m: pade8_cos_sin(m, CostLedger()),
+    reference_cos_sin,
+)
+_EVALUATORS = _PAIRS_AND_ORACLE + (
+    lambda m: cos_sin(m).result,
+    lambda m: pade_cos_sin(m).result,
+    lambda m: wave_cos_sin(m, 0.3).result,
 )
 
 
 def test_cos_sin_rejects_bad_input():
     for call in (cos_sin, pade_cos_sin):
+        for a in (*_BAD_INPUTS, _NONFINITE):
+            with pytest.raises(MatrixInputError):
+                call(a)
+
+
+def test_pair_functions_and_oracle_reject_bad_input():
+    for call in _PAIRS_AND_ORACLE:
         for a in _BAD_INPUTS:
             with pytest.raises(MatrixInputError):
                 call(a)
 
 
+def _same_bits(got, want):
+    return (got.cos_part.tobytes() == want.cos_part.tobytes()
+            and got.sin_part.tobytes() == want.sin_part.tobytes())
+
+
 def test_real_input_of_any_dtype_evaluates_in_binary64():
-    # a bool matmul is logical, an int64 one wraps and a float32 one rounds
-    # to single, so the driver takes such input to float64 first
+    # a bool matmul is logical, an int64 one wraps (2^33 squared is past
+    # 2^63) and a float32 one rounds to single, so every evaluator takes
+    # such input to float64 first
     for a in (np.array([[True, True], [False, True]]),
-              np.array([[3037000500, 0], [0, 1]]),
+              np.array([[2**33 + 1, 3], [0, 2**33 - 1]]),
               np.array([[0.5, 2.0], [3.0, 4.0]], dtype=np.float32)):
-        for call in (cos_sin, pade_cos_sin, lambda m: wave_cos_sin(m, 0.5)):
-            want = call(a.astype(np.float64)).result
-            got = call(a).result
-            assert np.array_equal(got.cos_part, want.cos_part)
-            assert np.array_equal(got.sin_part, want.sin_part)
+        for call in _EVALUATORS:
+            assert _same_bits(call(a), call(a.astype(np.float64)))
 
 
 def test_nested_list_input_matches_the_array():
     rows = [[1.0, 2.0], [0.0, 1.0]]
-    for call in (cos_sin, pade_cos_sin, lambda m: wave_cos_sin(m, 0.5)):
-        want = call(np.array(rows)).result
-        got = call(rows).result
-        assert got.cos_part.tobytes() == want.cos_part.tobytes()
-        assert got.sin_part.tobytes() == want.sin_part.tobytes()
+    for call in _EVALUATORS:
+        assert _same_bits(call(rows), call(np.array(rows)))
 
 
 # ------------------------------------------------- upper-triangular input
@@ -377,7 +410,7 @@ def test_single_precision_selection(rng):
 
 
 def test_wave_rejects_bad_input():
-    for a in _BAD_INPUTS:
+    for a in (*_BAD_INPUTS, _NONFINITE):
         with pytest.raises(MatrixInputError):
             wave_cos_sin(a, 1.0)
 

@@ -233,7 +233,7 @@ def test_linear_combination_keeps_the_order_on_any_memory_layout(rng):
                 assert got.tobytes() == want.tobytes(), (n, k)
 
 
-def test_linear_combination_diag_needs_square_terms():
+def test_linear_combination_needs_a_stack_of_square_slabs():
     # slab 0 is the identity, so the slabs must be square
     with pytest.raises(MatrixInputError, match="square"):
         linear_combination(np.ones((2, 2, 3)), np.ones((1, 2)))

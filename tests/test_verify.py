@@ -16,6 +16,7 @@ from cossinm.theta_tables import (
     Precision,
 )
 from cossinm.verify import (
+    WORKING_DIGITS,
     ScalarPoly,
     Which,
     compute_theta,
@@ -81,11 +82,6 @@ def test_scalar_poly_ring_identities():
 def test_scalar_poly_trims_trailing_zeros():
     p = ScalarPoly([2, 0, 0])
     assert p.degree == 0
-
-
-def test_scalar_poly_precision_floor():
-    with pytest.raises(ValueError):
-        ScalarPoly([1], precision_digits=10)
 
 
 # ------------------------------------------------------------- extraction
@@ -307,7 +303,7 @@ def test_shipped_leading_degrees_regenerate(table):
         for which, theta, ell in _sides(entry):
             assert leading_degree(entry.scheme, which) == ell
             poly = extract_scheme_poly(entry.scheme, which)
-            with mp.workdps(poly.precision_digits):
+            with mp.workdps(WORKING_DIGITS):
                 diffs = difference_series(poly, which)
                 assert diffs[0][0] == ell
                 for shrink in (0.9, 0.5, 1e-3):
