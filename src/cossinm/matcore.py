@@ -10,6 +10,15 @@ linear_combination forms all the combinations of one chain stage in one
 call over a (k, n, n) basis stack, and matmul can write a product straight
 into a slab of such a stack (out=).
 
+From n = _GEMM_MIN_N that free work, and the dense Pade solves, run in
+level-3 BLAS: a stage's combinations are one GEMM (the r x k block against
+the stack read as k x n^2), and the two solves are two products with the
+inverse formed from the LU factors.  A combination then keeps the error
+bound of the plain sum but not its bits, and the solves are still charged
+1/3 + 2, although the inverse adds about 2/3 of a product in flops.  Below
+_GEMM_MIN_N every combination has the bits of the plain zero-started sum,
+and every solve those of dgetrs.
+
 The ledger counts products, not flops.  An upper-triangular operand, the
 form a Schur factor takes, keeps every polynomial and rational function of
 it upper triangular, so the driver tests its input once
@@ -41,6 +50,16 @@ _EPS = float(np.finfo(np.float64).eps)
 # of an a @ b at n = 64, 0.93 at 80, 0.81 at 96 and 0.58-0.62 from 112 up;
 # below 96 the saving does not repay the structure test.
 _TRIANGULAR_MIN_N = 96
+
+# Smallest n whose stage combinations are one GEMM and whose Pade solves go
+# through one inverse.  On a 2-core Xeon VM with one OpenBLAS thread (best
+# of 7), a 4 x 4 stage took 1.15 of a product as a GEMM at n = 16 against
+# 1.96 as an einsum, and 0.26 against 0.66 at n = 512; a solve pair took
+# 4.6 products through the inverse against 6.5 with two dgetrs at n = 16,
+# and 4.0 against 6.8 at n = 512.  Both are faster at every n measured, so
+# the crossover is where rounding may change: every input the acceptance
+# corpus and the small-matrix benchmark hold (n <= 16) keeps its bits.
+_GEMM_MIN_N = 64
 
 
 class MatrixInputError(ValueError):
@@ -187,18 +206,26 @@ def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     basis is a (k, n, n) stack whose slab 0 is, by convention, the
     identity; block is an r x k float64 coefficient array.  Row i of the
-    (r, n, n) result is the plain sum 0 + block[i, 0] basis[0] + ... +
-    block[i, k-1] basis[k-1], each product rounded and added in that order,
-    bit for bit, signed zeros included (a sum started from +0 never ends at
-    -0).  One einsum forms all r rows: over a C-contiguous stack numpy's
-    einsum walks the entries of a slab innermost and the basis index
-    outside them, so it adds the terms of every entry in basis order with
-    an unfused multiply and add.  Never charged.
+    (r, n, n) result is the sum block[i, 0] basis[0] + ... +
+    block[i, k-1] basis[k-1].  Never charged.
 
-    A stack whose basis index is not outermost in memory is copied first:
-    einsum would walk that index innermost, with its dot-product kernel,
-    in another order.  So would it for n = 1, where a slab has one entry;
-    there the terms are added one slab at a time.
+    From n = _GEMM_MIN_N the r rows are one GEMM, block against the stack
+    read as a k x n^2 matrix.  BLAS may fuse and reorder the k terms of an
+    entry, so each entry is within gamma_k sum_j |block[i, j]| |basis[j]|
+    of the exact sum, gamma_k = k u / (1 - k u) with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.1): the error
+    bound the plain sum has too, though not its bits.
+
+    Below _GEMM_MIN_N row i is the plain sum 0 + block[i, 0] basis[0] + ...,
+    each product rounded and added in basis order, bit for bit, signed
+    zeros included (a sum started from +0 never ends at -0).  One einsum
+    forms all r rows: over a C-contiguous stack numpy's einsum walks the
+    entries of a slab innermost and the basis index outside them, so it
+    adds the terms of every entry in basis order with an unfused multiply
+    and add.  A stack whose basis index is not outermost in memory is
+    copied first: einsum would walk that index innermost, with its
+    dot-product kernel, in another order.  So would it for n = 1, where a
+    slab has one entry; there the terms are added one slab at a time.
     """
     basis = np.ascontiguousarray(basis)
     k = basis.shape[0]
@@ -211,7 +238,10 @@ def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
             f"coefficient block of shape {block.shape} does not fit a basis"
             f" of {k} slabs"
         )
-    if basis.shape[1] == 1:
+    n = basis.shape[1]
+    if n >= _GEMM_MIN_N:
+        return (block @ basis.reshape(k, n * n)).reshape(-1, n, n)
+    if n == 1:
         out = np.zeros((block.shape[0], 1, 1))
         for j in range(k):
             out += block[:, j, None, None] * basis[j]
@@ -237,7 +267,14 @@ def lu_solve_pair(
     LAPACK's dgetrf/dgetrs are called directly (the same routines, on the
     same arguments, as scipy.linalg.lu_factor/lu_solve, without their
     wrapper overhead), and imported on first use so that importing the
-    package does not load scipy.linalg.
+    package does not load scipy.linalg.  From n = _GEMM_MIN_N the factors
+    are instead inverted in place by a blocked dgetri, given the optimal
+    workspace (its default one runs unblocked), and each solve is one
+    product with that inverse, charged as the solve it is.  The Pade
+    denominator at the scaled operand is I + y/28 + ..., with
+    ||y^2||^(1/2) at most about 0.02, close to the identity, so its inverse
+    is as accurate as the two triangular solves (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 14).
 
     With upper, the C-contiguous denominator is upper triangular and is not
     factored: partial pivoting never swaps the rows of an upper-triangular
@@ -252,7 +289,7 @@ def lu_solve_pair(
     if n and upper:
         small = np.abs(np.diagonal(denominator)).min()
     elif n:
-        from scipy.linalg.lapack import dgetrf, dgetrs
+        from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
         lu, piv, info = dgetrf(denominator)
         if info < 0:
@@ -271,6 +308,12 @@ def lu_solve_pair(
         # as matmul's, so each X comes back C-contiguous
         return tuple(dtrsm(1.0, denominator.T, rhs.T, side=1, lower=1).T
                      for rhs in (rhs1, rhs2))
+    if n >= _GEMM_MIN_N:
+        work, _ = dgetri_lwork(n)
+        inverse, info = dgetri(lu, piv, lwork=int(work), overwrite_lu=1)
+        if info:
+            raise ValueError(f"dgetri failed (info {info})")
+        return np.matmul(inverse, rhs1), np.matmul(inverse, rhs2)
     x1, info1 = dgetrs(lu, piv, rhs1)
     x2, info2 = dgetrs(lu, piv, rhs2)
     if info1 or info2:

@@ -24,10 +24,11 @@ A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
 A stage forms all its combinations with one lin call, a coefficient block
 (one row per combination, one column per slab) against a prefix of the
-stack; on dense matrices that is one matcore.linear_combination, in the
-rounding order of the plain term-by-term sum.  The two-term sums between
-stages (alg.add) always start from a stage's combination, which a sum
-started from zero never leaves at -0, so they too round as the plain sums
+stack; on dense matrices that is one matcore.linear_combination, one
+GEMM from n = matcore._GEMM_MIN_N and below it in the rounding order of
+the plain term-by-term sum.  There the two-term sums between stages
+(alg.add) always start from a stage's combination, which a sum started
+from zero never leaves at -0, so they too round as the plain sums
 0 + p + q do.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as

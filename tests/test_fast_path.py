@@ -261,6 +261,100 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         assert _same_bits(sin0, kept_sin)
 
 
+def _large_input(n, kind, norm):
+    # the benchmark's large inputs, at smaller n
+    rng = np.random.default_rng(64)
+    if kind == "dense":
+        a = rng.standard_normal((n, n))
+    elif kind == "jordan":
+        a = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
+    elif kind == "triu":
+        a = np.triu(rng.standard_normal((n, n)))
+    else:
+        b = rng.standard_normal((n, n))
+        a = -(b @ b.T) / n
+    return a * (norm / matcore.norm1(a))
+
+
+LARGE_KINDS = {"dense": (1.5, 1.0), "jordan": (4.0, 0.5),
+               "triu": (24.0, 1.0), "negdef": (60.0, 1.5)}
+TABLES = {"cos_sin": TAYLOR_TABLE, "wave_cos_sin": WAVE_TABLE,
+          "pade_cos_sin": PADE_TABLE}
+
+
+def _naive_call(entry, a, t):
+    """One driver call replayed in the naive algebra: selection on norms
+    of powers formed here, the chain at the scaled operand with those
+    powers scaled to match, scipy's LU for the Pade pair, and the doubling
+    from the old pair.  Returns the report's fields and the pair."""
+    table = TABLES[entry][Precision.DOUBLE]
+    ledger = CostLedger()
+    alg = NaiveAlgebra(a.shape[0], ledger)
+    wave = entry == "wave_cos_sin"
+    x = t * t * a if wave else a
+    norm = matcore.norm1(x)
+    y = x if wave else alg.mul(x, x)
+    y2 = alg.mul(y, y)
+    root = math.sqrt(matcore.norm1(y2))
+    if wave:
+        norms = (norm, root)
+        scheme, s = driver.select_scheme(norm, table, None, root)
+    else:
+        beta = math.sqrt(matcore.norm1(y))
+        norms = (norm, beta, math.sqrt(root))
+        scheme, s = driver.select_scheme(norm, table, beta, math.sqrt(root))
+    y, y2 = y * 2.0 ** (-2 * s), y2 * 2.0 ** (-4 * s)
+    scaled = a * 2.0 ** -s
+    if entry == "pade_cos_sin":
+        y3 = alg.mul(y, y2)
+        powers = [alg.one, y, y2, y3, alg.mul(y, y3)]
+        den, num_cos = alg.lin(powers, (PADE8_DEN, PADE8_NUM_COS))
+        (num_sin_factor,) = alg.lin(powers[:4], (PADE8_NUM_SIN,))
+        num_sin = alg.mul(scaled, num_sin_factor)
+        factors = lu_factor(den, check_finite=False)
+        cos = lu_solve(factors, num_cos, check_finite=False)
+        sin = lu_solve(factors, num_sin, check_finite=False)
+        ledger.charge_lu(solves=2)
+    else:
+        chain = schemes.SCHEMES[scheme.family, scheme.k_products].chain
+        cos, core = chain(alg, y, y2=y2)
+        sin = float(t / 2.0 ** s) * core if wave else alg.mul(scaled, core)
+    cos, sin = _naive_double_angle(cos, sin, s, ledger, wave)
+    return (scheme, s, ledger.total_cost, norms), (cos, sin)
+
+
+def _driver_call(entry, a, t):
+    if entry == "wave_cos_sin":
+        return cossinm.wave_cos_sin(a, t)
+    return getattr(cossinm, entry)(a)
+
+
+@pytest.mark.parametrize("entry", sorted(TABLES))
+@pytest.mark.parametrize("kind", sorted(LARGE_KINDS))
+@pytest.mark.parametrize("n", [matcore._GEMM_MIN_N - 1, matcore._GEMM_MIN_N,
+                               2 * matcore._GEMM_MIN_N])
+def test_large_calls_match_the_naive_replay(entry, kind, n):
+    # from the GEMM crossover the combinations and the Pade solves round
+    # differently: the choice and the ledger stay the replay's exactly and
+    # the outputs stay within 10^3 n 4^s u of it.  Below it every value is
+    # the replay's bit for bit; only a zero may differ in sign, as the
+    # in-place C <- I - 2 S^2 scales a +0 by -2 where the replay's
+    # zero-started sum keeps +0 (the doubling test compares values too)
+    norm, t = LARGE_KINDS[kind]
+    a = _large_input(n, kind, norm)
+    report = _driver_call(entry, a, t)
+    choice, pair = _naive_call(entry, a, t)
+    assert (report.scheme_used, report.scaling_exponent,
+            report.total_products, report.selection_norms) == choice
+    got = (report.result.cos_part, report.result.sin_part)
+    if n < matcore._GEMM_MIN_N:
+        assert all(map(np.array_equal, got, pair))
+        return
+    tol = 1e3 * n * 4.0 ** report.scaling_exponent * 2.0 ** -53
+    for x, ref in zip(got, pair):
+        assert matcore.norm1(x - ref) <= tol * matcore.norm1(ref)
+
+
 def _triangular():
     rng = np.random.default_rng(96)
     n = 2 * matcore._TRIANGULAR_MIN_N

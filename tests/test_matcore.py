@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import matcore
+from cossinm import matcore, verify
 from cossinm.matcore import (
     CostLedger,
     MatrixInputError,
@@ -197,23 +197,62 @@ def test_linear_combination_is_the_zero_started_sum_bit_for_bit(rng, diag):
                               np.diagonal(diag - m1))
 
 
+def _stage(rng, n, k, r):
+    """A stage's operands: the identity and k - 1 slabs of magnitudes
+    1e-8..1e8 with signed zeros, and an r x k block with some coefficients
+    0 or 1, as in the stage blocks."""
+    basis = rng.standard_normal((k, n, n))
+    basis *= 10.0 ** rng.integers(-8, 9, (k, 1, 1))
+    basis[rng.random(basis.shape) < 0.1] = -0.0
+    basis[0] = np.eye(n)
+    block = rng.standard_normal((r, k))
+    block[rng.random(block.shape) < 0.2] = 0.0
+    block[rng.random(block.shape) < 0.2] = 1.0
+    return basis, block
+
+
 def test_linear_combination_matches_the_plain_sum_at_every_stage_shape(rng):
-    # the chains' stages have r <= 4 rows over k <= 6 slabs; every slab
-    # mixes magnitudes 1e-8..1e8 and signed zeros, and some coefficients
-    # are 0 or 1, as in the stage blocks
-    for n in (1, 2, 3, 5, 8, 16, 33):
+    # the chains' stages have r <= 4 rows over k <= 6 slabs; n = 1 takes
+    # the slab-at-a-time loop, the rest the einsum, up to the last size
+    # below the GEMM crossover
+    for n in (1, 2, 3, 5, 8, 16, 33, matcore._GEMM_MIN_N - 1):
         for k in range(1, 7):
             for r in range(1, 5):
-                basis = rng.standard_normal((k, n, n))
-                basis *= 10.0 ** rng.integers(-8, 9, (k, 1, 1))
-                basis[rng.random(basis.shape) < 0.1] = -0.0
-                basis[0] = np.eye(n)
-                block = rng.standard_normal((r, k))
-                block[rng.random(block.shape) < 0.2] = 0.0
-                block[rng.random(block.shape) < 0.2] = 1.0
+                basis, block = _stage(rng, n, k, r)
                 got = linear_combination(basis, block)
                 want = _plain_sums(basis, block)
                 assert got.tobytes() == want.tobytes(), (n, k, r)
+
+
+def _double_double_sums(basis, block):
+    """Each row's sum as a double-double (hi, lo), to about u^2 of its
+    magnitude: every product is split exactly into two doubles."""
+    rows = []
+    for row in block:
+        hi = lo = np.zeros(basis.shape[1:])
+        for c, m in zip(row, basis):
+            hi, lo = verify._dd_add(hi, lo, *verify._two_prod(c, m))
+        rows.append((hi, lo))
+    return rows
+
+
+@pytest.mark.parametrize("n", [matcore._GEMM_MIN_N, 256])
+def test_linear_combination_from_the_gemm_crossover_keeps_the_sum_bound(
+        rng, n):
+    # |got - sum| <= gamma_k sum_j |c_j| |B_j| entrywise, gamma_k = k u /
+    # (1 - k u), on every stage shape; the reference's own error (about
+    # u^2 of the magnitude) is far inside the 1 % margin
+    u = 2.0 ** -53
+    for k in range(1, 7):
+        for r in range(1, 5):
+            basis, block = _stage(rng, n, k, r)
+            got = linear_combination(basis, block)
+            assert got.shape == (r, n, n)
+            gamma = k * u / (1.0 - k * u)
+            magnitude = np.abs(block) @ np.abs(basis).reshape(k, n * n)
+            for i, (hi, lo) in enumerate(_double_double_sums(basis, block)):
+                error = np.abs((got[i] - hi) - lo).ravel()
+                assert (error <= 1.01 * gamma * magnitude[i]).all(), (k, r)
 
 
 def test_linear_combination_keeps_the_order_on_any_memory_layout(rng):
@@ -291,6 +330,69 @@ def test_upper_lu_solve_pair_residuals(rng):
     assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
     assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
     assert ledger.total_cost == Fraction(7, 3)
+
+
+@pytest.mark.parametrize("n", [matcore._GEMM_MIN_N, 256])
+def test_lu_solve_pair_through_the_inverse_keeps_residual_and_ledger(rng, n):
+    # from the crossover the two solves are products with the inverse:
+    # ||D X - R||_1 <= n u ||D||_1 ||D^-1||_1 ||R||_1, D near the identity
+    # as the Pade denominator is, and the ledger is still 1/3 + 2
+    den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
+    rhs1, rhs2 = rng.standard_normal((2, n, n))
+    ledger = CostLedger()
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger)
+    assert ledger.total_cost == Fraction(7, 3)
+    condition = norm1(den) * norm1(np.linalg.inv(den))
+    for x, rhs in ((x1, rhs1), (x2, rhs2)):
+        assert x.shape == (n, n) and x.flags.c_contiguous
+        bound = n * 2.0 ** -53 * condition * norm1(rhs)
+        assert norm1(den @ x - rhs) <= bound
+
+
+def test_lu_solve_pair_below_the_crossover_is_dgetrs_bit_for_bit(rng):
+    from scipy.linalg import lu_factor, lu_solve
+
+    n = matcore._GEMM_MIN_N - 1
+    den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
+    rhs1, rhs2 = rng.standard_normal((2, n, n))
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, CostLedger())
+    factors = lu_factor(den, check_finite=False)
+    for x, rhs in ((x1, rhs1), (x2, rhs2)):
+        want = lu_solve(factors, rhs, check_finite=False)
+        assert x.tobytes() == want.tobytes()
+
+
+def _padded_singular(n):
+    # [[1, 2], [2, 4]] beside an identity: pivot 0, 1-norm 6 at every n
+    den = identity(n)
+    den[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+    return den
+
+
+def test_lu_solve_pair_detects_singular_on_both_sides_of_the_crossover():
+    messages = []
+    for n in (matcore._GEMM_MIN_N - 1, matcore._GEMM_MIN_N, 256):
+        eye = identity(n)
+        ledger = CostLedger()
+        with pytest.raises(SingularMatrixError, match="singular") as err:
+            lu_solve_pair(_padded_singular(n), eye, eye, ledger)
+        assert ledger.total_cost == 0
+        messages.append(str(err.value))
+    assert messages[1:] == messages[:1] * 2
+
+
+def test_upper_lu_solve_pair_keeps_its_triangular_solves(rng, monkeypatch):
+    # above both crossovers the upper path is still the two dtrsm, bit for
+    # bit the result with the inverse path switched off
+    n = 2 * matcore._TRIANGULAR_MIN_N
+    assert n >= matcore._GEMM_MIN_N
+    den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
+    rhs1, rhs2 = _upper_pair(rng, n)
+    got = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=True)
+    monkeypatch.setattr(matcore, "_GEMM_MIN_N", np.inf)
+    want = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=True)
+    for x, ref in zip(got, want):
+        assert x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
