@@ -23,7 +23,6 @@ from .matcore import (
     DenseMatrix,
     MatrixInputError,
     SingularMatrixError,
-    matrix_from_rows,
     norm1,
     read_matrix,
     write_matrix,
@@ -57,7 +56,6 @@ __all__ = [
     "ThetaTable",
     "cos_sin",
     "generate_corpus",
-    "matrix_from_rows",
     "norm1",
     "pade8_cos_sin",
     "pade_cos_sin",

@@ -225,9 +225,11 @@ def _double_angle(
     # Both products of a step read the old pair; each fresh, C-contiguous
     # product is then scaled in place and its identity term added on the
     # diagonal: C <- I - 2 (S S), or C <- 2 (C C) - I for the wave pair,
-    # and S <- 2 (S C).  Tiny entries are zeroed as the module docstring
-    # says: the entering pair is tested once, and zeroing runs only when it
-    # is finite and one of its matrices holds a nonzero tiny entry.
+    # and S <- 2 (S C).  Scaling by -2 turns each +0 of S S into -0, so C's
+    # off-diagonal zeros are -0 where a plain sum gives +0 (equal values; a
+    # fix costs a pass per step).  Tiny entries are zeroed as the module
+    # docstring says: the entering pair is tested once, and zeroing runs
+    # only when it is finite and a matrix of it holds a nonzero tiny entry.
     n = cos.shape[0]
     flush = False
     if steps and n >= _FLUSH_MIN_N:

@@ -28,16 +28,18 @@ and lu_solve_pair triangular solves (dtrsm) without an LU.  Each is still
 charged as before.  Below _TRIANGULAR_MIN_N the triangular product saves
 too little, and no input takes the triangular path.
 
-The module also fixes the external matrix file format used by the CLI:
-a header line ``rows cols`` followed by ``rows`` lines of ``cols``
-whitespace-separated decimal reals.
+Input is checked once, at the public boundary: as_matrix in every
+evaluator, and read_matrix for the CLI's matrix files (a header line
+``rows cols``, then ``rows`` lines of ``cols`` finite decimal reals).  The
+kernels (matmul, linear_combination, lu_solve_pair) take the shapes the
+chains build and do not test them again; numpy or LAPACK raises on a bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TypeAlias
+from typing import TypeAlias
 
 import numpy as np
 
@@ -53,17 +55,19 @@ _TRIANGULAR_MIN_N = 96
 
 # Smallest n whose stage combinations are one GEMM and whose Pade solves go
 # through one inverse.  On a 2-core Xeon VM with one OpenBLAS thread (best
-# of 7), a 4 x 4 stage took 1.15 of a product as a GEMM at n = 16 against
-# 1.96 as an einsum, and 0.26 against 0.66 at n = 512; a solve pair took
-# 4.6 products through the inverse against 6.5 with two dgetrs at n = 16,
-# and 4.0 against 6.8 at n = 512.  Both are faster at every n measured, so
-# the crossover is where rounding may change: every input the acceptance
-# corpus and the small-matrix benchmark hold (n <= 16) keeps its bits.
+# of 7), a 4 x 4 stage took 2.3 us as a GEMM at n = 2 against 3.7 as an
+# einsum, and 0.26 against 0.66 of a product at n = 512.  A solve pair took
+# 6.9, 7.6 and 8.7 us through the inverse at n = 2, 4 and 8 against 3.6,
+# 3.9 and 6.0 with dgetrf and two dgetrs; the inverse wins from n = 16
+# (14.3 against 15.0) and took 4.0 products against 6.8 at n = 512.  Below
+# 64 the acceptance corpus and the small benchmark (n <= 16) keep their
+# bits: a GEMM at every n dropped criterion 5 to 440/500, below its gate.
 _GEMM_MIN_N = 64
 
 
 class MatrixInputError(ValueError):
-    """Raised for malformed external matrix input (shape, parse, non-finite)."""
+    """Malformed input at the public boundary: as_matrix, the drivers' finite
+    entry and t checks, and read_matrix."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -97,23 +101,6 @@ class CostLedger:
         """Product-equivalent total: products + fact/3 + one per solve."""
         return Fraction(3 * (self.products + self.lu_solves)
                         + self.lu_factorizations, 3)
-
-
-def matrix_from_rows(rows: Sequence[Sequence[float]]) -> DenseMatrix:
-    """Build a validated matrix from nested sequences of reals.
-
-    This is the construction path for external input: ragged rows, empty
-    dimensions and non-finite entries are rejected.
-    """
-    try:
-        a = np.array(rows, dtype=np.float64)
-    except ValueError as exc:
-        raise MatrixInputError(f"ragged or non-numeric rows: {exc}") from None
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise MatrixInputError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise MatrixInputError("matrix entries must be finite")
-    return a
 
 
 def as_matrix(a) -> DenseMatrix:
@@ -171,10 +158,6 @@ def matmul(
     does not overlap a takes a copy of b, which the dtrmm overwrites in
     place; any other out gets a copy of the result.
     """
-    if a.shape[1] != b.shape[0]:
-        raise MatrixInputError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
     ledger.products += 1
     if upper:
         from scipy.linalg.blas import dtrmm
@@ -228,17 +211,7 @@ def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     slab has one entry; there the terms are added one slab at a time.
     """
     basis = np.ascontiguousarray(basis)
-    k = basis.shape[0]
-    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-        raise MatrixInputError(
-            f"basis must be a stack of square slabs, got shape {basis.shape}"
-        )
-    if block.ndim != 2 or block.shape[1] != k or not block.size:
-        raise MatrixInputError(
-            f"coefficient block of shape {block.shape} does not fit a basis"
-            f" of {k} slabs"
-        )
-    n = basis.shape[1]
+    k, n = basis.shape[:2]
     if n >= _GEMM_MIN_N:
         return (block @ basis.reshape(k, n * n)).reshape(-1, n, n)
     if n == 1:
@@ -282,13 +255,10 @@ def lu_solve_pair(
     side solves against it.  The ledger is charged as for the LU.
     """
     n = denominator.shape[0]
-    if denominator.shape != (n, n):
-        raise MatrixInputError("denominator must be square")
     threshold = 1e3 * _EPS * norm1(denominator)
-    small = 0.0
-    if n and upper:
+    if upper:
         small = np.abs(np.diagonal(denominator)).min()
-    elif n:
+    else:
         from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
         lu, piv, info = dgetrf(denominator)
@@ -322,7 +292,7 @@ def lu_solve_pair(
 
 
 def read_matrix(path: str) -> DenseMatrix:
-    """Read a matrix file: "rows cols" header, then one line per row."""
+    """Read a matrix file: "rows cols" header, then one finite row a line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     if not lines:
@@ -357,10 +327,9 @@ def read_matrix(path: str) -> DenseMatrix:
             raise MatrixInputError(
                 f"{path}: line {i}: non-numeric entry"
             ) from None
-    try:
-        return matrix_from_rows(data)
-    except MatrixInputError as exc:
-        raise MatrixInputError(f"{path}: {exc}") from None
+        if not np.isfinite(data[-1]).all():
+            raise MatrixInputError(f"{path}: line {i}: non-finite entry")
+    return np.array(data)
 
 
 def write_matrix(path: str, a: DenseMatrix) -> None:

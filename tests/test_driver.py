@@ -739,11 +739,6 @@ def _flushed_at(monkeypatch, min_n, call, a):
         return call(a), sum(reads)
 
 
-def _same_bits(got, want):
-    return (got.cos_part.tobytes() == want.cos_part.tobytes()
-            and got.sin_part.tobytes() == want.sin_part.tobytes())
-
-
 def test_doubling_reads_no_subnormal_entry(monkeypatch):
     # the Pade pair of a Jordan-type matrix is a full triangle whose
     # entries decay far below 2^-1022 away from the diagonal

@@ -10,6 +10,7 @@ term, every sum started from zeros, scipy's LU wrappers) and compared bit
 for bit.
 """
 
+import ast
 import importlib.util
 import math
 import os
@@ -49,7 +50,8 @@ from cossinm.theta_tables import (
     ThetaTable,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 class NaiveAlgebra:
@@ -423,6 +425,56 @@ def test_tracer_rebind_targets_still_resolve():
     tracing = _load_perfbench("tracing")
     for module, attribute, _span in tracing.REBIND:
         assert callable(getattr(module, attribute)), (module, attribute)
+
+
+def _bound_names(statements):
+    """(name, line) for each name the given top-level statements bind."""
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_no_unused_library_import_and_no_test_name_bound_twice():
+    # an import the library never reads is allowed only where the tracer
+    # rebinds it to record its spans
+    rebound = {(module.__name__, attribute) for module, attribute, _span
+               in _load_perfbench("tracing").REBIND}
+    unused = []
+    for path in sorted((ROOT / "src" / "cossinm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = ("cossinm" if path.stem == "__init__"
+                  else f"cossinm.{path.stem}")
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and (
+                    ast.unparse(node.targets[0]) == "__all__"):
+                read |= set(ast.literal_eval(node.value))
+        imports = [node for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        unused += [(path.name, name) for name, _line in _bound_names(imports)
+                   if name not in read and (module, name) not in rebound]
+    assert unused == []
+    twice = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        first = {}
+        for name, line in _bound_names(ast.parse(path.read_text()).body):
+            if name in first:
+                twice.append((path.name, name, first[name], line))
+            first.setdefault(name, line)
+    assert twice == []
 
 
 # Chain stages, each one linear_combination call; the Pade pair has one.

@@ -15,7 +15,6 @@ from cossinm.matcore import (
     linear_combination,
     lu_solve_pair,
     matmul,
-    matrix_from_rows,
     norm1,
     read_matrix,
     write_matrix,
@@ -34,29 +33,6 @@ def _slow_matmul(a, b):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
     return out
-
-
-def test_matrix_from_rows_values():
-    m = matrix_from_rows([[1.0, 2.0], [3.0, 4.0]])
-    assert m.shape == (2, 2)
-    assert m[1, 0] == 3.0
-
-
-def test_matrix_from_rows_rejects_ragged():
-    with pytest.raises(MatrixInputError):
-        matrix_from_rows([[1.0, 2.0], [3.0]])
-
-
-def test_matrix_from_rows_rejects_nonfinite():
-    with pytest.raises(MatrixInputError):
-        matrix_from_rows([[1.0, float("nan")]])
-    with pytest.raises(MatrixInputError):
-        matrix_from_rows([[float("inf")]])
-
-
-def test_matrix_from_rows_rejects_empty():
-    with pytest.raises(MatrixInputError):
-        matrix_from_rows([])
 
 
 def test_identity():
@@ -79,11 +55,6 @@ def test_matmul_charges_one_product_each():
     matmul(a, a, ledger)
     matmul(a, a, ledger)
     assert ledger.total_cost == Fraction(2)
-
-
-def test_matmul_inner_dimension_mismatch():
-    with pytest.raises(MatrixInputError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)), CostLedger())
 
 
 def _upper_pair(rng, n):
@@ -149,7 +120,7 @@ def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
 
 
 def test_norm1_is_max_column_sum(rng):
-    m = matrix_from_rows([[1.0, -2.0], [3.0, 0.5]])
+    m = np.array([[1.0, -2.0], [3.0, 0.5]])
     assert norm1(m) == 4.0
     r = rng.standard_normal((6, 6))
     assert norm1(r) == pytest.approx(np.abs(r).sum(axis=0).max(), rel=1e-15)
@@ -162,7 +133,7 @@ def test_norm1_zero_matrix():
 def test_linear_combination_exact_and_unpriced():
     ledger = CostLedger()
     eye = identity(2)
-    m = matrix_from_rows([[0.0, 1.0], [1.0, 0.0]])
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
     got = linear_combination(np.stack([eye, m]), np.array([[1.0, -2.0]]))
     assert got.shape == (1, 2, 2)
     assert np.array_equal(got[0], eye - 2.0 * m)
@@ -272,16 +243,6 @@ def test_linear_combination_keeps_the_order_on_any_memory_layout(rng):
                 assert got.tobytes() == want.tobytes(), (n, k)
 
 
-def test_linear_combination_needs_a_stack_of_square_slabs():
-    # slab 0 is the identity, so the slabs must be square
-    with pytest.raises(MatrixInputError, match="square"):
-        linear_combination(np.ones((2, 2, 3)), np.ones((1, 2)))
-    with pytest.raises(MatrixInputError, match="square"):
-        linear_combination(np.ones((2, 3)), np.ones((1, 2)))
-    assert linear_combination(np.ones((2, 3, 3)),
-                              np.ones((1, 2))).shape == (1, 3, 3)
-
-
 def test_cost_ledger_counts_products_as_an_int():
     ledger = CostLedger()
     a = identity(2)
@@ -289,16 +250,6 @@ def test_cost_ledger_counts_products_as_an_int():
         matmul(a, a, ledger)
     assert type(ledger.products) is int and ledger.products == 3
     assert isinstance(ledger.total_cost, Fraction)
-
-
-def test_linear_combination_rejects_empty_and_mismatch():
-    basis = np.stack([identity(2), identity(2)])
-    with pytest.raises(MatrixInputError):
-        linear_combination(basis, np.ones((0, 2)))
-    with pytest.raises(MatrixInputError):
-        linear_combination(basis, np.ones((1, 3)))
-    with pytest.raises(MatrixInputError):
-        linear_combination(basis, np.ones(2))
 
 
 def test_cost_ledger_totals():
@@ -397,8 +348,7 @@ def test_upper_lu_solve_pair_keeps_its_triangular_solves(rng, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_upper_lu_solve_pair_detects_a_zero_diagonal_entry():
-    den = matrix_from_rows([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0],
-                            [0.0, 0.0, 4.0]])
+    den = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 4.0]])
     messages = []
     for upper in (False, True):
         with pytest.raises(SingularMatrixError, match="singular") as err:
@@ -410,15 +360,9 @@ def test_upper_lu_solve_pair_detects_a_zero_diagonal_entry():
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_lu_solve_pair_detects_singular():
-    den = matrix_from_rows([[1.0, 2.0], [2.0, 4.0]])
+    den = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError, match="singular"):
         lu_solve_pair(den, identity(2), identity(2), CostLedger())
-
-
-def test_lu_solve_pair_rejects_empty_denominator():
-    empty = np.zeros((0, 0))
-    with pytest.raises(SingularMatrixError):
-        lu_solve_pair(empty, empty, empty, CostLedger())
 
 
 def test_write_read_roundtrip(tmp_path, rng):
@@ -437,6 +381,8 @@ MALFORMED = [
     ("2 2\n1 2\n", "expected 2 data lines"),
     ("1 3\n1 2\n", "line 2"),
     ("1 2\n1 zz\n", "non-numeric"),
+    ("1 1\ninf\n", "line 2: non-finite"),
+    ("2 1\n1\nnan\n", "line 3: non-finite"),
 ]
 
 
