@@ -32,9 +32,6 @@ from .schemes import (
     CosSinResult,
     SchemeFamily,
     SchemeId,
-    pade8_cos_sin,
-    taylor_cos_sin,
-    wave_kernels,
 )
 from .theta_tables import Precision, ThetaEntry, ThetaTable
 
@@ -57,12 +54,9 @@ __all__ = [
     "cos_sin",
     "generate_corpus",
     "norm1",
-    "pade8_cos_sin",
     "pade_cos_sin",
     "read_matrix",
     "select_scheme",
-    "taylor_cos_sin",
     "wave_cos_sin",
-    "wave_kernels",
     "write_matrix",
 ]

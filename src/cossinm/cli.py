@@ -29,7 +29,14 @@ from .driver import (
     wave_cos_sin,
 )
 from .gallery import CorpusSpec, generate_corpus
-from .matcore import SingularMatrixError, norm1, read_matrix, write_matrix
+from .matcore import (
+    DenseMatrix,
+    MatrixInputError,
+    SingularMatrixError,
+    norm1,
+    read_matrix,
+    write_matrix,
+)
 from .schemes import SchemeFamily, SchemeId
 from .theta_tables import (
     PADE_TABLE,
@@ -77,11 +84,21 @@ def format_theta(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
+def _read_square(path: str) -> DenseMatrix:
+    """A matrix file that cossin and wave can evaluate: read_matrix's, and
+    square, where a wrong header is named by its path and line."""
+    a = read_matrix(path)
+    rows, cols = a.shape
+    if rows != cols:
+        raise MatrixInputError(
+            f"{path}: line 1: matrix must be square, got {rows} x {cols}")
+    return a
+
+
 def _cmd_cossin(args: argparse.Namespace) -> int:
-    a = read_matrix(args.path)
-    precision = Precision(args.precision)
-    report = pade_cos_sin(a, precision) if args.method == "pade" \
-        else cos_sin(a, precision)
+    a = _read_square(args.path)
+    run = pade_cos_sin if args.method == "pade" else cos_sin
+    report = run(a, args.precision)
     write_matrix(f"{args.path}.cos", report.result.cos_part)
     write_matrix(f"{args.path}.sin", report.result.sin_part)
     print(_report_line(report))
@@ -89,8 +106,8 @@ def _cmd_cossin(args: argparse.Namespace) -> int:
 
 
 def _cmd_wave(args: argparse.Namespace) -> int:
-    a = read_matrix(args.path)
-    report = wave_cos_sin(a, args.t, Precision(args.precision))
+    a = _read_square(args.path)
+    report = wave_cos_sin(a, args.t, args.precision)
     write_matrix(f"{args.path}.c", report.result.cos_part)
     write_matrix(f"{args.path}.s", report.result.sin_part)
     print(_report_line(report))

@@ -38,11 +38,13 @@ entry doubles bit for bit as it did without the test.
 All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
 c(t^2 A) and s(t, A).  The body takes its input through matcore.as_matrix,
 the rule every evaluator shares (a nonempty square real matrix, evaluated
-in binary64), and raises MatrixInputError for a non-finite entry too.  An
-upper-triangular input at or above matcore's crossover size runs the
-chain's and the doubling's products as triangular ones and the Pade solves
-as triangular solves, after the same selection as dense input; the ledger
-is charged as for dense input.
+in binary64), and raises MatrixInputError for a non-finite entry too.
+Each entry point looks its table up by Precision(precision), so a
+precision's value ("double", "single") serves as well, and any other value
+raises ValueError.  An upper-triangular input at or above matcore's
+crossover size runs the chain's and the doubling's products as triangular
+ones and the Pade solves as triangular solves, after the same selection as
+dense input; the ledger is charged as for dense input.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ class ComputationReport:
 
     selection_norms holds the norms selection was given: (||A||_1,
     ||A^2||_1^(1/2), ||A^4||_1^(1/4)) for the trigonometric pairs and
-    (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where a
-    square was not formed before selection (an A^2 norm above 2^500, or a
-    norm the cheapest scheme covers unscaled), its entry repeats the one
-    before it.
+    (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where
+    selection did not read a square's norm (an A^2 norm above 2^500, whose
+    square waits for s, or a norm the cheapest scheme covers unscaled), its
+    entry repeats the one before it.
     """
 
     result: CosSinResult
@@ -219,8 +221,8 @@ def _double_angle(
     sin: DenseMatrix,
     steps: int,
     ledger: CostLedger,
-    wave: bool = False,
-    upper: bool = False,
+    wave: bool,
+    upper: bool,
 ) -> tuple[DenseMatrix, DenseMatrix]:
     # Both products of a step read the old pair; each fresh, C-contiguous
     # product is then scaled in place and its identity term added on the
@@ -259,10 +261,10 @@ def _double_angle(
     return cos, sin
 
 
-def _scaled(m: DenseMatrix | None, bits: int) -> DenseMatrix | None:
+def _scaled(m: DenseMatrix, bits: int) -> DenseMatrix:
     # exact, as ldexp is: multiplying by 2.0 ** bits, a normal number down
     # to 2^-1022, rounds each entry once; ldexp takes the larger shifts
-    if m is None or bits == 0:
+    if bits == 0:
         return m
     return m * 2.0 ** bits if bits >= -1022 else np.ldexp(m, bits)
 
@@ -276,8 +278,10 @@ def _upscaled(x: float, bits: int) -> float:
 
 
 def _selection(
-    x: DenseMatrix, table: ThetaTable, ledger: CostLedger, wave: bool
-) -> tuple[SchemeId, int, tuple | None, tuple[float, ...]]:
+    x: DenseMatrix, table: ThetaTable, ledger: CostLedger, wave: bool,
+    upper: bool,
+) -> tuple[SchemeId, int, tuple[DenseMatrix, DenseMatrix],
+           tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
 
     x is A, whose y = A^2 costs a product, or B = t^2 A, which is its own
@@ -286,14 +290,20 @@ def _selection(
     a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and the
     q steps count in p.  A B with an inf or NaN entry (t^2 A overflowed)
     raises MatrixInputError.
-    Returns the scheme, s, the powers scaled to the chain's operand (None
-    when none were formed) and the selection norms.
+    Returns the scheme, s, the powers (y, y^2) scaled to the chain's
+    operand, and the selection norms.  Every path forms both powers.  At
+    the table's floor the cheapest scheme runs unscaled and no power's norm
+    is read; where ||y||_1 exceeds 2^500, y^2 is formed from the scaled y
+    once s is chosen.  A product selection reads the norm of stays dense
+    (a triangular one may round differently, by an ulp in ||A^2||_1 on a
+    512 x 512 triangle); the others take the chain's rule, upper.
     """
     norm = norm1(x)
     if norm <= table.floor:
-        # the cheapest scheme unscaled, whatever the powers: the chain
-        # forms them
-        return table.entries[0].scheme, 0, None, (norm,) * (2 if wave else 3)
+        y = x if wave else matmul(x, x, ledger, upper=upper)
+        powers = (y, matmul(y, y, ledger, upper=upper))
+        return (table.entries[0].scheme, 0, powers,
+                (norm,) * (2 if wave else 3))
     bits = table.step_bits
     # q steps taken first when the 1-norm itself overflows, though every
     # entry is finite: 2^(bits q) > 2n brings every column sum under the
@@ -315,7 +325,7 @@ def _selection(
     else:
         y = matmul(base, base, ledger)
         y_norm = norm1(y)
-    # root is ||y^2||^(1/2), or ||y|| when y^2 is not formed
+    # root is ||y^2||^(1/2), or ||y|| when y^2 waits for s
     y2, root = None, y_norm
     if y_norm <= _SQUARE_LIMIT:
         y2 = matmul(y, y, ledger)
@@ -327,8 +337,10 @@ def _selection(
         beta, delta = math.sqrt(y_norm), math.sqrt(root)
         norms = (norm, _upscaled(beta, p), _upscaled(delta, p))
     scheme, s = select_scheme(base_norm, table, beta, delta)
-    powers = (_scaled(y, -2 * s), _scaled(y2, -4 * s))
-    return scheme, s + p, powers, norms
+    y = _scaled(y, -2 * s)
+    y2 = (matmul(y, y, ledger, upper=upper) if y2 is None
+          else _scaled(y2, -4 * s))
+    return scheme, s + p, (y, y2), norms
 
 
 def _evaluate(
@@ -339,10 +351,9 @@ def _evaluate(
     The family comes from the table; t is read for the wave pair only, and
     must be finite.  An upper-triangular A keeps every matrix formed from
     it upper triangular, so it is tested once (matcore.is_upper_triangular)
-    and the flag is handed to the scheme and the doubling steps, whose
-    products then take the triangular path.  Selection's products stay
-    dense: a triangular product may round differently (by an ulp in
-    ||A^2||_1 on a 512 x 512 triangle), and the choice of scheme and s,
+    and the flag is handed to selection, the scheme and the doubling steps,
+    whose products then take the triangular path; selection keeps the
+    products whose norms it reads dense, so the choice of scheme and s,
     with the norms it read, stays the dense path's bit for bit.  The
     arithmetic runs with numpy's overflow and invalid-operation warnings
     off: a result that overflowed says so in the report's nonfinite.
@@ -360,11 +371,12 @@ def _evaluate(
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
             scheme, s, powers, norms = _selection(t * t * a, table, ledger,
-                                                  True)
-            part = wave_kernels(a, t / 2.0 ** s, scheme, ledger,
-                                powers=powers, upper=upper)
+                                                  True, upper)
+            part = wave_kernels(t / 2.0 ** s, scheme, ledger, powers=powers,
+                                upper=upper)
         else:
-            scheme, s, powers, norms = _selection(a, table, ledger, False)
+            scheme, s, powers, norms = _selection(a, table, ledger, False,
+                                                  upper)
             scaled = a * 2.0 ** -s
             if family is SchemeFamily.PADE8:
                 part = pade8_cos_sin(scaled, ledger, powers=powers,
@@ -384,14 +396,16 @@ def _evaluate(
 
 
 def cos_sin(
-    a: DenseMatrix, precision: Precision = Precision.DOUBLE
+    a: DenseMatrix, precision: Precision | str = Precision.DOUBLE
 ) -> ComputationReport:
     """Simultaneous cos(a) and sin(a) via the factored Taylor pipeline."""
-    return _evaluate(a, TAYLOR_TABLE[precision])
+    return _evaluate(a, TAYLOR_TABLE[Precision(precision)])
 
 
 def wave_cos_sin(
-    a: DenseMatrix, t: float, precision: Precision = Precision.DOUBLE
+    a: DenseMatrix,
+    t: float,
+    precision: Precision | str = Precision.DOUBLE,
 ) -> ComputationReport:
     """Wave kernels c(t^2 a) and s(t, a) at arbitrary t^2 * norm.
 
@@ -400,11 +414,11 @@ def wave_cos_sin(
     B^2 16^-s); each doubling step applies s(2t, A) = 2 s(t, A) c(t^2 A)
     and c(4 t^2 A) = 2 c(t^2 A)^2 - I, both from the old pair.
     """
-    return _evaluate(a, WAVE_TABLE[precision], t)
+    return _evaluate(a, WAVE_TABLE[Precision(precision)], t)
 
 
 def pade_cos_sin(
-    a: DenseMatrix, precision: Precision = Precision.DOUBLE
+    a: DenseMatrix, precision: Precision | str = Precision.DOUBLE
 ) -> ComputationReport:
     """Baseline pipeline: the rational order-8 pair under the same driver."""
-    return _evaluate(a, PADE_TABLE[precision])
+    return _evaluate(a, PADE_TABLE[Precision(precision)])

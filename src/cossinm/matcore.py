@@ -67,7 +67,7 @@ _GEMM_MIN_N = 64
 
 class MatrixInputError(ValueError):
     """Malformed input at the public boundary: as_matrix, the drivers' finite
-    entry and t checks, and read_matrix."""
+    entry and t checks, read_matrix, and the CLI's square-file check."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -228,7 +228,7 @@ def lu_solve_pair(
     rhs2: DenseMatrix,
     ledger: CostLedger,
     *,
-    upper: bool = False,
+    upper: bool,
 ) -> tuple[DenseMatrix, DenseMatrix]:
     """Solve denominator @ X_i = rhs_i for both right-hand sides.
 

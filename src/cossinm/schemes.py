@@ -12,13 +12,14 @@ are written once over an abstract operand algebra: the driver runs them with
 dense matrices (charging a cost ledger per product), and the verification
 oracle replays the identical code path with exact scalar polynomials to
 extract every coefficient a scheme actually computes.  SCHEMES, the one
-registry, maps each scheme to its chain and its cost.  All three pairs
-(taylor_cos_sin, wave_kernels, pade8_cos_sin) take the drivers' input
-(matcore.as_matrix), return one CosSinResult and charge their products
-to the ledger the caller passes in; on an upper-triangular operand (the
-caller's upper flag, or the pair's own matcore.is_upper_triangular test
-when the caller passes none) they run every product, and the Pade
-solves, as triangular ones.
+registry, maps each scheme to its chain and its cost; a chain takes the
+even variable y and its square y^2 as given.  The three pairs
+(taylor_cos_sin, wave_kernels, pade8_cos_sin) serve the driver, which
+owns every fact they read: it checks the input, scales it, forms y and
+y^2 once and hands them in, and tests the structure once.  A pair returns
+one CosSinResult, charges the products past y^2 to the ledger passed in,
+and with the driver's upper flag runs every product, and the Pade solves,
+as triangular ones.
 
 A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
@@ -55,8 +56,6 @@ import numpy as np
 from .matcore import (
     CostLedger,
     DenseMatrix,
-    as_matrix,
-    is_upper_triangular,
     linear_combination,
     lu_solve_pair,
     matmul,
@@ -332,18 +331,15 @@ class MatrixAlgebra:
     and each product is a triangular one (matmul's upper).
     """
 
-    def __init__(
-        self, n: int, ledger: CostLedger, upper: bool = False
-    ) -> None:
-        self._n = n
+    def __init__(self, ledger: CostLedger, upper: bool) -> None:
         self._ledger = ledger
-        self.upper = upper
+        self._upper = upper
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.floats
 
     def basis(self, depth: int, *operands: DenseMatrix) -> np.ndarray:
-        n = self._n
+        n = operands[0].shape[0]
         # the slabs past the operands are written before they are read
         stack = np.empty((depth, n, n))
         stack[0] = 0.0
@@ -355,7 +351,7 @@ class MatrixAlgebra:
     def mul(
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
     ) -> DenseMatrix:
-        return matmul(p, q, self._ledger, upper=self.upper, out=out)
+        return matmul(p, q, self._ledger, upper=self._upper, out=out)
 
     def lin(self, basis: np.ndarray, block: np.ndarray) -> np.ndarray:
         return linear_combination(basis, block)
@@ -366,33 +362,18 @@ class MatrixAlgebra:
         return np.add(p, q, out=out)
 
 
-def _basis(alg: OperandAlgebra[T], depth: int, y: T, y2: T | None):
-    """The chain's stack: I, y, y^2, then depth - 3 slabs the chain fills.
-
-    y^2 costs one product unless the caller formed it already and passed
-    it as y2.
-    """
-    if y2 is not None:
-        return alg.basis(depth, y, y2)
-    basis = alg.basis(depth, y)
-    alg.mul(basis[1], basis[1], out=basis[2])
-    return basis
-
-
-def chain_deg2(
-    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
-) -> tuple[T, T]:
+def chain_deg2(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
     """Degree-2 pair: cos core 1 - y/2 + y^2/24, sine core 1 - y/6 + y^2/120.
 
     One product (y^2).  Trigonometric instantiation: T4c and T5s.
     """
     k = alg.constants(TAYLOR_CONSTANTS)
-    cos, sin_core = alg.lin(_basis(alg, 3, y, y2), k.deg2)
+    cos, sin_core = alg.lin(alg.basis(3, y, y2), k.deg2)
     return cos, sin_core
 
 
 def chain_deg4(
-    alg: OperandAlgebra[T], y: T, exact_sine: bool, *, y2: T | None = None
+    alg: OperandAlgebra[T], y: T, y2: T, exact_sine: bool
 ) -> tuple[T, T]:
     """Degree-4 pair built from two products (three with the exact sine).
 
@@ -409,23 +390,21 @@ def chain_deg4(
                     else (k.deg4_inner, k.deg4))
     # I, y, y^2, then q = y^2 (c3 y + c4 y^2) and, with the exact sine,
     # q9 = y^2 (s3 y + s4 y^2)
-    basis = _basis(alg, 3 + len(inner), y, y2)
+    basis = alg.basis(3 + len(inner), y, y2)
     for slab, factor in enumerate(alg.lin(basis[:3], inner), start=3):
         alg.mul(basis[2], factor, out=basis[slab])
     cos, sin_core = alg.lin(basis, cores)
     return cos, sin_core
 
 
-def chain_deg8(
-    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
-) -> tuple[T, T]:
+def chain_deg8(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
     """Degree-8 cos core (order 16 in A) and its degree-12 sine core.
 
     Four products.  Trigonometric instantiation: T16c and T17,25s; wave
     instantiation: P8c and P8,12s.
     """
     k = alg.constants(DEG8_CONSTANTS)
-    basis = _basis(alg, 5, y, y2)  # I, y, y^2, p8, cos
+    basis = alg.basis(5, y, y2)  # I, y, y^2, p8, cos
     p8_factor, cos_low = alg.lin(basis[:3], k.low)
     p8 = alg.mul(basis[2], p8_factor, out=basis[3])
     left, right = alg.lin(basis[:4], k.p16)
@@ -435,9 +414,7 @@ def chain_deg8(
     return cos, sin_core
 
 
-def chain_deg12(
-    alg: OperandAlgebra[T], y: T, *, y2: T | None = None
-) -> tuple[T, T]:
+def chain_deg12(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
     """Degree-12 cos core (order 24 in A) and its degree-24 sine core.
 
     Five products.  Trigonometric instantiation: T24c and T23,49s; wave
@@ -446,7 +423,7 @@ def chain_deg12(
     shape (see Z_DEG12).
     """
     k = alg.constants(DEG12_CONSTANTS)
-    basis = _basis(alg, 6, y, y2)  # I, y, y^2, y^3, mid, cos
+    basis = alg.basis(6, y, y2)  # I, y, y^2, y^3, mid, cos
     alg.mul(basis[2], basis[1], out=basis[3])
     c1, c2, c3, c4 = alg.lin(basis[:4], k.c)
     mid = alg.add(c3, alg.mul(c4, c4), out=basis[4])
@@ -464,7 +441,7 @@ def chain_deg12(
 class RegisteredScheme:
     """One scheme's even-variable chain and its cost in products.
 
-    chain(alg, y, y2=None) returns the (cosine core, sine core) pair; the
+    chain(alg, y, y2) returns the (cosine core, sine core) pair; the
     rational baseline has none, its cores being series quotients.
     """
 
@@ -492,18 +469,7 @@ SCHEMES: dict[tuple[SchemeFamily, int], RegisteredScheme] = {
 PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
-Powers = tuple[DenseMatrix, DenseMatrix | None]
-
-
-def _algebra(
-    a: DenseMatrix, ledger: CostLedger, upper: bool | None
-) -> tuple[DenseMatrix, MatrixAlgebra]:
-    """a as matcore.as_matrix takes it, which the pair then computes on,
-    and the dense algebra over it."""
-    a = as_matrix(a)
-    if upper is None:
-        upper = is_upper_triangular(a)
-    return a, MatrixAlgebra(a.shape[0], ledger, upper)
+Powers = tuple[DenseMatrix, DenseMatrix]
 
 
 def _owned(m: DenseMatrix) -> DenseMatrix:
@@ -518,73 +484,64 @@ def taylor_cos_sin(
     scheme: SchemeId,
     ledger: CostLedger,
     *,
-    powers: Powers | None = None,
-    upper: bool | None = None,
+    powers: Powers,
+    upper: bool,
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
-    Total products charged: exactly scheme.k_products (one for A^2, the
-    chain's internal products, one for the leading sine factor), less the
-    ones the caller formed: powers = (A^2, A^4) or (A^2, None).  upper says
-    whether a is upper triangular (matcore.is_upper_triangular); left out,
-    a is tested here.
+    powers = (A^2, A^4), formed by the caller; the pair charges the rest of
+    scheme.k_products: the chain's products past A^4 and the leading sine
+    factor.  With upper, a is upper triangular and every product is a
+    triangular one.
     """
-    if scheme.family is not SchemeFamily.COS_SIN_TAYLOR:
-        raise ValueError(f"not a trigonometric scheme: {scheme}")
-    a, alg = _algebra(a, ledger, upper)
-    y, y2 = (alg.mul(a, a), None) if powers is None else powers
+    alg = MatrixAlgebra(ledger, upper)
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
-        alg, y, y2=y2)
+        alg, *powers)
     return CosSinResult(_owned(cos), alg.mul(a, sin_core))
 
 
 def wave_kernels(
-    a: DenseMatrix,
     t: float,
     scheme: SchemeId,
     ledger: CostLedger,
     *,
-    powers: Powers | None = None,
-    upper: bool | None = None,
+    powers: Powers,
+    upper: bool,
 ) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
-    B = t^2 A.  The s part is the even-variable sine core times the scalar
-    t, so the pair costs exactly scheme.k_products products, less one when
-    the caller formed B^2: powers = (B, B^2), or (B, None).  upper is read
-    as in taylor_cos_sin.
+    B = t^2 A.  powers = (B, B^2), formed by the caller; the s part is the
+    even-variable sine core times the scalar t, so the pair charges
+    scheme.k_products less the one product B^2.  upper is read as in
+    taylor_cos_sin.
     """
-    if scheme.family is not SchemeFamily.WAVE_KERNEL:
-        raise ValueError(f"not a wave-kernel scheme: {scheme}")
-    a, alg = _algebra(a, ledger, upper)
-    y, y2 = (float(t) * float(t) * a, None) if powers is None else powers
-    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, y, y2=y2)
-    return CosSinResult(_owned(c), float(t) * s_core)
+    alg = MatrixAlgebra(ledger, upper)
+    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, *powers)
+    return CosSinResult(_owned(c), t * s_core)
 
 
 def pade8_cos_sin(
     a: DenseMatrix,
     ledger: CostLedger,
     *,
-    powers: Powers | None = None,
-    upper: bool | None = None,
+    powers: Powers,
+    upper: bool,
 ) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 
     Five products (A^2, A^4, A^6, A^8 and the odd numerator's leading
     factor) plus one LU factorization shared by two solves: 7 + 1/3
-    product-equivalents total, less the powers the caller formed:
-    powers = (A^2, A^4) or (A^2, None).  upper is read as in
-    taylor_cos_sin.
+    product-equivalents total.  powers = (A^2, A^4), formed by the caller,
+    so the pair charges the other three products and the LU.  upper is
+    read as in taylor_cos_sin, and the solves are then triangular.
     """
-    a, alg = _algebra(a, ledger, upper)
-    y, y2 = (alg.mul(a, a), None) if powers is None else powers
-    basis = _basis(alg, 5, y, y2)  # I, y, ..., y^4
+    alg = MatrixAlgebra(ledger, upper)
+    basis = alg.basis(5, *powers)  # I, y, ..., y^4
     alg.mul(basis[1], basis[2], out=basis[3])
     alg.mul(basis[1], basis[3], out=basis[4])
     k = alg.constants(PADE8_CONSTANTS)
     den, num_cos, num_sin_factor = alg.lin(basis, k.block)
     num_sin = alg.mul(a, num_sin_factor)
-    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=alg.upper)
+    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=upper)
     return CosSinResult(cos, sin)

@@ -189,6 +189,12 @@ def _series_quotient(
 _PADE_SERIES_TERMS = 160
 
 
+def _even_powers() -> tuple[ScalarPoly, ScalarPoly]:
+    """The even variable y and y^2, the operands every chain is given."""
+    y = ScalarPoly([0, 1])
+    return y, y * y
+
+
 def _core_pair(scheme: SchemeId) -> tuple[ScalarPoly, ScalarPoly]:
     """Cos core and sine core in the even variable, as the scheme computes them."""
     if scheme.family is SchemeFamily.PADE8:
@@ -196,7 +202,7 @@ def _core_pair(scheme: SchemeId) -> tuple[ScalarPoly, ScalarPoly]:
         sin = _series_quotient(PADE8_NUM_SIN, PADE8_DEN, _PADE_SERIES_TERMS)
         return ScalarPoly(cos), ScalarPoly(sin)
     chain = SCHEMES[scheme.family, scheme.k_products].chain
-    return chain(PolyAlgebra(), ScalarPoly([0, 1]))
+    return chain(PolyAlgebra(), *_even_powers())
 
 
 def _spread(core: ScalarPoly, odd: bool) -> ScalarPoly:
@@ -229,15 +235,14 @@ def extract_scheme_poly(scheme: SchemeId, which: Which) -> ScalarPoly:
 
 def extract_sin9_poly() -> ScalarPoly:
     """Scalar polynomial of the exact degree-9 sine variant."""
-    alg = PolyAlgebra()
-    _, sin_core = chain_deg4(alg, ScalarPoly([0, 1]), exact_sine=True)
+    _, sin_core = chain_deg4(PolyAlgebra(), *_even_powers(), exact_sine=True)
     return _spread(sin_core, odd=True)
 
 
 def extract_wave_s34_poly() -> ScalarPoly:
     """Even-variable polynomial of the reduced wave sine variant."""
-    alg = PolyAlgebra()
-    _, sin_core = chain_deg4(alg, ScalarPoly([0, 1]), exact_sine=False)
+    _, sin_core = chain_deg4(PolyAlgebra(), *_even_powers(),
+                             exact_sine=False)
     return sin_core
 
 

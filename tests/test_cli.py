@@ -59,6 +59,15 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", [["cossin"], ["wave", "--t", "1.0"]])
+def test_nonsquare_file_exits_two_naming_the_path(tmp_path, capsys, command):
+    path = _write(tmp_path, "ns.mat", np.ones((2, 3)))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: line 1: matrix must be square,"
+                   " got 2 x 3\n")
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["cossin", str(tmp_path / "nope.mat")]) == 2
     assert "error:" in capsys.readouterr().err

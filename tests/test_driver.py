@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import driver, matcore, schemes
+from cossinm import driver, matcore
 from cossinm.driver import (
     cos_sin,
     pade_cos_sin,
@@ -21,9 +21,6 @@ from cossinm.schemes import (
     CosSinResult,
     SchemeFamily,
     SchemeId,
-    pade8_cos_sin,
-    taylor_cos_sin,
-    wave_kernels,
 )
 from cossinm.theta_tables import (
     PADE_TABLE,
@@ -34,6 +31,7 @@ from cossinm.theta_tables import (
     Precision,
 )
 from cossinm.verify import reference_cos_sin, relative_error_2
+from pairs import run_pair
 
 DOUBLE_TAYLOR = TAYLOR_TABLE[Precision.DOUBLE]
 DOUBLE_PADE = PADE_TABLE[Precision.DOUBLE]
@@ -133,17 +131,10 @@ _BAD_INPUTS = (
 # The drivers turn down a non-finite entry too: selection cannot size it.
 _NONFINITE = np.array([[math.inf, 0.0], [0.0, 0.0]])
 
-# Every evaluator as a function of the matrix alone: the three pair
-# functions at their cheapest schemes and the oracle, then the drivers.
-_PAIRS_AND_ORACLE = (
-    lambda m: taylor_cos_sin(
-        m, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 3), CostLedger()),
-    lambda m: wave_kernels(
-        m, 0.3, SchemeId(SchemeFamily.WAVE_KERNEL, 3), CostLedger()),
-    lambda m: pade8_cos_sin(m, CostLedger()),
+# Every public evaluator as a function of the matrix alone: the oracle and
+# the three drivers, which hand the pair functions checked input.
+_EVALUATORS = (
     reference_cos_sin,
-)
-_EVALUATORS = _PAIRS_AND_ORACLE + (
     lambda m: cos_sin(m).result,
     lambda m: pade_cos_sin(m).result,
     lambda m: wave_cos_sin(m, 0.3).result,
@@ -158,7 +149,8 @@ def test_cos_sin_rejects_bad_input():
 
 
 def test_pair_functions_and_oracle_reject_bad_input():
-    for call in _PAIRS_AND_ORACLE:
+    # the public pair functions are the drivers
+    for call in _EVALUATORS:
         for a in _BAD_INPUTS:
             with pytest.raises(MatrixInputError):
                 call(a)
@@ -409,6 +401,19 @@ def test_single_precision_selection(rng):
     assert err <= 1e-7
 
 
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_precision_is_a_precision_or_its_value(entry):
+    a = np.diag([0.3, -1.2])
+    call = {"cos_sin": cos_sin, "pade_cos_sin": pade_cos_sin,
+            "wave_cos_sin": lambda m, p: wave_cos_sin(m, 1.5, p)}[entry]
+    want, got = call(a, Precision.SINGLE), call(a, "single")
+    _same_choice(got, want)
+    assert _same_bits(got.result, want.result)
+    for bad in ("bogus", "Single", None):
+        with pytest.raises(ValueError):
+            call(a, bad)
+
+
 def test_wave_rejects_bad_input():
     for a in (*_BAD_INPUTS, _NONFINITE):
         with pytest.raises(MatrixInputError):
@@ -564,10 +569,11 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
             ledger = CostLedger()
             _scheme, _s, powers, norms = driver._selection(
-                dense, table, ledger, False)
+                dense, table, ledger, False, False)
             # A^2 is formed from A 2^-11; its norm is too large to square
-            assert powers[1] is None and ledger.products == 1
-            assert np.isfinite(powers[0]).all()
+            # before selection, so y^2 is formed from y once s is chosen
+            assert ledger.products == 2
+            assert all(np.isfinite(m).all() for m in powers)
             assert all(math.isfinite(x) for x in norms)
         wave = wave_cos_sin(np.array([[0.0, big], [0.0, 0.0]]), 1.0)
     assert report.selection_norms == (1.0 + big, 1.0, 1.0)
@@ -683,14 +689,13 @@ def test_structure_is_tested_once_per_call(monkeypatch, entry, kind):
     n = 2 * matcore._TRIANGULAR_MIN_N
     a = _triangular_inputs(n)[kind]
     seen = []
-    for module in (driver, schemes):
-        original = module.is_upper_triangular
+    original = driver.is_upper_triangular
 
-        def counted(m, _original=original):
-            seen.append(m.shape)
-            return _original(m)
+    def counted(m):
+        seen.append(m.shape)
+        return original(m)
 
-        monkeypatch.setattr(module, "is_upper_triangular", counted)
+    monkeypatch.setattr(driver, "is_upper_triangular", counted)
     report = _ENTRY_POINTS[entry](a)
     assert report.scaling_exponent > 0
     assert seen == [a.shape]
@@ -791,13 +796,14 @@ def test_zeroing_keeps_the_sign_symmetry_exact(monkeypatch):
 def test_a_pair_that_overflowed_doubles_as_before(monkeypatch):
     # the same entering pair is zeroed while it is finite, and left as it
     # is once an inf is in it
-    part = schemes.pade8_cos_sin(_jordan(_FLUSH_N) * 2.0 ** -7, CostLedger())
+    part = run_pair(_jordan(_FLUSH_N) * 2.0 ** -7, PADE8, CostLedger())
 
     def doubled(min_n, cos):
         with monkeypatch.context() as m, np.errstate(invalid="ignore"):
             m.setattr(driver, "_FLUSH_MIN_N", min_n)
             return CosSinResult(*driver._double_angle(
-                cos.copy(), part.sin_part.copy(), 1, CostLedger()))
+                cos.copy(), part.sin_part.copy(), 1, CostLedger(), False,
+                False))
 
     cos = part.cos_part.copy()
     assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos),

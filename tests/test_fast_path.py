@@ -37,9 +37,6 @@ from cossinm.schemes import (
     chain_deg4,
     chain_deg8,
     chain_deg12,
-    pade8_cos_sin,
-    taylor_cos_sin,
-    wave_kernels,
 )
 from cossinm.theta_tables import (
     PADE_TABLE,
@@ -49,6 +46,7 @@ from cossinm.theta_tables import (
     ThetaEntry,
     ThetaTable,
 )
+from pairs import run_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -134,15 +132,15 @@ def _same_bits(got, want):
 def test_taylor_chain_matches_naive_arithmetic(name, k):
     a = INPUTS[name]
     fast_ledger, naive_ledger = CostLedger(), CostLedger()
-    fast = taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k),
-                          fast_ledger)
+    fast = run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k), fast_ledger)
     alg = NaiveAlgebra(a.shape[0], naive_ledger)
     y = alg.mul(a, a)
+    y2 = alg.mul(y, y)
     chain = TAYLOR_CHAINS[k]
     if chain is chain_deg4:
-        cos, core = chain(alg, y, exact_sine=False)
+        cos, core = chain(alg, y, y2, exact_sine=False)
     else:
-        cos, core = chain(alg, y)
+        cos, core = chain(alg, y, y2)
     sin = alg.mul(a, core)
     assert _same_bits(fast.cos_part, cos)
     assert _same_bits(fast.sin_part, sin)
@@ -154,15 +152,16 @@ def test_taylor_chain_matches_naive_arithmetic(name, k):
 def test_wave_chain_matches_naive_arithmetic(name, k):
     a, t = INPUTS[name], 1.3
     fast_ledger, naive_ledger = CostLedger(), CostLedger()
-    fast = wave_kernels(a, t, SchemeId(SchemeFamily.WAVE_KERNEL, k),
-                        fast_ledger)
+    fast = run_pair(a, SchemeId(SchemeFamily.WAVE_KERNEL, k), fast_ledger,
+                    t=t)
     alg = NaiveAlgebra(a.shape[0], naive_ledger)
     y = t * t * a
+    y2 = alg.mul(y, y)
     chain = WAVE_CHAINS[k]
     if chain is chain_deg4:
-        c, core = chain(alg, y, exact_sine=True)
+        c, core = chain(alg, y, y2, exact_sine=True)
     else:
-        c, core = chain(alg, y)
+        c, core = chain(alg, y, y2)
     assert _same_bits(fast.cos_part, c)
     assert _same_bits(fast.sin_part, t * core)
     assert fast_ledger.total_cost == naive_ledger.total_cost == k
@@ -172,7 +171,7 @@ def test_wave_chain_matches_naive_arithmetic(name, k):
 def test_pade_pair_matches_naive_arithmetic(name):
     a = INPUTS[name]
     fast_ledger, naive_ledger = CostLedger(), CostLedger()
-    fast = pade8_cos_sin(a, fast_ledger)
+    fast = run_pair(a, schemes.PADE8, fast_ledger)
     alg = NaiveAlgebra(a.shape[0], naive_ledger)
     y = alg.mul(a, a)
     y2 = alg.mul(y, y)
@@ -192,55 +191,13 @@ def test_pade_pair_matches_naive_arithmetic(name):
     assert fast_ledger.total_cost == Fraction(22, 3)
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
-@pytest.mark.parametrize("s", [0, 3])
-def test_handed_in_powers_match_the_chains_own(name, s):
-    """Powers formed once and scaled by 2^-s per factor of A give the bits
-    the chain forms at A 2^-s itself, with their products not charged."""
-    a = INPUTS[name]
-    y = matmul(a, a, CostLedger())
-    y2 = matmul(y, y, CostLedger())
-    powers = (np.ldexp(y, -2 * s), np.ldexp(y2, -4 * s))
-    scaled = a * 2.0 ** -s
-    for k in sorted(TAYLOR_CHAINS):
-        scheme = SchemeId(SchemeFamily.COS_SIN_TAYLOR, k)
-        own_ledger, handed_ledger = CostLedger(), CostLedger()
-        own = taylor_cos_sin(scaled, scheme, own_ledger)
-        handed = taylor_cos_sin(scaled, scheme, handed_ledger, powers=powers)
-        assert _same_bits(handed.cos_part, own.cos_part)
-        assert _same_bits(handed.sin_part, own.sin_part)
-        assert handed_ledger.products == own_ledger.products - 2 == k - 2
-        only_y = taylor_cos_sin(scaled, scheme, CostLedger(),
-                                powers=(powers[0], None))
-        assert _same_bits(only_y.sin_part, own.sin_part)
-    own_ledger, handed_ledger = CostLedger(), CostLedger()
-    own = pade8_cos_sin(scaled, own_ledger)
-    handed = pade8_cos_sin(scaled, handed_ledger, powers=powers)
-    assert _same_bits(handed.cos_part, own.cos_part)
-    assert _same_bits(handed.sin_part, own.sin_part)
-    assert handed_ledger.products == own_ledger.products - 2
-    t = 1.3
-    b = t * t * a
-    b2 = matmul(b, b, CostLedger())
-    wave_powers = (np.ldexp(b, -2 * s), np.ldexp(b2, -4 * s))
-    for k in sorted(WAVE_CHAINS):
-        scheme = SchemeId(SchemeFamily.WAVE_KERNEL, k)
-        own_ledger, handed_ledger = CostLedger(), CostLedger()
-        own = wave_kernels(a, t / 2.0 ** s, scheme, own_ledger)
-        handed = wave_kernels(a, t / 2.0 ** s, scheme, handed_ledger,
-                              powers=wave_powers)
-        assert _same_bits(handed.cos_part, own.cos_part)
-        assert _same_bits(handed.sin_part, own.sin_part)
-        assert handed_ledger.products == own_ledger.products - 1 == k - 1
-
-
 def _scheme_pair(a, wave):
     if wave:
-        part = wave_kernels(a, 1.3, SchemeId(SchemeFamily.WAVE_KERNEL, 4),
-                            CostLedger())
+        part = run_pair(a, SchemeId(SchemeFamily.WAVE_KERNEL, 4),
+                        CostLedger(), t=1.3)
     else:
-        part = taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
-                              CostLedger())
+        part = run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
+                        CostLedger())
     return part.cos_part, part.sin_part
 
 
@@ -252,7 +209,7 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         kept_cos, kept_sin = cos0.copy(), sin0.copy()
         fast_ledger, naive_ledger = CostLedger(), CostLedger()
         cos, sin = driver._double_angle(cos0, sin0, steps, fast_ledger,
-                                        wave=wave)
+                                        wave, False)
         want_cos, want_sin = _naive_double_angle(kept_cos, kept_sin, steps,
                                                  naive_ledger, wave)
         assert np.array_equal(cos, want_cos)
@@ -263,14 +220,14 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         assert _same_bits(sin0, kept_sin)
 
 
-def _large_input(n, kind, norm):
+def _large_input(n, form, norm):
     # the benchmark's large inputs, at smaller n
     rng = np.random.default_rng(64)
-    if kind == "dense":
+    if form == "dense":
         a = rng.standard_normal((n, n))
-    elif kind == "jordan":
+    elif form == "jordan":
         a = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
-    elif kind == "triu":
+    elif form == "triu":
         a = np.triu(rng.standard_normal((n, n)))
     else:
         b = rng.standard_normal((n, n))
@@ -278,8 +235,12 @@ def _large_input(n, kind, norm):
     return a * (norm / matcore.norm1(a))
 
 
-LARGE_KINDS = {"dense": (1.5, 1.0), "jordan": (4.0, 0.5),
-               "triu": (24.0, 1.0), "negdef": (60.0, 1.5)}
+# kind -> (form, 1-norm, t); the floor kinds sit below every table's floor,
+# where selection forms y and y^2 for the chain without reading their norms
+LARGE_KINDS = {"dense": ("dense", 1.5, 1.0), "jordan": ("jordan", 4.0, 0.5),
+               "triu": ("triu", 24.0, 1.0), "negdef": ("negdef", 60.0, 1.5),
+               "floor-dense": ("dense", 1e-3, 1.0),
+               "floor-triu": ("triu", 1e-3, 1.0)}
 TABLES = {"cos_sin": TAYLOR_TABLE, "wave_cos_sin": WAVE_TABLE,
           "pade_cos_sin": PADE_TABLE}
 
@@ -319,7 +280,7 @@ def _naive_call(entry, a, t):
         ledger.charge_lu(solves=2)
     else:
         chain = schemes.SCHEMES[scheme.family, scheme.k_products].chain
-        cos, core = chain(alg, y, y2=y2)
+        cos, core = chain(alg, y, y2)
         sin = float(t / 2.0 ** s) * core if wave else alg.mul(scaled, core)
     cos, sin = _naive_double_angle(cos, sin, s, ledger, wave)
     return (scheme, s, ledger.total_cost, norms), (cos, sin)
@@ -342,12 +303,17 @@ def test_large_calls_match_the_naive_replay(entry, kind, n):
     # the replay's bit for bit; only a zero may differ in sign, as the
     # in-place C <- I - 2 S^2 scales a +0 by -2 where the replay's
     # zero-started sum keeps +0 (the doubling test compares values too)
-    norm, t = LARGE_KINDS[kind]
-    a = _large_input(n, kind, norm)
+    form, norm, t = LARGE_KINDS[kind]
+    a = _large_input(n, form, norm)
     report = _driver_call(entry, a, t)
     choice, pair = _naive_call(entry, a, t)
     assert (report.scheme_used, report.scaling_exponent,
-            report.total_products, report.selection_norms) == choice
+            report.total_products) == choice[:3]
+    if kind.startswith("floor"):
+        # no power's norm is read at the floor: each entry repeats the first
+        assert report.selection_norms == (choice[3][0],) * len(choice[3])
+    else:
+        assert report.selection_norms == choice[3]
     got = (report.result.cos_part, report.result.sin_part)
     if n < matcore._GEMM_MIN_N:
         assert all(map(np.array_equal, got, pair))
@@ -369,11 +335,11 @@ def test_returned_pairs_are_not_views_into_a_stack(name):
     # a slab of a chain's basis stack, or a row of a stage's combinations,
     # would keep the whole stack alive as long as the result lives
     a = _triangular() if name == "triangular" else INPUTS[name]
-    parts = [taylor_cos_sin(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k),
-                            CostLedger()) for k in TAYLOR_CHAINS]
-    parts += [wave_kernels(a, 1.3, SchemeId(SchemeFamily.WAVE_KERNEL, k),
-                           CostLedger()) for k in WAVE_CHAINS]
-    parts.append(pade8_cos_sin(a, CostLedger()))
+    parts = [run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k),
+                      CostLedger()) for k in TAYLOR_CHAINS]
+    parts += [run_pair(a, SchemeId(SchemeFamily.WAVE_KERNEL, k),
+                       CostLedger(), t=1.3) for k in WAVE_CHAINS]
+    parts.append(run_pair(a, schemes.PADE8, CostLedger()))
     for scale in (1.0, 40.0):
         parts += [report.result for report in (
             cossinm.cos_sin(a * scale), cossinm.wave_cos_sin(a * scale, 1.3),
@@ -475,6 +441,60 @@ def test_no_unused_library_import_and_no_test_name_bound_twice():
                 twice.append((path.name, name, first[name], line))
             first.setdefault(name, line)
     assert twice == []
+
+
+def _library_definitions(trees, public):
+    """(called name, module, qualified name, arguments, positional offset)
+    for each function, method and constructor not in public: a class is
+    called by its own name for its __init__, a method past its self."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in public:
+                yield node.name, module, node.name, node.args, 0
+            if isinstance(node, ast.ClassDef) and node.name not in public:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(ast.unparse(d) == "staticmethod"
+                                     for d in item.decorator_list)
+                        called = (node.name if item.name == "__init__"
+                                  else item.name)
+                        yield (called, module, f"{node.name}.{item.name}",
+                               item.args, 0 if static else 1)
+
+
+def _overrides(call, index, name):
+    # by position, by keyword, or through a * or ** argument
+    return ((index is not None and index < len(call.args))
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg in (name, None) for keyword in call.keywords))
+
+
+def test_no_library_default_that_every_library_call_overrides():
+    # such a default serves only the tests; the public API (and cli.main)
+    # may keep defaults for its callers
+    public = set(cossinm.__all__) | {"main"}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "cossinm").glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", 0))
+                calls.setdefault(name, []).append(node)
+    unused = []
+    for called, module, qualname, args, offset in _library_definitions(
+            trees, public):
+        positional = (args.posonlyargs + args.args)[offset:]
+        defaults = [(i, arg.arg) for i, arg in enumerate(positional)][
+            len(positional) - len(args.defaults):]
+        defaults += [(None, arg.arg) for arg, default
+                     in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None]
+        sites = calls.get(called, [])
+        unused += [(module, qualname, name) for index, name in defaults
+                   if sites and all(_overrides(call, index, name)
+                                    for call in sites)]
+    assert unused == []
 
 
 # Chain stages, each one linear_combination call; the Pade pair has one.

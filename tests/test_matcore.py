@@ -266,7 +266,7 @@ def test_lu_solve_pair_residuals(rng):
     rhs1 = rng.standard_normal((5, 5))
     rhs2 = rng.standard_normal((5, 5))
     ledger = CostLedger()
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger)
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=False)
     assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
     assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
     assert ledger.total_cost == Fraction(7, 3)
@@ -291,7 +291,7 @@ def test_lu_solve_pair_through_the_inverse_keeps_residual_and_ledger(rng, n):
     den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
     rhs1, rhs2 = rng.standard_normal((2, n, n))
     ledger = CostLedger()
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger)
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=False)
     assert ledger.total_cost == Fraction(7, 3)
     condition = norm1(den) * norm1(np.linalg.inv(den))
     for x, rhs in ((x1, rhs1), (x2, rhs2)):
@@ -306,7 +306,7 @@ def test_lu_solve_pair_below_the_crossover_is_dgetrs_bit_for_bit(rng):
     n = matcore._GEMM_MIN_N - 1
     den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
     rhs1, rhs2 = rng.standard_normal((2, n, n))
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, CostLedger())
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=False)
     factors = lu_factor(den, check_finite=False)
     for x, rhs in ((x1, rhs1), (x2, rhs2)):
         want = lu_solve(factors, rhs, check_finite=False)
@@ -326,7 +326,8 @@ def test_lu_solve_pair_detects_singular_on_both_sides_of_the_crossover():
         eye = identity(n)
         ledger = CostLedger()
         with pytest.raises(SingularMatrixError, match="singular") as err:
-            lu_solve_pair(_padded_singular(n), eye, eye, ledger)
+            lu_solve_pair(_padded_singular(n), eye, eye, ledger,
+                          upper=False)
         assert ledger.total_cost == 0
         messages.append(str(err.value))
     assert messages[1:] == messages[:1] * 2
@@ -362,7 +363,8 @@ def test_upper_lu_solve_pair_detects_a_zero_diagonal_entry():
 def test_lu_solve_pair_detects_singular():
     den = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError, match="singular"):
-        lu_solve_pair(den, identity(2), identity(2), CostLedger())
+        lu_solve_pair(den, identity(2), identity(2), CostLedger(),
+                      upper=False)
 
 
 def test_write_read_roundtrip(tmp_path, rng):

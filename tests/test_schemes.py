@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm.matcore import CostLedger, MatrixInputError
+from cossinm.matcore import CostLedger
 from cossinm.schemes import (
     PADE8,
     SCHEMES,
@@ -14,10 +14,8 @@ from cossinm.schemes import (
     SchemeId,
     X_DEG8,
     Z_DEG12,
-    pade8_cos_sin,
-    taylor_cos_sin,
-    wave_kernels,
 )
+from pairs import run_pair
 
 TAYLOR_KS = (3, 4, 6, 7)
 WAVE_KS = (3, 4, 5)
@@ -36,7 +34,7 @@ def test_taylor_product_budget(k):
     """Each pair scheme charges exactly its advertised product count,
     which is the cost the registry gives selection."""
     ledger = CostLedger()
-    taylor_cos_sin(np.zeros((3, 3)), _taylor(k), ledger)
+    run_pair(np.zeros((3, 3)), _taylor(k), ledger)
     assert ledger.total_cost == Fraction(k)
     assert SCHEMES[SchemeFamily.COS_SIN_TAYLOR, k].cost == Fraction(k)
 
@@ -44,14 +42,14 @@ def test_taylor_product_budget(k):
 @pytest.mark.parametrize("k", WAVE_KS)
 def test_wave_product_budget(k):
     ledger = CostLedger()
-    wave_kernels(np.zeros((3, 3)), 0.5, _wave(k), ledger)
+    run_pair(np.zeros((3, 3)), _wave(k), ledger, t=0.5)
     assert ledger.total_cost == Fraction(k)
     assert SCHEMES[SchemeFamily.WAVE_KERNEL, k].cost == Fraction(k)
 
 
 def test_pade8_budget_is_7_and_a_third():
     ledger = CostLedger()
-    pade8_cos_sin(np.zeros((3, 3)), ledger)
+    run_pair(np.zeros((3, 3)), PADE8, ledger)
     assert ledger.total_cost == Fraction(22, 3)
     assert ledger.products == PADE8.k_products
     assert SCHEMES[PADE8.family, PADE8.k_products].cost == Fraction(22, 3)
@@ -59,7 +57,7 @@ def test_pade8_budget_is_7_and_a_third():
 
 @pytest.mark.parametrize("k", TAYLOR_KS)
 def test_taylor_zero_matrix(k):
-    out = taylor_cos_sin(np.zeros((4, 4)), _taylor(k), CostLedger())
+    out = run_pair(np.zeros((4, 4)), _taylor(k), CostLedger())
     assert np.array_equal(out.cos_part, np.eye(4))
     assert np.array_equal(out.sin_part, np.zeros((4, 4)))
 
@@ -67,21 +65,21 @@ def test_taylor_zero_matrix(k):
 @pytest.mark.parametrize("k", WAVE_KS)
 def test_wave_zero_matrix(k):
     # s(t, 0) is the sinc limit t*I, not zero
-    out = wave_kernels(np.zeros((4, 4)), 0.7, _wave(k), CostLedger())
+    out = run_pair(np.zeros((4, 4)), _wave(k), CostLedger(), t=0.7)
     assert np.array_equal(out.cos_part, np.eye(4))
     assert np.array_equal(out.sin_part, 0.7 * np.eye(4))
 
 
 @pytest.mark.parametrize("k", WAVE_KS)
 def test_wave_zero_time(k, rng):
-    out = wave_kernels(rng.standard_normal((3, 3)), 0.0, _wave(k),
-                       CostLedger())
+    out = run_pair(rng.standard_normal((3, 3)), _wave(k), CostLedger(),
+                   t=0.0)
     assert np.array_equal(out.cos_part, np.eye(3))
     assert np.array_equal(out.sin_part, np.zeros((3, 3)))
 
 
 def test_pade_zero_matrix():
-    out = pade8_cos_sin(np.zeros((2, 2)), CostLedger())
+    out = run_pair(np.zeros((2, 2)), PADE8, CostLedger())
     assert np.allclose(out.cos_part, np.eye(2), atol=1e-15)
     assert np.array_equal(out.sin_part, np.zeros((2, 2)))
 
@@ -90,7 +88,7 @@ def test_pade_zero_matrix():
 def test_taylor_diagonal_reduction(k):
     """Diagonal input stays diagonal and tracks the scalar functions."""
     d = np.diag([0.1, -0.3, 0.55])
-    out = taylor_cos_sin(d, _taylor(k), CostLedger())
+    out = run_pair(d, _taylor(k), CostLedger())
     off = ~np.eye(3, dtype=bool)
     assert np.all(out.cos_part[off] == 0.0)
     assert np.all(out.sin_part[off] == 0.0)
@@ -106,7 +104,7 @@ def test_wave_scalar_values():
     # positive scalars
     a = np.diag([0.25, 4.0])
     t = 0.5
-    out = wave_kernels(a, t, _wave(5), CostLedger())
+    out = run_pair(a, _wave(5), CostLedger(), t=t)
     for i, x in enumerate(np.diag(a)):
         w = math.sqrt(x)
         assert out.cos_part[i, i] == pytest.approx(math.cos(t * w), abs=1e-14)
@@ -118,7 +116,7 @@ def test_wave_hyperbolic_continuation():
     """Negative operand flips the kernels to cosh and sinh."""
     w = 0.7
     a = np.diag([-(w * w)])
-    out = wave_kernels(a, 1.0, _wave(5), CostLedger())
+    out = run_pair(a, _wave(5), CostLedger(), t=1.0)
     assert out.cos_part[0, 0] == pytest.approx(math.cosh(w), abs=1e-14)
     assert out.sin_part[0, 0] == pytest.approx(math.sinh(w) / w, abs=1e-14)
 
@@ -127,18 +125,9 @@ def test_wave_matches_taylor_twin_bitwise(rng):
     """The k=4 wave c-chain at t=1 on R^2 is the k=6 cosine chain on R."""
     r = 0.6 * rng.standard_normal((5, 5))
     square = r @ r
-    wave_out = wave_kernels(square, 1.0, _wave(4), CostLedger())
-    taylor_out = taylor_cos_sin(r, _taylor(6), CostLedger())
+    wave_out = run_pair(square, _wave(4), CostLedger(), t=1.0)
+    taylor_out = run_pair(r, _taylor(6), CostLedger())
     assert np.array_equal(wave_out.cos_part, taylor_out.cos_part)
-
-
-def test_taylor_rejects_nonsquare_and_wrong_family():
-    with pytest.raises(MatrixInputError):
-        taylor_cos_sin(np.zeros((2, 3)), _taylor(3), CostLedger())
-    with pytest.raises(ValueError):
-        taylor_cos_sin(np.zeros((2, 2)), _wave(3), CostLedger())
-    with pytest.raises(ValueError):
-        wave_kernels(np.zeros((2, 2)), 1.0, _taylor(3), CostLedger())
 
 
 @pytest.mark.parametrize("family,k", [
@@ -154,7 +143,7 @@ def test_scheme_id_rejects_bad_product_counts(family, k):
 
 def test_pade8_diagonal_accuracy():
     d = np.diag([0.05, -0.11])
-    out = pade8_cos_sin(d, CostLedger())
+    out = run_pair(d, PADE8, CostLedger())
     for i, x in enumerate(np.diag(d)):
         assert out.cos_part[i, i] == pytest.approx(math.cos(x), abs=1e-15)
         assert out.sin_part[i, i] == pytest.approx(math.sin(x), abs=1e-15)
@@ -162,10 +151,10 @@ def test_pade8_diagonal_accuracy():
 
 def test_result_shapes(rng):
     a = 0.1 * rng.standard_normal((4, 4))
-    out = taylor_cos_sin(a, _taylor(6), CostLedger())
+    out = run_pair(a, _taylor(6), CostLedger())
     assert out.cos_part.shape == (4, 4)
     assert out.sin_part.shape == (4, 4)
-    wout = wave_kernels(a, 0.3, _wave(4), CostLedger())
+    wout = run_pair(a, _wave(4), CostLedger(), t=0.3)
     assert wout.cos_part.shape == (4, 4)
     assert wout.sin_part.shape == (4, 4)
 
@@ -183,8 +172,8 @@ def test_degree12_inner_slot_is_unity():
 
 def test_pade8_matches_taylor_at_small_norm(rng):
     a = 0.05 * rng.standard_normal((4, 4))
-    p = pade8_cos_sin(a, CostLedger())
-    t = taylor_cos_sin(a, _taylor(7), CostLedger())
+    p = run_pair(a, PADE8, CostLedger())
+    t = run_pair(a, _taylor(7), CostLedger())
     assert np.max(np.abs(p.cos_part - t.cos_part)) <= 1e-14
     assert np.max(np.abs(p.sin_part - t.sin_part)) <= 1e-14
 
