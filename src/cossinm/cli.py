@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -41,9 +42,9 @@ from .schemes import SchemeFamily, SchemeId
 from .theta_tables import (
     PADE_TABLE,
     TAYLOR_TABLE,
+    UNIT_ROUNDOFF,
     WAVE_TABLE,
     Precision,
-    ThetaEntry,
 )
 
 
@@ -95,23 +96,30 @@ def _read_square(path: str) -> DenseMatrix:
     return a
 
 
+def _write_pair(report: ComputationReport, cos_path: str,
+                sin_path: str) -> int:
+    """Write the pair and print the report line, and a warning if the pair
+    holds an inf or a NaN: read_matrix refuses such a file."""
+    write_matrix(cos_path, report.result.cos_part)
+    write_matrix(sin_path, report.result.sin_part)
+    print(_report_line(report))
+    if report.nonfinite:
+        print(f"warning: {cos_path} and {sin_path} hold non-finite entries",
+              file=sys.stderr)
+    return 0
+
+
 def _cmd_cossin(args: argparse.Namespace) -> int:
     a = _read_square(args.path)
     run = pade_cos_sin if args.method == "pade" else cos_sin
-    report = run(a, args.precision)
-    write_matrix(f"{args.path}.cos", report.result.cos_part)
-    write_matrix(f"{args.path}.sin", report.result.sin_part)
-    print(_report_line(report))
-    return 0
+    return _write_pair(run(a, args.precision),
+                       f"{args.path}.cos", f"{args.path}.sin")
 
 
 def _cmd_wave(args: argparse.Namespace) -> int:
     a = _read_square(args.path)
-    report = wave_cos_sin(a, args.t, args.precision)
-    write_matrix(f"{args.path}.c", report.result.cos_part)
-    write_matrix(f"{args.path}.s", report.result.sin_part)
-    print(_report_line(report))
-    return 0
+    return _write_pair(wave_cos_sin(a, args.t, args.precision),
+                       f"{args.path}.c", f"{args.path}.s")
 
 
 def _bench_counts(total: int) -> tuple[int, int, int, int]:
@@ -187,26 +195,20 @@ def _bench_summary(records: Sequence[RunRecord]) -> str:
     return "; ".join(parts)
 
 
-def _theta_rows(precision: Precision) -> list[ThetaEntry]:
-    rows = list(TAYLOR_TABLE[precision].entries)
-    rows += list(PADE_TABLE[precision].entries)
-    rows += list(WAVE_TABLE[precision].entries)
-    return rows
-
-
 def _cmd_theta(args: argparse.Namespace) -> int:
     from .verify import generate_theta_table
 
     precision = Precision(args.precision)
-    unit = "2^-53" if precision is Precision.DOUBLE else "2^-24"
-    print(f"{args.precision} precision (u = {unit})")
+    exponent = round(math.log2(UNIT_ROUNDOFF[precision]))
+    print(f"{args.precision} precision (u = 2^{exponent})")
     recomputed: dict[SchemeId, tuple[float, float]] = {}
     if args.recompute:
         for family in SchemeFamily:
             table = generate_theta_table(family, precision)
             for entry in table.entries:
                 recomputed[entry.scheme] = (entry.theta_cos, entry.theta_sin)
-    for entry in _theta_rows(precision):
+    tables = (TAYLOR_TABLE, PADE_TABLE, WAVE_TABLE)
+    for entry in (e for t in tables for e in t[precision].entries):
         line = (
             f"{_scheme_label(entry.scheme):<12}"
             f" theta_cos={format_theta(entry.theta_cos):<10}"

@@ -149,14 +149,6 @@ Z_DEG8: dict[int, Fraction] = {
 }
 
 
-def _dec(s: str) -> Fraction:
-    """Exact Fraction from a decimal literal (optionally with exponent)."""
-    if "e" in s:
-        mantissa, exponent = s.split("e")
-        return F(mantissa) * F(10) ** int(exponent)
-    return F(s)
-
-
 # Degree-12 core (cos order 24 / wave order 12): four cubic-in-y factors.
 # The 13 free slots solve the 13 order conditions y^0..y^12, a square
 # nonlinear system, by Newton iteration in 100-digit arithmetic started
@@ -166,20 +158,20 @@ def _dec(s: str) -> Fraction:
 A_DEG12: dict[tuple[int, int], Fraction] = {
     (0, 1): F(0),
     (1, 1): F(0),
-    (2, 1): _dec("0.0226497981120603951989981729352961695626776599"),
-    (3, 1): _dec("-0.000131109241421357550255379993100572954154085054"),
-    (0, 2): _dec("0.557514438099904080290956475443165685406198084"),
-    (1, 2): _dec("-0.615779246834583864558620532355987093830005634"),
-    (2, 2): _dec("0.00747198841446687051435656614746349365742270713"),
-    (3, 2): _dec("-3.36244442047601259843720872187110267520588839e-5"),
-    (0, 3): _dec("0.759368778684649992487904893859012779907240321"),
-    (1, 3): _dec("-0.0156033397981381712999014296730208877210626305"),
-    (2, 3): _dec("0.000109369895919083969346715546625221827139359719"),
-    (3, 3): _dec("-1.03893360877457159499522559157983751806140622e-6"),
+    (2, 1): F("0.0226497981120603951989981729352961695626776599"),
+    (3, 1): F("-0.000131109241421357550255379993100572954154085054"),
+    (0, 2): F("0.557514438099904080290956475443165685406198084"),
+    (1, 2): F("-0.615779246834583864558620532355987093830005634"),
+    (2, 2): F("0.00747198841446687051435656614746349365742270713"),
+    (3, 2): F("-3.36244442047601259843720872187110267520588839e-5"),
+    (0, 3): F("0.759368778684649992487904893859012779907240321"),
+    (1, 3): F("-0.0156033397981381712999014296730208877210626305"),
+    (2, 3): F("0.000109369895919083969346715546625221827139359719"),
+    (3, 3): F("-1.03893360877457159499522559157983751806140622e-6"),
     (0, 4): F(0),
-    (1, 4): _dec("-0.039649968743474473091376751859224656040526682"),
-    (2, 4): _dec("0.00015549007350382146310343824258519472957069287"),
-    (3, 4): _dec("-1.12673966307117002248868291728401977949777442e-6"),
+    (1, 4): F("-0.039649968743474473091376751859224656040526682"),
+    (2, 4): F("0.00015549007350382146310343824258519472957069287"),
+    (3, 4): F("-1.12673966307117002248868291728401977949777442e-6"),
 }
 
 # Sine companion of the degree-12 core.  The outer index-5 slot and the
@@ -190,18 +182,18 @@ A_DEG12: dict[tuple[int, int], Fraction] = {
 # are stored like the core; the degree-23 condition is unsatisfiable for
 # this chain shape and is off by 6.906e-23 in absolute terms.
 Z_DEG12: dict[int, Fraction] = {
-    0: _dec("0.100908083751098855986929764990652527728928482"),
-    1: _dec("-0.0766875354644529931698042071605142373046209178"),
-    2: _dec("0.000849248469932432576790671507188982320947721159"),
-    3: _dec("-1.22040690446439110125880943208860754545105921e-5"),
-    4: _dec("0.984997031593188600271654716515056645343668296"),
-    5: _dec("-0.849252336481553987561120701092882644798964372"),
+    0: F("0.100908083751098855986929764990652527728928482"),
+    1: F("-0.0766875354644529931698042071605142373046209178"),
+    2: F("0.000849248469932432576790671507188982320947721159"),
+    3: F("-1.22040690446439110125880943208860754545105921e-5"),
+    4: F("0.984997031593188600271654716515056645343668296"),
+    5: F("-0.849252336481553987561120701092882644798964372"),
     6: F(1),
-    7: _dec("0.000955441382809257990309670019928793312386529319"),
-    8: _dec("4.5633710937715427063306624931188634361430486e-6"),
-    9: _dec("2.73461259403000427141331633380435994012622696e-8"),
-    10: _dec("0.000485502884748424774498033901104937446162727333"),
-    11: _dec("-4.15891109384923342531341350542264633915779989e-7"),
+    7: F("0.000955441382809257990309670019928793312386529319"),
+    8: F("4.5633710937715427063306624931188634361430486e-6"),
+    9: F("2.73461259403000427141331633380435994012622696e-8"),
+    10: F("0.000485502884748424774498033901104937446162727333"),
+    11: F("-4.15891109384923342531341350542264633915779989e-7"),
 }
 
 # Order-8 diagonal Pade of the exponential, split into cos/sin parts.

@@ -14,10 +14,10 @@ nonnegative terms from there on, so below theta it is at most
 u * (norm / theta)^ell, which lets the driver bound the tail by norms of
 powers of the operand instead of by its norm alone (see driver).
 
-The constants are frozen outputs of verify.compute_theta and
-verify.leading_degree; regeneration tests assert they match a fresh
-computation (thresholds to 1e-6 relative).  Each table covers one family,
-sorted by ascending cost.
+Each registered scheme has one shipped row: its ell pair, which does not
+depend on precision, and a theta pair per precision.  They are frozen
+outputs of verify.compute_theta and verify.leading_degree that the tests
+regenerate (thresholds to 1e-6 relative) through the same builder.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .schemes import SCHEMES, SchemeFamily, SchemeId
 
@@ -128,78 +129,55 @@ class ThetaTable:
 
 _TAYLOR, _WAVE = SchemeFamily.COS_SIN_TAYLOR, SchemeFamily.WAVE_KERNEL
 _PADE = SchemeFamily.PADE8
+_D, _S = Precision.DOUBLE, Precision.SINGLE
 
 
-def _entry(family: SchemeFamily, k: int, theta_cos: float, theta_sin: float,
-           ell_cos: int, ell_sin: int) -> ThetaEntry:
-    """A shipped entry, at the cost the scheme registry gives."""
-    return ThetaEntry(SchemeId(family, k), theta_cos, theta_sin,
-                      SCHEMES[family, k].cost, ell_cos, ell_sin)
+def family_table(family: SchemeFamily, precision: Precision,
+                 sides: Callable[[SchemeId, Precision], tuple]) -> ThetaTable:
+    """One entry per registered scheme of the family, in registry order
+    (ascending cost) and at the registry's cost; sides(scheme, precision)
+    gives its (theta_cos, theta_sin, ell_cos, ell_sin)."""
+    entries = []
+    for (f, k), registered in SCHEMES.items():
+        if f is family:
+            scheme = SchemeId(f, k)
+            theta_cos, theta_sin, *ells = sides(scheme, precision)
+            entries.append(ThetaEntry(scheme, theta_cos, theta_sin,
+                                      registered.cost, *ells))
+    return ThetaTable(precision, tuple(entries))
 
 
-TAYLOR_TABLE: dict[Precision, ThetaTable] = {
-    Precision.DOUBLE: ThetaTable(
-        Precision.DOUBLE,
-        (
-            _entry(_TAYLOR, 3, 0.006563322289762723, 0.01777015697577729,
-                   6, 7),
-            _entry(_TAYLOR, 4, 0.11495105915204516, 0.08043801069944813,
-                   10, 9),
-            _entry(_TAYLOR, 6, 0.9810763216215669, 1.118352319366378,
-                   18, 19),
-            _entry(_TAYLOR, 7, 2.5674905328502904, 1.8554811337390547,
-                   26, 23),
-        ),
-    ),
-    Precision.SINGLE: ThetaTable(
-        Precision.SINGLE,
-        (
-            _entry(_TAYLOR, 3, 0.18709270369684675, 0.3138563386485543,
-                   6, 7),
-            _entry(_TAYLOR, 4, 0.8575551381567614, 0.7492030342174507,
-                   10, 9),
-            _entry(_TAYLOR, 6, 2.9935285064988997, 3.215172177750302,
-                   18, 19),
-            _entry(_TAYLOR, 7, 5.555547236845219, 4.381922344660116,
-                   26, 23),
-        ),
-    ),
+# One row per registered scheme: its leading degrees (cos, sin), then its
+# thresholds (cos, sin) per precision.
+SHIPPED_ROWS: dict[tuple[SchemeFamily, int],
+                   tuple[tuple[int, int],
+                         dict[Precision, tuple[float, float]]]] = {
+    (_TAYLOR, 3): ((6, 7), {_D: (0.006563322289762723, 0.01777015697577729),
+                            _S: (0.18709270369684675, 0.3138563386485543)}),
+    (_TAYLOR, 4): ((10, 9), {_D: (0.11495105915204516, 0.08043801069944813),
+                             _S: (0.8575551381567614, 0.7492030342174507)}),
+    (_TAYLOR, 6): ((18, 19), {_D: (0.9810763216215669, 1.118352319366378),
+                              _S: (2.9935285064988997, 3.215172177750302)}),
+    (_TAYLOR, 7): ((26, 23), {_D: (2.5674905328502904, 1.8554811337390547),
+                              _S: (5.555547236845219, 4.381922344660116)}),
+    (_WAVE, 3): ((5, 5), {_D: (0.013213746049765359, 0.021345252850722786),
+                          _S: (0.7354008169503493, 1.1874758013210427)}),
+    (_WAVE, 4): ((9, 9), {_D: (0.9625107503945455, 1.266344610496533),
+                          _S: (8.961212972067917, 11.761988215232014)}),
+    (_WAVE, 5): ((13, 11), {_D: (6.592007661014267, 3.640429549980952),
+                            _S: (30.86410513391181, 21.848395783984834)}),
+    (_PADE, 5): ((10, 9), {_D: (0.13959229566058115, 0.11212687277599737),
+                           _S: (1.021836815484684, 0.9951082066593949)}),
 }
 
-PADE_TABLE: dict[Precision, ThetaTable] = {
-    Precision.DOUBLE: ThetaTable(
-        Precision.DOUBLE,
-        (_entry(_PADE, 5, 0.13959229566058115, 0.11212687277599737,
-                10, 9),),
-    ),
-    Precision.SINGLE: ThetaTable(
-        Precision.SINGLE,
-        (_entry(_PADE, 5, 1.021836815484684, 0.9951082066593949,
-                10, 9),),
-    ),
-}
 
-WAVE_TABLE: dict[Precision, ThetaTable] = {
-    Precision.DOUBLE: ThetaTable(
-        Precision.DOUBLE,
-        (
-            _entry(_WAVE, 3, 0.013213746049765359, 0.021345252850722786,
-                   5, 5),
-            _entry(_WAVE, 4, 0.9625107503945455, 1.266344610496533,
-                   9, 9),
-            _entry(_WAVE, 5, 6.592007661014267, 3.640429549980952,
-                   13, 11),
-        ),
-    ),
-    Precision.SINGLE: ThetaTable(
-        Precision.SINGLE,
-        (
-            _entry(_WAVE, 3, 0.7354008169503493, 1.1874758013210427,
-                   5, 5),
-            _entry(_WAVE, 4, 8.961212972067917, 11.761988215232014,
-                   9, 9),
-            _entry(_WAVE, 5, 30.86410513391181, 21.848395783984834,
-                   13, 11),
-        ),
-    ),
-}
+def _shipped(family: SchemeFamily) -> dict[Precision, ThetaTable]:
+    def sides(scheme: SchemeId, precision: Precision) -> tuple:
+        ells, thetas = SHIPPED_ROWS[scheme.family, scheme.k_products]
+        return (*thetas[precision], *ells)
+    return {p: family_table(family, p, sides) for p in Precision}
+
+
+TAYLOR_TABLE = _shipped(_TAYLOR)
+PADE_TABLE = _shipped(_PADE)
+WAVE_TABLE = _shipped(_WAVE)

@@ -49,7 +49,7 @@ from .schemes import (
     SqrtCoeff,
     chain_deg4,
 )
-from .theta_tables import Precision, ThetaEntry, ThetaTable, UNIT_ROUNDOFF
+from .theta_tables import UNIT_ROUNDOFF, Precision, ThetaTable, family_table
 
 F = Fraction
 
@@ -343,27 +343,21 @@ def leading_degree(scheme: SchemeId, which: Which) -> int:
 def generate_theta_table(
     family: SchemeFamily, precision: Precision
 ) -> ThetaTable:
-    """Recompute one shipped threshold table from scratch: one entry per
-    registered scheme of the family, at the registry's cost."""
-    u = UNIT_ROUNDOFF[precision]
+    """Recompute one shipped threshold table from scratch, through the
+    builder the shipped tables use."""
     if family is SchemeFamily.WAVE_KERNEL:
         cos_side, sin_side = Which.WAVE_C, Which.WAVE_S
     else:
         cos_side, sin_side = Which.COS, Which.SIN
-    schemes = [(SchemeId(f, k), registered.cost)
-               for (f, k), registered in SCHEMES.items() if f is family]
-    entries = tuple(
-        ThetaEntry(
-            scheme=scheme,
-            theta_cos=compute_theta(scheme, cos_side, u),
-            theta_sin=compute_theta(scheme, sin_side, u),
-            cost=cost,
-            ell_cos=leading_degree(scheme, cos_side),
-            ell_sin=leading_degree(scheme, sin_side),
-        )
-        for scheme, cost in schemes
-    )
-    return ThetaTable(precision, entries)
+
+    def sides(scheme: SchemeId, precision: Precision) -> tuple:
+        u = UNIT_ROUNDOFF[precision]
+        return (compute_theta(scheme, cos_side, u),
+                compute_theta(scheme, sin_side, u),
+                leading_degree(scheme, cos_side),
+                leading_degree(scheme, sin_side))
+
+    return family_table(family, precision, sides)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Shared fixtures and the acceptance-summary hook."""
 
+import os
 import sys
+
+# One BLAS thread unless the caller sets one.  numpy reads these when it is
+# first imported, which is still to come here; the suite's many small
+# products run faster without thread hand-offs.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 import numpy as np
 import pytest

@@ -19,8 +19,9 @@ def _write(tmp_path, name, matrix):
 def test_cossin_zero_matrix(tmp_path, capsys):
     path = _write(tmp_path, "z.mat", [[0.0]])
     assert main(["cossin", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "s=0" in out
+    captured = capsys.readouterr()
+    assert "s=0" in captured.out
+    assert captured.err == ""
     assert read_matrix(str(path) + ".cos")[0, 0] == 1.0
     assert read_matrix(str(path) + ".sin")[0, 0] == 0.0
 
@@ -48,6 +49,22 @@ def test_wave_subcommand(tmp_path):
     s = read_matrix(str(path) + ".s")
     assert c[0, 0] == pytest.approx(math.cos(0.5), abs=1e-14)
     assert s[0, 0] == pytest.approx(math.sin(0.5) / 0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("command,matrix,suffixes", [
+    (["cossin"], [[0.0, 800.0], [-800.0, 0.0]], (".cos", ".sin")),
+    (["wave", "--t", "1.0"], [[-1e6]], (".c", ".s")),
+])
+def test_nonfinite_result_warns_naming_both_files(tmp_path, capsys, command,
+                                                  matrix, suffixes):
+    path = _write(tmp_path, "ov.mat", matrix)
+    assert main([command[0], str(path), *command[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scheme=")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    for suffix in suffixes:
+        assert f"{path}{suffix}" in lines[0]
 
 
 def test_malformed_file_exits_two(tmp_path, capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cossinm.matcore import CostLedger, MatrixInputError
-from cossinm.schemes import PADE8, SchemeFamily, SchemeId
+from cossinm.schemes import PADE8, SCHEMES, SchemeFamily, SchemeId
 from cossinm.theta_tables import (
     PADE_TABLE,
+    SHIPPED_ROWS,
     TAYLOR_TABLE,
     UNIT_ROUNDOFF,
     WAVE_TABLE,
@@ -311,10 +312,16 @@ def test_shipped_leading_degrees_regenerate(table):
                     x = theta * shrink
                     assert _tail_bound(diffs, x) <= u * shrink ** ell * (
                         1.0 + 1e-9)
-    for entry, single in zip(table[Precision.DOUBLE].entries,
-                             table[Precision.SINGLE].entries):
-        assert (entry.ell_cos, entry.ell_sin) == (single.ell_cos,
-                                                  single.ell_sin)
+
+
+def test_shipped_rows_cover_the_registry_exactly():
+    """One shipped row per registered scheme, with a threshold pair for
+    every precision: no scheme without a row, no stale row."""
+    assert SHIPPED_ROWS.keys() == SCHEMES.keys()
+    for ells, thetas in SHIPPED_ROWS.values():
+        assert len(ells) == 2
+        assert thetas.keys() == set(Precision)
+        assert all(len(pair) == 2 for pair in thetas.values())
 
 
 def test_wave_c_threshold_is_cosine_threshold_squared():
