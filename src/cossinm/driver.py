@@ -41,10 +41,10 @@ the rule every evaluator shares (a nonempty square real matrix, evaluated
 in binary64), and raises MatrixInputError for a non-finite entry too.
 Each entry point looks its table up by Precision(precision), so a
 precision's value ("double", "single") serves as well, and any other value
-raises ValueError.  An upper-triangular input at or above matcore's
-crossover size runs the chain's and the doubling's products as triangular
-ones and the Pade solves as triangular solves, after the same selection as
-dense input; the ledger is charged as for dense input.
+raises ValueError.  A call's one schemes.MatrixAlgebra holds its ledger
+and whether A is upper triangular (from matcore's crossover size), and
+every product past selection's norms runs through it: a triangular A's
+products and Pade solves are triangular ones, charged as dense ones.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .matcore import (
 )
 from .schemes import (
     CosSinResult,
+    MatrixAlgebra,
     SchemeFamily,
     SchemeId,
     pade8_cos_sin,
@@ -140,10 +141,11 @@ def select_scheme(
     """Pick (scheme, scaling exponent) from the norms of an operand's powers.
 
     norm is a = ||A||_1, beta is ||A^2||_1^(1/2) and delta is
-    ||A^4||_1^(1/4).  For a wave table norm is b = ||B||_1 and delta is
-    ||B^2||_1^(1/2), and beta is not read.  Left out, beta and delta are
-    norm: the rule on the norm alone.  Each side of each entry gets an
-    effective norm from its leading degree ell, x = delta (beta/delta)^(2/ell)
+    ||A^4||_1^(1/4), so delta <= beta <= norm.  For a wave table norm is
+    b = ||B||_1 and delta is ||B^2||_1^(1/2), and beta is not read.  Left
+    out, beta and delta are each norm (both: the rule on the norm alone);
+    a negative, infinite or NaN one raises ValueError.  Each side of each
+    entry gets an effective norm from its leading degree ell, x = delta (beta/delta)^(2/ell)
     for a cosine, delta (a beta^2 / delta^3)^(1/ell) for a sine and
     delta (b/delta)^(1/ell) for a wave kernel, clamped at norm, and needs
     ceil(log2(x / theta) / table.step_bits) steps: log2 for the
@@ -161,17 +163,19 @@ def select_scheme(
     within u exactly when delta K^(1/ell) <= theta.  Because x <= norm for
     every entry, no entry needs more steps than on the norm alone.
     """
-    if not (norm >= 0.0 and math.isfinite(norm)):
-        raise ValueError(f"norm must be finite and nonnegative, got {norm}")
-    if delta is None:
-        beta = delta = norm
+    beta = norm if beta is None else beta
+    delta = norm if delta is None else delta
+    for name, value in (("norm", norm), ("beta", beta), ("delta", delta)):
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise ValueError(
+                f"{name} must be finite and nonnegative, got {value}")
     candidates = table.candidates
     if delta == 0.0 or norm <= table.floor:
         return candidates[0][7], 0
     # x = delta 2^e with e = p log2(a/delta) + q log2(beta/delta), clamped
     # at norm; an exponent at or past log2(a/delta) takes norm bit for bit
     la = math.log2(norm / delta)
-    lb = 0.0 if beta is None else math.log2(beta / delta)
+    lb = math.log2(beta / delta)
     bits = table.step_bits
     step = 2 * table.cost_denominator
     best: tuple[tuple[int, int], SchemeId] | None = None
@@ -217,12 +221,8 @@ def _tiny_mask(m: DenseMatrix) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _double_angle(
-    cos: DenseMatrix,
-    sin: DenseMatrix,
-    steps: int,
-    ledger: CostLedger,
+    cos: DenseMatrix, sin: DenseMatrix, steps: int, alg: MatrixAlgebra,
     wave: bool,
-    upper: bool,
 ) -> tuple[DenseMatrix, DenseMatrix]:
     # Both products of a step read the old pair; each fresh, C-contiguous
     # product is then scaled in place and its identity term added on the
@@ -248,14 +248,14 @@ def _double_angle(
                     # each tiny entry times +0.0: a zero keeps its sign
                     np.multiply(m, 0.0, out=m, where=t[0])
         if wave:
-            square = matmul(cos, cos, ledger, upper=upper)
+            square = alg.mul(cos, cos)
             square *= 2.0
             square.ravel()[:: n + 1] -= 1.0
         else:
-            square = matmul(sin, sin, ledger, upper=upper)
+            square = alg.mul(sin, sin)
             square *= -2.0
             square.ravel()[:: n + 1] += 1.0
-        sin = matmul(sin, cos, ledger, upper=upper)
+        sin = alg.mul(sin, cos)
         sin *= 2.0
         cos = square
     return cos, sin
@@ -278,8 +278,7 @@ def _upscaled(x: float, bits: int) -> float:
 
 
 def _selection(
-    x: DenseMatrix, table: ThetaTable, ledger: CostLedger, wave: bool,
-    upper: bool,
+    x: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, wave: bool
 ) -> tuple[SchemeId, int, tuple[DenseMatrix, DenseMatrix],
            tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
@@ -296,12 +295,13 @@ def _selection(
     is read; where ||y||_1 exceeds 2^500, y^2 is formed from the scaled y
     once s is chosen.  A product selection reads the norm of stays dense
     (a triangular one may round differently, by an ulp in ||A^2||_1 on a
-    512 x 512 triangle); the others take the chain's rule, upper.
+    512 x 512 triangle): it is charged to alg's ledger but skips alg's
+    rule, which the others take.
     """
     norm = norm1(x)
     if norm <= table.floor:
-        y = x if wave else matmul(x, x, ledger, upper=upper)
-        powers = (y, matmul(y, y, ledger, upper=upper))
+        y = x if wave else alg.mul(x, x)
+        powers = (y, alg.mul(y, y))
         return (table.entries[0].scheme, 0, powers,
                 (norm,) * (2 if wave else 3))
     bits = table.step_bits
@@ -323,12 +323,12 @@ def _selection(
     if wave:
         y, y_norm = base, base_norm
     else:
-        y = matmul(base, base, ledger)
+        y = matmul(base, base, alg.ledger)
         y_norm = norm1(y)
     # root is ||y^2||^(1/2), or ||y|| when y^2 waits for s
     y2, root = None, y_norm
     if y_norm <= _SQUARE_LIMIT:
-        y2 = matmul(y, y, ledger)
+        y2 = matmul(y, y, alg.ledger)
         root = math.sqrt(norm1(y2))
     if wave:
         beta, delta = None, root
@@ -338,8 +338,7 @@ def _selection(
         norms = (norm, _upscaled(beta, p), _upscaled(delta, p))
     scheme, s = select_scheme(base_norm, table, beta, delta)
     y = _scaled(y, -2 * s)
-    y2 = (matmul(y, y, ledger, upper=upper) if y2 is None
-          else _scaled(y2, -4 * s))
+    y2 = alg.mul(y, y) if y2 is None else _scaled(y2, -4 * s)
     return scheme, s + p, (y, y2), norms
 
 
@@ -351,9 +350,9 @@ def _evaluate(
     The family comes from the table; t is read for the wave pair only, and
     must be finite.  An upper-triangular A keeps every matrix formed from
     it upper triangular, so it is tested once (matcore.is_upper_triangular)
-    and the flag is handed to selection, the scheme and the doubling steps,
-    whose products then take the triangular path; selection keeps the
-    products whose norms it reads dense, so the choice of scheme and s,
+    into the call's one MatrixAlgebra, with the ledger; selection, the pair
+    and the doubling steps run their products through it.  Selection keeps
+    the products whose norms it reads dense, so the choice of scheme and s,
     with the norms it read, stays the dense path's bit for bit.  The
     arithmetic runs with numpy's overflow and invalid-operation warnings
     off: a result that overflowed says so in the report's nonfinite.
@@ -361,36 +360,30 @@ def _evaluate(
     a = as_matrix(a)
     if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
-    ledger = CostLedger()
+    alg = MatrixAlgebra(CostLedger(), is_upper_triangular(a))
     family = table.entries[0].scheme.family
     wave = family is SchemeFamily.WAVE_KERNEL
-    upper = is_upper_triangular(a)
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
             t = float(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
-            scheme, s, powers, norms = _selection(t * t * a, table, ledger,
-                                                  True, upper)
-            part = wave_kernels(t / 2.0 ** s, scheme, ledger, powers=powers,
-                                upper=upper)
+            scheme, s, powers, norms = _selection(t * t * a, table, alg, True)
+            part = wave_kernels(t / 2.0 ** s, scheme, alg, powers)
         else:
-            scheme, s, powers, norms = _selection(a, table, ledger, False,
-                                                  upper)
+            scheme, s, powers, norms = _selection(a, table, alg, False)
             scaled = a * 2.0 ** -s
             if family is SchemeFamily.PADE8:
-                part = pade8_cos_sin(scaled, ledger, powers=powers,
-                                     upper=upper)
+                part = pade8_cos_sin(scaled, alg, powers)
             else:
-                part = taylor_cos_sin(scaled, scheme, ledger, powers=powers,
-                                      upper=upper)
+                part = taylor_cos_sin(scaled, scheme, alg, powers)
         result = CosSinResult(*_double_angle(
-            part.cos_part, part.sin_part, s, ledger, wave, upper))
+            part.cos_part, part.sin_part, s, alg, wave))
     return ComputationReport(
         result=result,
         scheme_used=scheme,
         scaling_exponent=s,
-        total_products=ledger.total_cost,
+        total_products=alg.ledger.total_cost,
         selection_norms=norms,
     )
 

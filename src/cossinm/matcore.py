@@ -22,11 +22,12 @@ and every solve those of dgetrs.
 The ledger counts products, not flops.  An upper-triangular operand, the
 form a Schur factor takes, keeps every polynomial and rational function of
 it upper triangular, so the driver tests its input once
-(is_upper_triangular) and passes upper=True down: matmul then makes
-one triangular BLAS product (dtrmm, about half the flops of a dense one)
-and lu_solve_pair triangular solves (dtrsm) without an LU.  Each is still
-charged as before.  Below _TRIANGULAR_MIN_N the triangular product saves
-too little, and no input takes the triangular path.
+(is_upper_triangular) into the call's one schemes.MatrixAlgebra, which
+passes upper=True to the kernels: matmul then makes one triangular BLAS
+product (dtrmm, about half the flops of a dense one) and lu_solve_pair
+triangular solves (dtrsm) without an LU.  Each is still charged as before.
+Below _TRIANGULAR_MIN_N the triangular product saves too little, and no
+input takes the triangular path.
 
 Input is checked once, at the public boundary: as_matrix in every
 evaluator, and read_matrix for the CLI's matrix files (a header line
@@ -110,9 +111,11 @@ def as_matrix(a) -> DenseMatrix:
     anything not 2-D square, an empty matrix, and complex, object or string
     entries raise MatrixInputError.  The result is binary64: a bool matmul
     is logical, an int64 one wraps and a float32 one rounds to single, so
-    bool, integer and other float entries are converted, and float64 input
-    is returned as it is, without a copy.  Entries are not tested for
-    finiteness.
+    bool, integer and other float entries are converted.  It is C-ordered:
+    numpy sums a Fortran-ordered column in another order, so norm1, and
+    with it selection, would read another last bit.  C-ordered float64
+    input is returned as it is, without a copy.  Entries are not tested
+    for finiteness.
     """
     try:
         a = np.asarray(a)
@@ -124,7 +127,7 @@ def as_matrix(a) -> DenseMatrix:
         raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
     if a.size == 0:
         raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    return a.astype(np.float64, copy=False)
+    return a.astype(np.float64, order="C", copy=False)
 
 
 def identity(n: int) -> DenseMatrix:

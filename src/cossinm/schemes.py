@@ -16,10 +16,10 @@ registry, maps each scheme to its chain and its cost; a chain takes the
 even variable y and its square y^2 as given.  The three pairs
 (taylor_cos_sin, wave_kernels, pade8_cos_sin) serve the driver, which
 owns every fact they read: it checks the input, scales it, forms y and
-y^2 once and hands them in, and tests the structure once.  A pair returns
-one CosSinResult, charges the products past y^2 to the ledger passed in,
-and with the driver's upper flag runs every product, and the Pade solves,
-as triangular ones.
+y^2 once and hands them in, with the one MatrixAlgebra of the call.  A
+pair returns one CosSinResult and runs the products past y^2, and the Pade
+solves, through that algebra, which charges them to the call's ledger and
+alone knows whether they are triangular.
 
 A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
@@ -313,18 +313,19 @@ class OperandAlgebra(Protocol[T]):
 
 
 class MatrixAlgebra:
-    """Dense-matrix operand algebra; every mul is charged to the ledger.
+    """One call's dense-matrix algebra; every mul is charged to its ledger.
 
     Chains read the float64 blocks.  A basis is one C-contiguous
     (depth, n, n) array, so a stage's combinations are one
     linear_combination over a prefix of it, and its rows (views into one
     result array) are returned as they are.  With upper, every operand is
-    upper triangular, as every polynomial in an upper-triangular matrix is,
-    and each product is a triangular one (matmul's upper).
+    upper triangular, as every rational function of an upper-triangular
+    matrix is, and each product and solve is a triangular one (the
+    kernels' upper); no other layer reads the flag.
     """
 
     def __init__(self, ledger: CostLedger, upper: bool) -> None:
-        self._ledger = ledger
+        self.ledger = ledger
         self._upper = upper
 
     def constants(self, table: Constants) -> SimpleNamespace:
@@ -343,7 +344,12 @@ class MatrixAlgebra:
     def mul(
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
     ) -> DenseMatrix:
-        return matmul(p, q, self._ledger, upper=self._upper, out=out)
+        return matmul(p, q, self.ledger, upper=self._upper, out=out)
+
+    def solve(
+        self, den: DenseMatrix, rhs1: DenseMatrix, rhs2: DenseMatrix
+    ) -> tuple[DenseMatrix, DenseMatrix]:
+        return lu_solve_pair(den, rhs1, rhs2, self.ledger, upper=self._upper)
 
     def lin(self, basis: np.ndarray, block: np.ndarray) -> np.ndarray:
         return linear_combination(basis, block)
@@ -472,68 +478,46 @@ def _owned(m: DenseMatrix) -> DenseMatrix:
 
 
 def taylor_cos_sin(
-    a: DenseMatrix,
-    scheme: SchemeId,
-    ledger: CostLedger,
-    *,
-    powers: Powers,
-    upper: bool,
+    a: DenseMatrix, scheme: SchemeId, alg: MatrixAlgebra, powers: Powers
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
     powers = (A^2, A^4), formed by the caller; the pair charges the rest of
     scheme.k_products: the chain's products past A^4 and the leading sine
-    factor.  With upper, a is upper triangular and every product is a
-    triangular one.
+    factor.
     """
-    alg = MatrixAlgebra(ledger, upper)
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, *powers)
     return CosSinResult(_owned(cos), alg.mul(a, sin_core))
 
 
 def wave_kernels(
-    t: float,
-    scheme: SchemeId,
-    ledger: CostLedger,
-    *,
-    powers: Powers,
-    upper: bool,
+    t: float, scheme: SchemeId, alg: MatrixAlgebra, powers: Powers
 ) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
     B = t^2 A.  powers = (B, B^2), formed by the caller; the s part is the
     even-variable sine core times the scalar t, so the pair charges
-    scheme.k_products less the one product B^2.  upper is read as in
-    taylor_cos_sin.
+    scheme.k_products less the one product B^2.
     """
-    alg = MatrixAlgebra(ledger, upper)
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, *powers)
     return CosSinResult(_owned(c), t * s_core)
 
 
 def pade8_cos_sin(
-    a: DenseMatrix,
-    ledger: CostLedger,
-    *,
-    powers: Powers,
-    upper: bool,
+    a: DenseMatrix, alg: MatrixAlgebra, powers: Powers
 ) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 
     Five products (A^2, A^4, A^6, A^8 and the odd numerator's leading
     factor) plus one LU factorization shared by two solves: 7 + 1/3
     product-equivalents total.  powers = (A^2, A^4), formed by the caller,
-    so the pair charges the other three products and the LU.  upper is
-    read as in taylor_cos_sin, and the solves are then triangular.
+    so the pair charges the other three products and the LU.
     """
-    alg = MatrixAlgebra(ledger, upper)
     basis = alg.basis(5, *powers)  # I, y, ..., y^4
     alg.mul(basis[1], basis[2], out=basis[3])
     alg.mul(basis[1], basis[3], out=basis[4])
     k = alg.constants(PADE8_CONSTANTS)
     den, num_cos, num_sin_factor = alg.lin(basis, k.block)
-    num_sin = alg.mul(a, num_sin_factor)
-    cos, sin = lu_solve_pair(den, num_cos, num_sin, ledger, upper=upper)
-    return CosSinResult(cos, sin)
+    return CosSinResult(*alg.solve(den, num_cos, alg.mul(a, num_sin_factor)))

@@ -1,7 +1,8 @@
 """The pair functions as the driver calls them, for the scheme-level tests."""
 
-from cossinm.matcore import is_upper_triangular, matmul
+from cossinm.matcore import is_upper_triangular
 from cossinm.schemes import (
+    MatrixAlgebra,
     SchemeFamily,
     pade8_cos_sin,
     taylor_cos_sin,
@@ -13,15 +14,16 @@ def run_pair(a, scheme, ledger, t=1.0):
     """One pair scheme at a (the wave pair at time t), unscaled.
 
     The powers the driver hands in, y and y^2 (y = A^2, or t^2 A for the
-    wave pair), are formed here, charged to ledger, and the structure is
-    tested as the driver tests it, so the ledger totals the pair's cost.
+    wave pair), are formed here in the algebra the driver would make,
+    charged to ledger and triangular as its structure test says, so the
+    ledger totals the pair's cost.
     """
-    upper = is_upper_triangular(a)
+    alg = MatrixAlgebra(ledger, is_upper_triangular(a))
     wave = scheme.family is SchemeFamily.WAVE_KERNEL
-    y = t * t * a if wave else matmul(a, a, ledger, upper=upper)
-    powers = (y, matmul(y, y, ledger, upper=upper))
+    y = t * t * a if wave else alg.mul(a, a)
+    powers = (y, alg.mul(y, y))
     if wave:
-        return wave_kernels(t, scheme, ledger, powers=powers, upper=upper)
+        return wave_kernels(t, scheme, alg, powers)
     if scheme.family is SchemeFamily.PADE8:
-        return pade8_cos_sin(a, ledger, powers=powers, upper=upper)
-    return taylor_cos_sin(a, scheme, ledger, powers=powers, upper=upper)
+        return pade8_cos_sin(a, alg, powers)
+    return taylor_cos_sin(a, scheme, alg, powers)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import driver, matcore
+from cossinm import driver, matcore, schemes
 from cossinm.driver import (
     cos_sin,
     pade_cos_sin,
@@ -19,6 +19,7 @@ from cossinm.matcore import CostLedger, MatrixInputError, norm1
 from cossinm.schemes import (
     PADE8,
     CosSinResult,
+    MatrixAlgebra,
     SchemeFamily,
     SchemeId,
 )
@@ -223,6 +224,32 @@ def _same_choice(got, want):
     assert got.scaling_exponent == want.scaling_exponent
     assert got.total_products == want.total_products
     assert got.selection_norms == want.selection_norms
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("form", ["dense", "triu"])
+@pytest.mark.parametrize("n", [6, 2 * matcore._TRIANGULAR_MIN_N])
+def test_input_layout_moves_no_bit(entry, form, n):
+    # numpy sums a Fortran-ordered column in another order (selection's
+    # 1-norm moved by an ulp at n = 192 before as_matrix took input to C
+    # order), and the triangular kernels read transposed views, so other
+    # layouts must reach every norm and product as the C-ordered copy does
+    rng = np.random.default_rng(11)
+    big = rng.standard_normal((2 * n, 2 * n))
+    if form == "triu":
+        big = np.triu(big)
+    big *= 20.0 / norm1(big[::2, ::2])
+    strided = big[::2, ::2]
+    c_order = np.ascontiguousarray(strided)
+    fortran = np.asfortranarray(c_order)
+    assert not (strided.flags.c_contiguous or fortran.flags.c_contiguous)
+    call = _ENTRY_POINTS[entry]
+    want = call(c_order)
+    assert want.scaling_exponent > 0
+    for a in (fortran, strided):
+        got = call(a)
+        _same_choice(got, want)
+        assert _same_bits(got.result, want.result)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
@@ -479,6 +506,16 @@ def test_select_on_powers_hand_computed():
         SchemeId(SchemeFamily.WAVE_KERNEL, 5), 3)
     # Pade sine: 1e3^(1/9) / 0.1121 = 19.2 needs five halvings
     assert select_scheme(1e3, DOUBLE_PADE, 1.0, 1.0) == (PADE8, 5)
+    # an omitted beta is the norm: sine 2 (1e3 1e6 / 8)^(1/23) = 4.50
+    # needs two halvings of 1.855, as the true beta = 500 does; taking
+    # beta = delta, 2 * 500^(1/23) = 2.62 would need one
+    assert select_scheme(1e3, DOUBLE_TAYLOR, delta=2.0) == (taylor7, 2)
+    assert select_scheme(1e3, DOUBLE_TAYLOR, 500.0, 2.0) == (taylor7, 2)
+    assert select_scheme(1e3, DOUBLE_TAYLOR, 2.0, 2.0) == (taylor7, 1)
+    for bad in (-1.0, math.inf, math.nan):
+        for given in ({"beta": bad, "delta": 2.0}, {"delta": bad}):
+            with pytest.raises(ValueError):
+                select_scheme(1e3, DOUBLE_TAYLOR, **given)
 
 
 def test_power_selection_never_needs_more_steps(rng):
@@ -567,12 +604,12 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         warnings.simplefilter("error")
         report = cos_sin(involutory)
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
-            ledger = CostLedger()
+            alg = MatrixAlgebra(CostLedger(), False)
             _scheme, _s, powers, norms = driver._selection(
-                dense, table, ledger, False, False)
+                dense, table, alg, False)
             # A^2 is formed from A 2^-11; its norm is too large to square
             # before selection, so y^2 is formed from y once s is chosen
-            assert ledger.products == 2
+            assert alg.ledger.products == 2
             assert all(np.isfinite(m).all() for m in powers)
             assert all(math.isfinite(x) for x in norms)
         wave = wave_cos_sin(np.array([[0.0, big], [0.0, 0.0]]), 1.0)
@@ -730,17 +767,18 @@ def _has_subnormal(m):
 
 
 def _flushed_at(monkeypatch, min_n, call, a):
-    """call(a) with the crossover at min_n, and how many of the driver's
-    products (selection's and the doubling's) read a subnormal entry."""
+    """call(a) with the crossover at min_n, and how many of its products
+    (selection's, the chain's and the doubling's) read a subnormal entry."""
     reads = []
 
-    def spied(p, q, *args, _matmul=driver.matmul, **kwargs):
+    def spied(p, q, *args, _matmul=matcore.matmul, **kwargs):
         reads.append(_has_subnormal(p) or _has_subnormal(q))
         return _matmul(p, q, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(driver, "_FLUSH_MIN_N", min_n)
         m.setattr(driver, "matmul", spied)
+        m.setattr(schemes, "matmul", spied)
         return call(a), sum(reads)
 
 
@@ -802,8 +840,8 @@ def test_a_pair_that_overflowed_doubles_as_before(monkeypatch):
         with monkeypatch.context() as m, np.errstate(invalid="ignore"):
             m.setattr(driver, "_FLUSH_MIN_N", min_n)
             return CosSinResult(*driver._double_angle(
-                cos.copy(), part.sin_part.copy(), 1, CostLedger(), False,
-                False))
+                cos.copy(), part.sin_part.copy(), 1,
+                MatrixAlgebra(CostLedger(), False), False))
 
     cos = part.cos_part.copy()
     assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos),

@@ -30,6 +30,7 @@ from cossinm.schemes import (
     PADE8_DEN,
     PADE8_NUM_COS,
     PADE8_NUM_SIN,
+    MatrixAlgebra,
     SchemeFamily,
     SchemeId,
     SqrtCoeff,
@@ -208,8 +209,8 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         cos0, sin0 = _scheme_pair(INPUTS[name], wave)
         kept_cos, kept_sin = cos0.copy(), sin0.copy()
         fast_ledger, naive_ledger = CostLedger(), CostLedger()
-        cos, sin = driver._double_angle(cos0, sin0, steps, fast_ledger,
-                                        wave, False)
+        cos, sin = driver._double_angle(
+            cos0, sin0, steps, MatrixAlgebra(fast_ledger, False), wave)
         want_cos, want_sin = _naive_double_angle(kept_cos, kept_sin, steps,
                                                  naive_ledger, wave)
         assert np.array_equal(cos, want_cos)
@@ -495,6 +496,30 @@ def test_no_library_default_that_every_library_call_overrides():
                    if sites and all(_overrides(call, index, name)
                                     for call in sites)]
     assert unused == []
+
+
+def test_only_the_algebra_is_handed_the_structure_flag():
+    # a call's one MatrixAlgebra holds whether its input is triangular, so
+    # no other function, method or lambda of the driver or the schemes
+    # takes upper
+    takers = []
+    for stem in ("driver", "schemes"):
+        tree = ast.parse((ROOT / "src" / "cossinm" / f"{stem}.py").read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((item, node.name) for item in node.body)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            qualname = f"{owner[node]}.{name}" if node in owner else name
+            args = node.args
+            if qualname != "MatrixAlgebra.__init__" and any(
+                    arg.arg == "upper" for arg in (
+                        *args.posonlyargs, *args.args, *args.kwonlyargs)):
+                takers.append((stem, qualname))
+    assert takers == []
 
 
 # Chain stages, each one linear_combination call; the Pade pair has one.
