@@ -124,7 +124,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 
 def _bench_counts(total: int) -> tuple[int, int, int, int]:
     if total < 20:
-        raise ValueError("bench needs a corpus of at least 20 matrices")
+        raise ValueError(f"--count must be at least 20, got {total}")
     rest = total - 9
     structured = rest * 33 // 100
     random = rest * 45 // 100
@@ -228,13 +228,13 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_gallery(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = CorpusSpec(
         dimension_cap=args.dim_cap,
         count_per_class=_bench_counts(args.count),
         seed=args.seed,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = generate_corpus(spec)
     with open(out_dir / "manifest.csv", "w", newline="") as handle:
         writer = csv.writer(handle)

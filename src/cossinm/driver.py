@@ -1,8 +1,9 @@
 """Full-norm evaluation: scheme selection, scaling, and doubling recovery.
 
 cos_sin, wave_cos_sin and pade_cos_sin run one body, which takes the family
-from the threshold table it is given.  Every chain starts from the even
-variable and its square: y = A^2 and y^2 for the trigonometric pairs,
+from the threshold table it is given and reaches the family's pair through
+one dispatch (_pair), the one verify replays.  Every chain starts from the
+even variable and its square: y = A^2 and y^2 for the trigonometric pairs,
 B = t^2 A (free) and B^2 for the wave pair.  The driver forms those two
 powers once, before selection (an operand above 2^500 first brought under
 it by an exact power of two), and picks the scheme and the scaling exponent
@@ -37,8 +38,8 @@ entry doubles bit for bit as it did without the test.
 
 All three report one CosSinResult: cos(A) and sin(A), or the wave kernels
 c(t^2 A) and s(t, A).  The body takes its input through matcore.as_matrix,
-the rule every evaluator shares (a nonempty square real matrix, evaluated
-in binary64), and raises MatrixInputError for a non-finite entry too.
+the rule every evaluator shares (a nonempty square matrix of finite real
+entries, evaluated in binary64), and checks only t beyond it.
 Each entry point looks its table up by Precision(precision), so a
 precision's value ("double", "single") serves as well, and any other value
 raises ValueError.  A call's one schemes.MatrixAlgebra holds its ledger
@@ -70,8 +71,10 @@ from .matcore import (
 from .schemes import (
     CosSinResult,
     MatrixAlgebra,
+    OperandAlgebra,
     SchemeFamily,
     SchemeId,
+    T,
     pade8_cos_sin,
     taylor_cos_sin,
     wave_kernels,
@@ -342,6 +345,22 @@ def _selection(
     return scheme, s + p, (y, y2), norms
 
 
+def _pair(
+    scheme: SchemeId, odd: T, alg: OperandAlgebra[T], powers: tuple[T, T]
+) -> CosSinResult:
+    """The one dispatch from a scheme's family to its pair function.
+
+    odd is A 2^-s, or t 2^-s for the wave pair, and powers the scaled
+    (y, y^2); verify replays this call over polynomials.  The pairs are
+    read as this module's globals, which perfbench/tracing.py rebinds.
+    """
+    if scheme.family is SchemeFamily.WAVE_KERNEL:
+        return wave_kernels(odd, scheme, alg, powers)
+    if scheme.family is SchemeFamily.PADE8:
+        return pade8_cos_sin(odd, alg, powers)
+    return taylor_cos_sin(odd, scheme, alg, powers)
+
+
 def _evaluate(
     a: DenseMatrix, table: ThetaTable, t: float | None = None
 ) -> ComputationReport:
@@ -358,25 +377,19 @@ def _evaluate(
     off: a result that overflowed says so in the report's nonfinite.
     """
     a = as_matrix(a)
-    if not np.isfinite(a).all():
-        raise MatrixInputError("matrix entries must be finite")
     alg = MatrixAlgebra(CostLedger(), is_upper_triangular(a))
-    family = table.entries[0].scheme.family
-    wave = family is SchemeFamily.WAVE_KERNEL
+    wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
             t = float(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
             scheme, s, powers, norms = _selection(t * t * a, table, alg, True)
-            part = wave_kernels(t / 2.0 ** s, scheme, alg, powers)
+            odd = t / 2.0 ** s
         else:
             scheme, s, powers, norms = _selection(a, table, alg, False)
-            scaled = a * 2.0 ** -s
-            if family is SchemeFamily.PADE8:
-                part = pade8_cos_sin(scaled, alg, powers)
-            else:
-                part = taylor_cos_sin(scaled, scheme, alg, powers)
+            odd = a * 2.0 ** -s
+        part = _pair(scheme, odd, alg, powers)
         result = CosSinResult(*_double_angle(
             part.cos_part, part.sin_part, s, alg, wave))
     return ComputationReport(

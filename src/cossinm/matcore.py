@@ -30,10 +30,11 @@ Below _TRIANGULAR_MIN_N the triangular product saves too little, and no
 input takes the triangular path.
 
 Input is checked once, at the public boundary: as_matrix in every
-evaluator, and read_matrix for the CLI's matrix files (a header line
-``rows cols``, then ``rows`` lines of ``cols`` finite decimal reals).  The
-kernels (matmul, linear_combination, lu_solve_pair) take the shapes the
-chains build and do not test them again; numpy or LAPACK raises on a bug.
+evaluator (shape, real entries, finiteness), and read_matrix for the CLI's
+matrix files (a header line ``rows cols``, then ``rows`` lines of ``cols``
+finite decimal reals).  The kernels (matmul, linear_combination,
+lu_solve_pair) take the shapes the chains build and do not test them
+again; numpy or LAPACK raises on a bug.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ _GEMM_MIN_N = 64
 
 
 class MatrixInputError(ValueError):
-    """Malformed input at the public boundary: as_matrix, the drivers' finite
-    entry and t checks, read_matrix, and the CLI's square-file check."""
+    """Malformed input at the public boundary: as_matrix, the wave driver's
+    t checks, read_matrix, and the CLI's square-file check."""
 
 
 class SingularMatrixError(RuntimeError):
@@ -105,17 +106,17 @@ class CostLedger:
 
 
 def as_matrix(a) -> DenseMatrix:
-    """The one input rule of every evaluator: a nonempty square matrix.
+    """The one input rule of every evaluator: nonempty, square, real, finite.
 
     a is an array or nested sequences of real entries.  Ragged rows,
-    anything not 2-D square, an empty matrix, and complex, object or string
-    entries raise MatrixInputError.  The result is binary64: a bool matmul
-    is logical, an int64 one wraps and a float32 one rounds to single, so
-    bool, integer and other float entries are converted.  It is C-ordered:
-    numpy sums a Fortran-ordered column in another order, so norm1, and
-    with it selection, would read another last bit.  C-ordered float64
-    input is returned as it is, without a copy.  Entries are not tested
-    for finiteness.
+    anything not 2-D square, an empty matrix, complex, object or string
+    entries, and an inf or NaN entry raise MatrixInputError.  The result
+    is binary64: a bool matmul is logical, an int64 one wraps and a float32
+    one rounds to single, so bool, integer and other float entries are
+    converted.  It is C-ordered: numpy sums a Fortran-ordered column in
+    another order, so norm1, and with it selection, would read another last
+    bit.  C-ordered float64 input is returned as it is, without a copy.
+    Finiteness is tested on the binary64 result.
     """
     try:
         a = np.asarray(a)
@@ -127,7 +128,10 @@ def as_matrix(a) -> DenseMatrix:
         raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
     if a.size == 0:
         raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    return a.astype(np.float64, order="C", copy=False)
+    a = a.astype(np.float64, order="C", copy=False)
+    if not np.isfinite(a).all():
+        raise MatrixInputError("matrix entries must be finite")
+    return a
 
 
 def identity(n: int) -> DenseMatrix:

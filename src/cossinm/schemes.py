@@ -8,18 +8,18 @@ wave family), and the sine part is that same even-variable core times a
 leading factor (A, or the scalar t).
 
 Because the two families share their even-variable cores, the chains here
-are written once over an abstract operand algebra: the driver runs them with
-dense matrices (charging a cost ledger per product), and the verification
-oracle replays the identical code path with exact scalar polynomials to
-extract every coefficient a scheme actually computes.  SCHEMES, the one
-registry, maps each scheme to its chain and its cost; a chain takes the
-even variable y and its square y^2 as given.  The three pairs
-(taylor_cos_sin, wave_kernels, pade8_cos_sin) serve the driver, which
-owns every fact they read: it checks the input, scales it, forms y and
-y^2 once and hands them in, with the one MatrixAlgebra of the call.  A
-pair returns one CosSinResult and runs the products past y^2, and the Pade
-solves, through that algebra, which charges them to the call's ledger and
-alone knows whether they are triangular.
+are written once, with the three pairs that run them (taylor_cos_sin,
+wave_kernels, pade8_cos_sin), over an abstract operand algebra.  SCHEMES,
+the one registry, maps each scheme to its chain and its cost; a chain
+takes the even variable y and its square y^2 as given.  The driver reaches
+a pair through its one dispatch (driver._pair) and owns every fact it
+reads: it checks the input, scales it, forms y and y^2 once and hands them
+in, with the one MatrixAlgebra of the call.  A pair returns one
+CosSinResult and runs the products past y^2, and the Pade solves, through
+that algebra, which charges them to the call's ledger and alone knows
+whether they are triangular.  The verification oracle replays the same
+dispatch over 60-digit scalar polynomials, each sine's leading factor and
+the Pade solve included, to extract every coefficient a scheme computes.
 
 A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
@@ -299,6 +299,8 @@ class OperandAlgebra(Protocol[T]):
     operands, then slabs for the chain to fill, which mul and add write
     through out= (the slab itself, as numpy's out does).  lin(basis, block)
     returns one combination of the basis's slabs per row of block.
+    solve(den, rhs1, rhs2) is the pair den^-1 rhs1, den^-1 rhs2, and
+    own(p) is p in a form a pair may return, holding nothing else alive.
     """
 
     def constants(self, table: Constants) -> SimpleNamespace: ...
@@ -307,9 +309,13 @@ class OperandAlgebra(Protocol[T]):
 
     def mul(self, p: T, q: T, out: T | None = None) -> T: ...
 
+    def solve(self, den: T, rhs1: T, rhs2: T) -> tuple[T, T]: ...
+
     def lin(self, basis: Sequence[T], block) -> Sequence[T]: ...
 
     def add(self, p: T, q: T, out: T | None = None) -> T: ...
+
+    def own(self, p: T) -> T: ...
 
 
 class MatrixAlgebra:
@@ -358,6 +364,12 @@ class MatrixAlgebra:
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
     ) -> DenseMatrix:
         return np.add(p, q, out=out)
+
+    def own(self, m: DenseMatrix) -> DenseMatrix:
+        """m, or a copy of it when it is a slab of a larger stack: a returned
+        slab would keep the whole stack alive, through doubling and after."""
+        base = m.base
+        return m.copy() if base is not None and base.nbytes > m.nbytes else m
 
 
 def chain_deg2(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
@@ -467,18 +479,8 @@ SCHEMES: dict[tuple[SchemeFamily, int], RegisteredScheme] = {
 PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
-Powers = tuple[DenseMatrix, DenseMatrix]
-
-
-def _owned(m: DenseMatrix) -> DenseMatrix:
-    """m, or a copy of it when it is a slab of a larger stack: a returned
-    slab would keep the whole stack alive, through doubling and after."""
-    base = m.base
-    return m.copy() if base is not None and base.nbytes > m.nbytes else m
-
-
 def taylor_cos_sin(
-    a: DenseMatrix, scheme: SchemeId, alg: MatrixAlgebra, powers: Powers
+    a: T, scheme: SchemeId, alg: OperandAlgebra[T], powers: tuple[T, T]
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
@@ -488,11 +490,11 @@ def taylor_cos_sin(
     """
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
         alg, *powers)
-    return CosSinResult(_owned(cos), alg.mul(a, sin_core))
+    return CosSinResult(alg.own(cos), alg.mul(a, sin_core))
 
 
 def wave_kernels(
-    t: float, scheme: SchemeId, alg: MatrixAlgebra, powers: Powers
+    t: float, scheme: SchemeId, alg: OperandAlgebra[T], powers: tuple[T, T]
 ) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
@@ -502,11 +504,11 @@ def wave_kernels(
     scheme.k_products less the one product B^2.
     """
     c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, *powers)
-    return CosSinResult(_owned(c), t * s_core)
+    return CosSinResult(alg.own(c), t * s_core)
 
 
 def pade8_cos_sin(
-    a: DenseMatrix, alg: MatrixAlgebra, powers: Powers
+    a: T, alg: OperandAlgebra[T], powers: tuple[T, T]
 ) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 

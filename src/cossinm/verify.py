@@ -2,10 +2,10 @@
 
 Three jobs live here, all deliberately outside the product path:
 
-* coefficient extraction: replay any scheme's factored evaluation with
+* coefficient extraction: replay any scheme's pair, through the driver's
+  own dispatch and so on the code the product path runs, with
   extended-precision scalar polynomials instead of matrices, exposing the
-  exact polynomial it computes so order conditions can be checked term by
-  term;
+  polynomial it computes so order conditions can be checked term by term;
 * threshold computation: locate, by bisection on an absolute-error tail
   bound, the largest operand norm at which a scheme stays below a target
   unit roundoff (the source of the shipped threshold tables);
@@ -35,12 +35,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
+from .driver import _pair
 from .matcore import DenseMatrix, as_matrix, identity, norm1
 from .schemes import (
-    PADE8_DEN,
-    PADE8_NUM_COS,
-    PADE8_NUM_SIN,
-    SCHEMES,
     Constants,
     CosSinResult,
     ExactScalar,
@@ -128,13 +125,21 @@ class ScalarPoly:
             out = [f * c for c in self.coefficients]
         return ScalarPoly(out)
 
+    __rmul__ = scale
+
+
+# Degree through which PolyAlgebra.solve divides: 160 even-variable terms,
+# far past any that matters at an admissible norm.
+_SOLVE_DEGREE = 319
+
 
 class PolyAlgebra:
-    """Operand algebra over ScalarPoly: replays chains to expose coefficients.
+    """Operand algebra over ScalarPoly: replays pairs to expose coefficients.
 
     A basis is a list of polynomials, its unfilled slabs zero polynomials
     that out= overwrites in place; lin sums each row's exact coefficients
-    term by term.
+    term by term.  solve divides power series through degree _SOLVE_DEGREE,
+    and own returns its operand: no polynomial is a slab of another.
     """
 
     def constants(self, table: Constants) -> SimpleNamespace:
@@ -172,77 +177,57 @@ class PolyAlgebra:
     ) -> ScalarPoly:
         return self._into(p + q, out)
 
+    def solve(
+        self, den: ScalarPoly, rhs1: ScalarPoly, rhs2: ScalarPoly
+    ) -> tuple[ScalarPoly, ScalarPoly]:
+        return _quotient(rhs1, den), _quotient(rhs2, den)
 
-def _series_quotient(
-    num: Sequence[Fraction], den: Sequence[Fraction], n_terms: int
-) -> list[Fraction]:
-    # den[0] must be 1; exact rational long division of power series.
-    out: list[Fraction] = []
-    for k in range(n_terms):
-        acc = num[k] if k < len(num) else F(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc)
-    return out
+    def own(self, p: ScalarPoly) -> ScalarPoly:
+        return p
 
 
-_PADE_SERIES_TERMS = 160
-
-
-def _even_powers() -> tuple[ScalarPoly, ScalarPoly]:
-    """The even variable y and y^2, the operands every chain is given."""
-    y = ScalarPoly([0, 1])
-    return y, y * y
-
-
-def _core_pair(scheme: SchemeId) -> tuple[ScalarPoly, ScalarPoly]:
-    """Cos core and sine core in the even variable, as the scheme computes them."""
-    if scheme.family is SchemeFamily.PADE8:
-        cos = _series_quotient(PADE8_NUM_COS, PADE8_DEN, _PADE_SERIES_TERMS)
-        sin = _series_quotient(PADE8_NUM_SIN, PADE8_DEN, _PADE_SERIES_TERMS)
-        return ScalarPoly(cos), ScalarPoly(sin)
-    chain = SCHEMES[scheme.family, scheme.k_products].chain
-    return chain(PolyAlgebra(), *_even_powers())
-
-
-def _spread(core: ScalarPoly, odd: bool) -> ScalarPoly:
-    out = [0] * (2 * len(core.coefficients) + (1 if odd else 0))
-    for k, c in enumerate(core.coefficients):
-        out[2 * k + (1 if odd else 0)] = c
+def _quotient(num: ScalarPoly, den: ScalarPoly) -> ScalarPoly:
+    # power-series long division through _SOLVE_DEGREE; den(0) != 0
+    out: list[mpmath.mpf] = []
+    with mpmath.workdps(WORKING_DIGITS):
+        for k in range(_SOLVE_DEGREE + 1):
+            acc = num.coefficient(k)
+            for j in range(1, min(k, den.degree) + 1):
+                acc -= den.coefficients[j] * out[k - j]
+            out.append(acc / den.coefficients[0])
     return ScalarPoly(out)
 
 
 def extract_scheme_poly(scheme: SchemeId, which: Which) -> ScalarPoly:
-    """The exact scalar polynomial a scheme computes.
+    """The scalar polynomial a scheme computes, replayed through the
+    driver's own dispatch (driver._pair): each sine's leading factor and
+    the rational baseline's solve (through degree _SOLVE_DEGREE) included.
 
-    COS/SIN are in the original variable (even/odd degrees); WAVE_C/WAVE_S
-    are in the even variable itself.  For the rational baseline the series
-    expansion is truncated after 160 even-variable terms, far past where
-    its coefficients matter at any admissible norm.
+    COS/SIN are in the original variable x (even/odd degrees); WAVE_C and
+    WAVE_S are in the even variable itself, at t = 1.
     """
     wave = which in (Which.WAVE_C, Which.WAVE_S)
     if wave != (scheme.family is SchemeFamily.WAVE_KERNEL):
         raise ValueError(f"{which.value} does not apply to {scheme.family.value}")
-    cos_core, sin_core = _core_pair(scheme)
-    if which is Which.COS:
-        return _spread(cos_core, odd=False)
-    if which is Which.SIN:
-        return _spread(sin_core, odd=True)
-    if which is Which.WAVE_C:
-        return cos_core
-    return sin_core
+    x = ScalarPoly([0, 1])
+    y = x if wave else x * x
+    pair = _pair(scheme, 1 if wave else x, PolyAlgebra(), (y, y * y))
+    sine = which in (Which.SIN, Which.WAVE_S)
+    return pair.sin_part if sine else pair.cos_part
 
 
 def extract_sin9_poly() -> ScalarPoly:
     """Scalar polynomial of the exact degree-9 sine variant."""
-    _, sin_core = chain_deg4(PolyAlgebra(), *_even_powers(), exact_sine=True)
-    return _spread(sin_core, odd=True)
+    x = ScalarPoly([0, 1])
+    y = x * x
+    _, sin_core = chain_deg4(PolyAlgebra(), y, y * y, exact_sine=True)
+    return x * sin_core
 
 
 def extract_wave_s34_poly() -> ScalarPoly:
     """Even-variable polynomial of the reduced wave sine variant."""
-    _, sin_core = chain_deg4(PolyAlgebra(), *_even_powers(),
-                             exact_sine=False)
+    y = ScalarPoly([0, 1])
+    _, sin_core = chain_deg4(PolyAlgebra(), y, y * y, exact_sine=False)
     return sin_core
 
 
@@ -372,14 +357,8 @@ def generate_theta_table(
 # across the admissible norm range.
 
 _REF_NORM_CAP = 2.0 ** -20
-_REF_COS_CORE = [
-    F(1), F(-1, 2), F(1, 24), F(-1, 720), F(1, 40320), F(-1, 3628800),
-    F(1, 479001600),
-]
-_REF_SIN_CORE = [
-    F(1), F(-1, 6), F(1, 120), F(-1, 5040), F(1, 362880), F(-1, 39916800),
-    F(1, 6227020800),
-]
+_REF_COS_CORE = [F((-1) ** k, math.factorial(2 * k)) for k in range(7)]
+_REF_SIN_CORE = [F((-1) ** k, math.factorial(2 * k + 1)) for k in range(7)]
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 

@@ -142,10 +142,15 @@ def test_bench_is_deterministic_modulo_wall_time(tmp_path, capsys):
     assert strip(first) == strip(second)
 
 
-def test_bench_count_floor(tmp_path, capsys):
-    assert main(["bench", "--count", "10",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["bench", "gallery"])
+def test_bench_count_floor(command, tmp_path, capsys):
+    # both commands share the corpus split, and the message names the option;
+    # nothing is written
+    out = tmp_path / "x"
+    assert main([command, "--count", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --count must be at least 20, got 5\n")
+    assert not out.exists()
 
 
 def test_gallery_writes_matrices_and_manifest(tmp_path, capsys):

@@ -129,8 +129,9 @@ _BAD_INPUTS = (
     np.array([["1", "0"], ["0", "1"]]),
     [[1.0, 2.0], [3.0]],
 )
-# The drivers turn down a non-finite entry too: selection cannot size it.
-_NONFINITE = np.array([[math.inf, 0.0], [0.0, 0.0]])
+# Nor can any take an inf or NaN entry: selection cannot size it.
+_NONFINITE = (np.array([[math.inf, 0.0], [0.0, 0.0]]),
+              np.array([[1.0, 0.0], [math.nan, 1.0]]))
 
 # Every public evaluator as a function of the matrix alone: the oracle and
 # the three drivers, which hand the pair functions checked input.
@@ -142,17 +143,10 @@ _EVALUATORS = (
 )
 
 
-def test_cos_sin_rejects_bad_input():
-    for call in (cos_sin, pade_cos_sin):
-        for a in (*_BAD_INPUTS, _NONFINITE):
-            with pytest.raises(MatrixInputError):
-                call(a)
-
-
 def test_pair_functions_and_oracle_reject_bad_input():
     # the public pair functions are the drivers
     for call in _EVALUATORS:
-        for a in _BAD_INPUTS:
+        for a in (*_BAD_INPUTS, *_NONFINITE):
             with pytest.raises(MatrixInputError):
                 call(a)
 
@@ -439,12 +433,6 @@ def test_precision_is_a_precision_or_its_value(entry):
     for bad in ("bogus", "Single", None):
         with pytest.raises(ValueError):
             call(a, bad)
-
-
-def test_wave_rejects_bad_input():
-    for a in (*_BAD_INPUTS, _NONFINITE):
-        with pytest.raises(MatrixInputError):
-            wave_cos_sin(a, 1.0)
 
 
 # ------------------------------------------------- selection on powers

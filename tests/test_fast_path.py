@@ -522,6 +522,36 @@ def test_only_the_algebra_is_handed_the_structure_flag():
     assert takers == []
 
 
+def _calls_by_scope(tree):
+    """(qualified name of the enclosing function or class, "" at module
+    level, called name) for every call in a module."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield scope, getattr(func, "id", getattr(func, "attr", None))
+            yield from visit(child, scope)
+
+    return visit(tree, "")
+
+
+def test_only_the_driver_dispatch_calls_the_pair_functions():
+    # driver._pair is the one dispatch from a scheme's family to its pair;
+    # the drivers, the oracle's replay and the tests all reach the pairs
+    # through it, so the dispatch is not written twice
+    pairs = {"taylor_cos_sin", "wave_kernels", "pade8_cos_sin"}
+    paths = [*sorted((ROOT / "src" / "cossinm").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    callers = [(path.name, scope) for path in paths
+               for scope, name in _calls_by_scope(ast.parse(path.read_text()))
+               if name in pairs]
+    assert callers == [("driver.py", "_pair")] * len(pairs)
+
+
 # Chain stages, each one linear_combination call; the Pade pair has one.
 STAGES = {chain_deg2: 1, chain_deg4: 2, chain_deg8: 3, chain_deg12: 2}
 

@@ -397,14 +397,20 @@ def test_relative_error_conventions():
     assert relative_error_2(np.eye(2), bad) == math.inf
 
 
-def test_poly_algebra_agrees_with_matrix_algebra(rng):
-    """Replaying a chain over polynomials matches the float evaluation."""
-    x = 0.37
-    scheme = _taylor(6)
-    poly = extract_scheme_poly(scheme, Which.COS)
+@pytest.mark.parametrize("x", [0.37, -0.11])
+@pytest.mark.parametrize("side", [0, 1], ids=["cos", "sin"])
+@pytest.mark.parametrize("scheme", [SchemeId(*key) for key in SCHEMES],
+                         ids=lambda s: f"{s.family.value}-{s.k_products}")
+def test_poly_algebra_agrees_with_matrix_algebra(scheme, side, x):
+    """Replaying a pair over polynomials matches the float evaluation."""
+    wave = scheme.family is SchemeFamily.WAVE_KERNEL
+    which = ((Which.WAVE_C, Which.WAVE_S) if wave
+             else (Which.COS, Which.SIN))[side]
+    poly = extract_scheme_poly(scheme, which)
     with mp.workdps(60):
         horner = mp.mpf(0)
         for deg in range(poly.degree, -1, -1):
             horner = horner * x + poly.coefficient(deg)
     out = run_pair(np.array([[x]]), scheme, CostLedger())
-    assert out.cos_part[0, 0] == pytest.approx(float(horner), abs=5e-16)
+    got = (out.cos_part, out.sin_part)[side][0, 0]
+    assert got == pytest.approx(float(horner), abs=5e-16)
