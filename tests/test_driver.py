@@ -143,6 +143,19 @@ _EVALUATORS = (
 )
 
 
+def test_cos_sin_rejects_bad_input():
+    # the rule is matcore.as_matrix's, message included, for both
+    # trigonometric drivers
+    for call in (cos_sin, pade_cos_sin):
+        for a in _BAD_INPUTS:
+            with pytest.raises(MatrixInputError):
+                call(a)
+        for a in _NONFINITE:
+            with pytest.raises(MatrixInputError,
+                               match="^matrix entries must be finite$"):
+                call(a)
+
+
 def test_pair_functions_and_oracle_reject_bad_input():
     # the public pair functions are the drivers
     for call in _EVALUATORS:
@@ -433,6 +446,18 @@ def test_precision_is_a_precision_or_its_value(entry):
     for bad in ("bogus", "Single", None):
         with pytest.raises(ValueError):
             call(a, bad)
+
+
+def test_wave_rejects_bad_input():
+    # the matrix is checked whatever the time step is
+    for t in (1.0, 0.0, -2.5):
+        for a in _BAD_INPUTS:
+            with pytest.raises(MatrixInputError):
+                wave_cos_sin(a, t)
+        for a in _NONFINITE:
+            with pytest.raises(MatrixInputError,
+                               match="^matrix entries must be finite$"):
+                wave_cos_sin(a, t)
 
 
 # ------------------------------------------------- selection on powers
