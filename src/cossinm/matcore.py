@@ -23,11 +23,19 @@ The ledger counts products, not flops.  An upper-triangular operand, the
 form a Schur factor takes, keeps every polynomial and rational function of
 it upper triangular, so the driver tests its input once
 (is_upper_triangular) into the call's one schemes.MatrixAlgebra, which
-passes upper=True to the kernels: matmul then makes one triangular BLAS
-product (dtrmm, about half the flops of a dense one) and lu_solve_pair
-triangular solves (dtrsm) without an LU.  Each is still charged as before.
-Below _TRIANGULAR_MIN_N the triangular product saves too little, and no
-input takes the triangular path.
+passes upper=True to the kernels: matmul then makes a triangular product
+and lu_solve_pair triangular solves without an LU.  Each is still charged
+as before.  A product of two upper triangles needs n^3 / 3 flops against a
+dense product's 2 n^3, and a solve with an upper-triangular right-hand
+side n^3 / 3 against n^3.  Below _SPLIT_MIN_N the product is one dtrmm,
+which skips the left operand's zero triangle only (n^3 flops), and each
+solve one dtrsm, which reads the right-hand side as dense (n^3 flops).
+From _SPLIT_MIN_N both split at h = n // 2 into half blocks, the diagonal
+blocks recursively and the off-diagonal block by dtrmm and dtrsm on the
+halves, so they skip both operands' zero triangles (n^3 / 2 flops at one
+split, tending to n^3 / 3 as the split deepens).  Below
+_TRIANGULAR_MIN_N the triangular product saves too little, and no input
+takes the triangular path.
 
 Input is checked once, at the public boundary: as_matrix in every
 evaluator (shape, real entries, finiteness), and read_matrix for the CLI's
@@ -54,6 +62,22 @@ _EPS = float(np.finfo(np.float64).eps)
 # of an a @ b at n = 64, 0.93 at 80, 0.81 at 96 and 0.58-0.62 from 112 up;
 # below 96 the saving does not repay the structure test.
 _TRIANGULAR_MIN_N = 96
+
+# Smallest n whose upper-triangular products and solves split into half
+# blocks (_upper_product, _upper_solve); at 2 * _TRIANGULAR_MIN_N every
+# block that does not split again is at least _TRIANGULAR_MIN_N.  On a
+# 2-core Xeon VM with one OpenBLAS thread (best of 15 to 400 alternating
+# runs), in multiples of one a @ b at the same n, one dtrmm against the
+# split, and one solve pair as two whole dtrsm against the split:
+#
+#     n       96    128   192   256   384   512   1024
+#     dtrmm   0.86  0.62  0.59  0.60  0.57  0.56  0.55
+#     split   -     -     0.59  0.56  0.46  0.40  0.33
+#     dtrsm   4.50  3.39  3.24  3.60  3.46  2.55  2.02
+#     split   -     -     2.09  2.51  1.80  1.35  1.16
+#
+# Splitting 128 into 64-blocks took the product from 0.66 to 0.84.
+_SPLIT_MIN_N = 192
 
 # Smallest n whose stage combinations are one GEMM and whose Pade solves go
 # through one inverse.  On a 2-core Xeon VM with one OpenBLAS thread (best
@@ -128,7 +152,13 @@ def as_matrix(a) -> DenseMatrix:
         raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
     if a.size == 0:
         raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    a = a.astype(np.float64, order="C", copy=False)
+    if a.dtype == np.float64:
+        a = np.ascontiguousarray(a)
+    else:
+        # a wider float past binary64 casts to inf, which the finiteness
+        # test rejects; numpy's overflow warning would come first
+        with np.errstate(over="ignore"):
+            a = a.astype(np.float64, order="C")
     if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
     return a
@@ -142,10 +172,18 @@ def is_upper_triangular(a: DenseMatrix) -> bool:
     """True when square a, n >= _TRIANGULAR_MIN_N, is zero below its diagonal.
 
     The first subdiagonal is read first, so most dense input is turned down
-    without a pass over its lower triangle.
+    without a pass over its lower triangle.  The rest is read in panels of
+    64 columns, each the strict lower triangle of its diagonal block and
+    the rectangle below that block, so no n x n temporary is made.
     """
-    return (a.shape[0] >= _TRIANGULAR_MIN_N
-            and not np.diagonal(a, -1).any() and not np.tril(a, -1).any())
+    n = a.shape[0]
+    if n < _TRIANGULAR_MIN_N or np.diagonal(a, -1).any():
+        return False
+    for j in range(0, n, 64):
+        if (np.tril(a[j:j + 64, j:j + 64], -1).any()
+                or a[j + 64:, j:j + 64].any()):
+            return False
+    return True
 
 
 def matmul(
@@ -159,29 +197,69 @@ def matmul(
     """Matrix product, charged to the ledger as one product unit.
 
     With out, the product is written there (np.matmul's out, the same bits
-    as a @ b) and out is returned.  With upper, a is upper triangular (its
-    lower part is not read) and the product is one dtrmm, imported on first
-    use; it is charged 1 all the same.  A C-contiguous float64 out that
-    does not overlap a takes a copy of b, which the dtrmm overwrites in
-    place; any other out gets a copy of the result.
+    as a @ b) and out is returned.  With upper, a and b are upper
+    triangular, and so is the product; it is charged 1 all the same.
+    Below _SPLIT_MIN_N it is one dtrmm, imported on first use, which skips
+    a's zero triangle only (n^3 flops against a dense product's 2 n^3).  A
+    C-contiguous float64 out that does not overlap a then takes a copy of
+    b, which the dtrmm overwrites in place; any other out gets a copy of
+    the result.  From _SPLIT_MIN_N the product splits (_upper_product) and
+    skips both zero triangles (n^3 / 2 flops at one split, tending to
+    n^3 / 3).  It is written straight into an out that overlaps neither
+    operand, and copied into any other.
     """
     ledger.products += 1
-    if upper:
-        from scipy.linalg.blas import dtrmm
-
-        # AB = (B^T A^T)^T: the transposes of C-contiguous operands are
-        # Fortran-contiguous, so neither is reordered (B^T is copied once,
-        # into the result or into out), and A^T is lower triangular
+    if not upper:
+        return np.matmul(a, b, out=out)
+    if a.shape[0] >= _SPLIT_MIN_N:
         if out is None:
-            return dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-        if (out.dtype == np.float64 and out.flags.c_contiguous
-                and not np.shares_memory(out, a)):
-            out[...] = b
-            dtrmm(1.0, a.T, out.T, side=1, lower=1, overwrite_b=1)
-        else:
-            out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+            return _upper_product(a, b, np.empty(a.shape))
+        if np.shares_memory(out, a) or np.shares_memory(out, b):
+            out[...] = _upper_product(a, b, np.empty(a.shape))
+            return out
+        return _upper_product(a, b, out)
+    from scipy.linalg.blas import dtrmm
+
+    # AB = (B^T A^T)^T: the transposes of C-contiguous operands are
+    # Fortran-contiguous, so neither is reordered (B^T is copied once, into
+    # the result or into out), and A^T is lower triangular
+    if out is None:
+        return dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+    if (out.dtype == np.float64 and out.flags.c_contiguous
+            and not np.shares_memory(out, a)):
+        out[...] = b
+        dtrmm(1.0, a.T, out.T, side=1, lower=1, overwrite_b=1)
+    else:
+        out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+    return out
+
+
+def _upper_product(
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix
+) -> DenseMatrix:
+    """out[...] = a @ b for upper-triangular a and b; out is returned.
+
+    out overlaps neither operand.  At h = n // 2, C11 = A11 B11 and
+    C22 = A22 B22 recurse, C12 = A11 B12 + A12 B22 is two dtrmm on the
+    half blocks (a's diagonal block on the left of one, b's on the right
+    of the other) and C21 is +0.  A block below _SPLIT_MIN_N is one dtrmm,
+    with the bits matmul's has there.  scipy's wrapper copies each block
+    view it is given, as none is Fortran-contiguous: O(n^2) per level.
+    """
+    from scipy.linalg.blas import dtrmm
+
+    n = a.shape[0]
+    if n < _SPLIT_MIN_N:
+        out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
         return out
-    return np.matmul(a, b, out=out)
+    h = n // 2
+    _upper_product(a[:h, :h], b[:h, :h], out[:h, :h])
+    _upper_product(a[h:, h:], b[h:, h:], out[h:, h:])
+    np.add(dtrmm(1.0, a[:h, :h].T, b[:h, h:].T, side=1, lower=1).T,
+           dtrmm(1.0, b[h:, h:].T, a[:h, h:].T, side=0, lower=1).T,
+           out=out[:h, h:])
+    out[h:, :h] = 0.0
+    return out
 
 
 def norm1(a: DenseMatrix) -> float:
@@ -256,10 +334,14 @@ def lu_solve_pair(
     is as accurate as the two triangular solves (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 14).
 
-    With upper, the C-contiguous denominator is upper triangular and is not
-    factored: partial pivoting never swaps the rows of an upper-triangular
-    matrix, so its pivots are its diagonal, and one dtrsm per right-hand
-    side solves against it.  The ledger is charged as for the LU.
+    With upper, the C-contiguous denominator and both right-hand sides are
+    upper triangular, and the denominator is not factored: partial
+    pivoting never swaps the rows of an upper-triangular matrix, so its
+    pivots are its diagonal.  Below _SPLIT_MIN_N one dtrsm per right-hand
+    side solves against it (n^3 flops, reading the right-hand side as
+    dense); from _SPLIT_MIN_N each solve splits (_upper_solve) and skips
+    the zero triangles (n^3 / 2 flops at one split, tending to n^3 / 3).
+    The ledger is charged as for the LU.
     """
     n = denominator.shape[0]
     threshold = 1e3 * _EPS * norm1(denominator)
@@ -279,6 +361,9 @@ def lu_solve_pair(
         )
     ledger.charge_lu(solves=2)
     if upper:
+        if n >= _SPLIT_MIN_N:
+            return tuple(_upper_solve(denominator, rhs, np.empty((n, n)))
+                         for rhs in (rhs1, rhs2))
         from scipy.linalg.blas import dtrsm
 
         # X = D^-1 R as X^T = R^T (D^T)^-1, on the same transposed views
@@ -296,6 +381,31 @@ def lu_solve_pair(
     if info1 or info2:
         raise ValueError(f"illegal argument to dgetrs (info {info1 or info2})")
     return x1, x2
+
+
+def _upper_solve(
+    d: DenseMatrix, r: DenseMatrix, out: DenseMatrix
+) -> DenseMatrix:
+    """out[...] = d^-1 r for upper-triangular d and r; out is returned.
+
+    The blocks are _upper_product's: X22 = D22^-1 R22 and X11 = D11^-1 R11
+    recurse, X12 = D11^-1 (R12 - D12 X22) is one dtrmm (X22 on the right)
+    and one dtrsm, and X21 is +0.  A block below _SPLIT_MIN_N is one dtrsm.
+    """
+    from scipy.linalg.blas import dtrmm, dtrsm
+
+    n = d.shape[0]
+    if n < _SPLIT_MIN_N:
+        out[...] = dtrsm(1.0, d.T, r.T, side=1, lower=1).T
+        return out
+    h = n // 2
+    x22 = _upper_solve(d[h:, h:], r[h:, h:], out[h:, h:])
+    _upper_solve(d[:h, :h], r[:h, :h], out[:h, :h])
+    rest = r[:h, h:] - dtrmm(1.0, x22.T, d[:h, h:].T, side=0, lower=1).T
+    out[:h, h:] = dtrsm(1.0, d[:h, :h].T, rest.T, side=1, lower=1,
+                        overwrite_b=1).T
+    out[h:, :h] = 0.0
+    return out
 
 
 def read_matrix(path: str) -> DenseMatrix:

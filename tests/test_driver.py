@@ -164,6 +164,20 @@ def test_pair_functions_and_oracle_reject_bad_input():
                 call(a)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+                    reason="long double is binary64 on this platform")
+def test_a_wide_float_past_binary64_is_rejected_without_a_warning():
+    # the cast to binary64 overflows to inf, which the finiteness test
+    # rejects; numpy's overflow warning must not surface in its place
+    a = np.array([[np.longdouble("1e4000")]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in _EVALUATORS:
+            with pytest.raises(MatrixInputError,
+                               match="^matrix entries must be finite$"):
+                call(a)
+
+
 def _same_bits(got, want):
     return (got.cos_part.tobytes() == want.cos_part.tobytes()
             and got.sin_part.tobytes() == want.sin_part.tobytes())
@@ -220,6 +234,22 @@ def _blas_spy(monkeypatch):
     return calls
 
 
+def _upper_kernel_spy(monkeypatch):
+    """Count the triangular products and solves the schemes layer asks of
+    matcore (matmul and lu_solve_pair with upper), whatever BLAS calls each
+    makes."""
+    calls = {"matmul": 0, "lu_solve_pair": 0}
+    for name in calls:
+        kernel = getattr(schemes, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += kwargs["upper"]
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, name, counted)
+    return calls
+
+
 def _dense_path(monkeypatch, call, a):
     with monkeypatch.context() as m:
         m.setattr(matcore, "_TRIANGULAR_MIN_N", math.inf)
@@ -263,26 +293,29 @@ def test_input_layout_moves_no_bit(entry, form, n):
 @pytest.mark.parametrize("kind", ["jordan", "triu"])
 def test_upper_triangular_input_takes_the_triangular_kernels(
         monkeypatch, entry, kind):
-    n = 2 * matcore._TRIANGULAR_MIN_N
-    a = _triangular_inputs(n)[kind]
-    call = _ENTRY_POINTS[entry]
-    want = _dense_path(monkeypatch, call, a)
-    calls = _blas_spy(monkeypatch)
-    got = call(a)
-    # selection forms y = A^2 (free for the wave pair) and y^2 densely;
-    # every other product is one dtrmm, and the Pade solves (charged 1/3 + 2)
-    # are two dtrsm
-    dense = 1 if entry == "wave_cos_sin" else 2
-    solves = 2 if entry == "pade_cos_sin" else 0
-    assert calls == {
-        "dtrmm": got.total_products - dense - Fraction(7, 6) * solves,
-        "dtrsm": solves}
-    _same_choice(got, want)
-    tol = 1e3 * n * 4.0 ** got.scaling_exponent * 2.0 ** -53
-    for x, ref in ((got.result.cos_part, want.result.cos_part),
-                   (got.result.sin_part, want.result.sin_part)):
-        assert norm1(x - ref) <= tol * norm1(ref)
-        assert not np.tril(x, -1).any()
+    # at an n whose triangular kernels split once, and one where they split
+    # twice
+    for n in (2 * matcore._TRIANGULAR_MIN_N, 2 * matcore._SPLIT_MIN_N):
+        a = _triangular_inputs(n)[kind]
+        call = _ENTRY_POINTS[entry]
+        want = _dense_path(monkeypatch, call, a)
+        with monkeypatch.context() as m:
+            calls = _upper_kernel_spy(m)
+            got = call(a)
+        # selection forms y = A^2 (free for the wave pair) and y^2 densely;
+        # every other product is a triangular one, and the Pade pair's
+        # solves (charged 1/3 + 2) are one triangular solve pair
+        dense = 1 if entry == "wave_cos_sin" else 2
+        pairs = 1 if entry == "pade_cos_sin" else 0
+        assert calls == {
+            "matmul": got.total_products - dense - Fraction(7, 3) * pairs,
+            "lu_solve_pair": pairs}
+        _same_choice(got, want)
+        tol = 1e3 * n * 4.0 ** got.scaling_exponent * 2.0 ** -53
+        for x, ref in ((got.result.cos_part, want.result.cos_part),
+                       (got.result.sin_part, want.result.sin_part)):
+            assert norm1(x - ref) <= tol * norm1(ref)
+            assert not np.tril(x, -1).any()
 
 
 def _nearly_upper(n):

@@ -63,12 +63,20 @@ def _upper_pair(rng, n):
     return np.triu(rng.standard_normal((n, n))), jordan
 
 
+# Sizes on the triangular path: below the split, odd and split once (into
+# halves of 96 and 97), and split twice (384 into 192 into 96)
+_SPLIT_SIZES = (matcore._TRIANGULAR_MIN_N, matcore._SPLIT_MIN_N + 1,
+                2 * matcore._SPLIT_MIN_N)
+
+
 def test_upper_triangular_predicate(rng):
     n = matcore._TRIANGULAR_MIN_N
     for a in _upper_pair(rng, n):
         assert is_upper_triangular(a)
         assert not is_upper_triangular(a[1:, 1:])  # below the crossover
-        for i, j in ((1, 0), (n - 1, 0), (n - 1, n - 3)):
+        # the first subdiagonal, below the first panel, inside the first
+        # and the last panel's diagonal blocks
+        for i, j in ((1, 0), (n - 1, 0), (40, 20), (n - 1, n - 3)):
             b = a.copy()
             b[i, j] = 5e-324
             assert not is_upper_triangular(b)
@@ -76,47 +84,54 @@ def test_upper_triangular_predicate(rng):
 
 
 def test_upper_matmul_matches_the_dense_product(rng):
-    n = 2 * matcore._TRIANGULAR_MIN_N
-    triu, jordan = _upper_pair(rng, n)
-    for a, b in ((triu, jordan), (jordan, triu), (triu, triu)):
-        ledger = CostLedger()
-        got = matmul(a, b, ledger, upper=True)
-        want = a @ b
-        bound = n * 2.0 ** -53 * norm1(a) * norm1(b)
-        assert norm1(got - want) <= bound
-        assert not np.tril(got, -1).any()
-        assert got.flags.c_contiguous
-        assert ledger.products == 1 and ledger.total_cost == Fraction(1)
+    from scipy.linalg.blas import dtrmm
+
+    for n in _SPLIT_SIZES:
+        triu, jordan = _upper_pair(rng, n)
+        for a, b in ((triu, jordan), (jordan, triu), (triu, triu)):
+            ledger = CostLedger()
+            got = matmul(a, b, ledger, upper=True)
+            want = a @ b
+            bound = n * 2.0 ** -53 * norm1(a) * norm1(b)
+            assert norm1(got - want) <= bound
+            assert not np.tril(got, -1).any()
+            assert got.flags.c_contiguous
+            assert ledger.products == 1 and ledger.total_cost == Fraction(1)
+            if n < matcore._SPLIT_MIN_N:
+                single = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+                assert got.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("upper", [False, True])
 def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
-    n = matcore._TRIANGULAR_MIN_N
-    a, b = _upper_pair(rng, n)
-    stack = np.full((3, n, n), np.nan)
-    ledger = CostLedger()
-    got = matmul(a, b, ledger, upper=upper, out=stack[1])
-    assert np.shares_memory(got, stack[1])
-    want = matmul(a, b, CostLedger(), upper=upper)
-    assert stack[1].tobytes() == want.tobytes()
-    assert np.isnan(stack[[0, 2]]).all()
-    assert ledger.products == 1
+    for n in _SPLIT_SIZES:
+        a, b = _upper_pair(rng, n)
+        stack = np.full((3, n, n), np.nan)
+        ledger = CostLedger()
+        got = matmul(a, b, ledger, upper=upper, out=stack[1])
+        assert np.shares_memory(got, stack[1])
+        want = matmul(a, b, CostLedger(), upper=upper)
+        assert stack[1].tobytes() == want.tobytes()
+        assert np.isnan(stack[[0, 2]]).all()
+        assert ledger.products == 1
 
 
 @pytest.mark.parametrize("into", ["a", "b", "strided"])
 def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
-    # out overlapping a, or not C-contiguous, takes a copy of the result;
-    # out = b takes the in-place path on b itself
-    n = matcore._TRIANGULAR_MIN_N
-    a, b = _upper_pair(rng, n)
-    want = matmul(a, b, CostLedger(), upper=True)
-    if into == "strided":
-        out = np.empty((n, 2 * n))[:, ::2]
-    else:
-        out = {"a": a, "b": b}[into]
-    got = matmul(a, b, CostLedger(), upper=True, out=out)
-    assert got is out
-    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    # below the split, out overlapping a, or not C-contiguous, takes a copy
+    # of the result, and out = b takes the in-place path on b itself; from
+    # the split, out overlapping either operand takes a copy, and a strided
+    # out is written block by block
+    for n in _SPLIT_SIZES:
+        a, b = _upper_pair(rng, n)
+        want = matmul(a, b, CostLedger(), upper=True)
+        if into == "strided":
+            out = np.empty((n, 2 * n))[:, ::2]
+        else:
+            out = {"a": a, "b": b}[into]
+        got = matmul(a, b, CostLedger(), upper=True, out=out)
+        assert got is out
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_norm1_is_max_column_sum(rng):
@@ -273,14 +288,21 @@ def test_lu_solve_pair_residuals(rng):
 
 
 def test_upper_lu_solve_pair_residuals(rng):
-    n = 2 * matcore._TRIANGULAR_MIN_N
-    den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
-    rhs1, rhs2 = _upper_pair(rng, n)
-    ledger = CostLedger()
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=True)
-    assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
-    assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
-    assert ledger.total_cost == Fraction(7, 3)
+    from scipy.linalg.blas import dtrsm
+
+    for n in _SPLIT_SIZES:
+        den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
+        rhs1, rhs2 = _upper_pair(rng, n)
+        ledger = CostLedger()
+        x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=True)
+        assert ledger.total_cost == Fraction(7, 3)
+        for x, rhs in ((x1, rhs1), (x2, rhs2)):
+            assert np.max(np.abs(den @ x - rhs)) <= 1e-12
+            assert not np.tril(x, -1).any()
+            assert x.flags.c_contiguous
+            if n < matcore._SPLIT_MIN_N:
+                want = dtrsm(1.0, den.T, rhs.T, side=1, lower=1).T
+                assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [matcore._GEMM_MIN_N, 256])
@@ -334,8 +356,8 @@ def test_lu_solve_pair_detects_singular_on_both_sides_of_the_crossover():
 
 
 def test_upper_lu_solve_pair_keeps_its_triangular_solves(rng, monkeypatch):
-    # above both crossovers the upper path is still the two dtrsm, bit for
-    # bit the result with the inverse path switched off
+    # above both crossovers the upper path keeps its triangular solves, bit
+    # for bit the result with the inverse path switched off
     n = 2 * matcore._TRIANGULAR_MIN_N
     assert n >= matcore._GEMM_MIN_N
     den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
