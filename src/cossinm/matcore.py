@@ -152,13 +152,10 @@ def as_matrix(a) -> DenseMatrix:
         raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
     if a.size == 0:
         raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    if a.dtype == np.float64:
-        a = np.ascontiguousarray(a)
-    else:
-        # a wider float past binary64 casts to inf, which the finiteness
-        # test rejects; numpy's overflow warning would come first
-        with np.errstate(over="ignore"):
-            a = a.astype(np.float64, order="C")
+    # a wider float past binary64 casts to inf, which the finiteness test
+    # rejects; numpy's overflow warning would come first
+    with np.errstate(over="ignore"):
+        a = a.astype(np.float64, order="C", copy=False)
     if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
     return a
@@ -198,60 +195,48 @@ def matmul(
 
     With out, the product is written there (np.matmul's out, the same bits
     as a @ b) and out is returned.  With upper, a and b are upper
-    triangular, and so is the product; it is charged 1 all the same.
-    Below _SPLIT_MIN_N it is one dtrmm, imported on first use, which skips
-    a's zero triangle only (n^3 flops against a dense product's 2 n^3).  A
-    C-contiguous float64 out that does not overlap a then takes a copy of
-    b, which the dtrmm overwrites in place; any other out gets a copy of
-    the result.  From _SPLIT_MIN_N the product splits (_upper_product) and
-    skips both zero triangles (n^3 / 2 flops at one split, tending to
-    n^3 / 3).  It is written straight into an out that overlaps neither
-    operand, and copied into any other.
+    triangular, and so is the product; it is charged 1 all the same.  It
+    is _upper_product, written straight into an out that overlaps neither
+    operand and copied into any other.
     """
     ledger.products += 1
     if not upper:
         return np.matmul(a, b, out=out)
-    if a.shape[0] >= _SPLIT_MIN_N:
-        if out is None:
-            return _upper_product(a, b, np.empty(a.shape))
-        if np.shares_memory(out, a) or np.shares_memory(out, b):
-            out[...] = _upper_product(a, b, np.empty(a.shape))
-            return out
-        return _upper_product(a, b, out)
-    from scipy.linalg.blas import dtrmm
-
-    # AB = (B^T A^T)^T: the transposes of C-contiguous operands are
-    # Fortran-contiguous, so neither is reordered (B^T is copied once, into
-    # the result or into out), and A^T is lower triangular
     if out is None:
-        return dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-    if (out.dtype == np.float64 and out.flags.c_contiguous
-            and not np.shares_memory(out, a)):
-        out[...] = b
-        dtrmm(1.0, a.T, out.T, side=1, lower=1, overwrite_b=1)
-    else:
-        out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-    return out
+        return _upper_product(a, b)
+    if np.shares_memory(out, a) or np.shares_memory(out, b):
+        out[...] = _upper_product(a, b)
+        return out
+    return _upper_product(a, b, out)
 
 
 def _upper_product(
-    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None = None
 ) -> DenseMatrix:
-    """out[...] = a @ b for upper-triangular a and b; out is returned.
+    """a @ b for upper-triangular a and b, in out when given (out is then
+    returned, and overlaps neither operand).
 
-    out overlaps neither operand.  At h = n // 2, C11 = A11 B11 and
-    C22 = A22 B22 recurse, C12 = A11 B12 + A12 B22 is two dtrmm on the
-    half blocks (a's diagonal block on the left of one, b's on the right
-    of the other) and C21 is +0.  A block below _SPLIT_MIN_N is one dtrmm,
-    with the bits matmul's has there.  scipy's wrapper copies each block
-    view it is given, as none is Fortran-contiguous: O(n^2) per level.
+    At h = n // 2, C11 = A11 B11 and C22 = A22 B22 recurse,
+    C12 = A11 B12 + A12 B22 is two dtrmm on the half blocks (a's diagonal
+    block on the left of one, b's on the right of the other) and C21 is
+    +0.  A block below _SPLIT_MIN_N is one dtrmm on the transposed views:
+    AB = (B^T A^T)^T, and the transposes of C-contiguous operands are
+    Fortran-contiguous with A^T lower triangular.  Without out that block
+    is returned as the dtrmm made it, not copied.  scipy's wrapper copies
+    each block view it is given that is not Fortran-contiguous: O(n^2)
+    per level.
     """
     from scipy.linalg.blas import dtrmm
 
     n = a.shape[0]
     if n < _SPLIT_MIN_N:
-        out[...] = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+        c = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
+        if out is None:
+            return c
+        out[...] = c
         return out
+    if out is None:
+        out = np.empty(a.shape)
     h = n // 2
     _upper_product(a[:h, :h], b[:h, :h], out[:h, :h])
     _upper_product(a[h:, h:], b[h:, h:], out[h:, h:])
@@ -337,11 +322,8 @@ def lu_solve_pair(
     With upper, the C-contiguous denominator and both right-hand sides are
     upper triangular, and the denominator is not factored: partial
     pivoting never swaps the rows of an upper-triangular matrix, so its
-    pivots are its diagonal.  Below _SPLIT_MIN_N one dtrsm per right-hand
-    side solves against it (n^3 flops, reading the right-hand side as
-    dense); from _SPLIT_MIN_N each solve splits (_upper_solve) and skips
-    the zero triangles (n^3 / 2 flops at one split, tending to n^3 / 3).
-    The ledger is charged as for the LU.
+    pivots are its diagonal.  Each solve is _upper_solve.  The ledger is
+    charged as for the LU.
     """
     n = denominator.shape[0]
     threshold = 1e3 * _EPS * norm1(denominator)
@@ -361,15 +343,8 @@ def lu_solve_pair(
         )
     ledger.charge_lu(solves=2)
     if upper:
-        if n >= _SPLIT_MIN_N:
-            return tuple(_upper_solve(denominator, rhs, np.empty((n, n)))
-                         for rhs in (rhs1, rhs2))
-        from scipy.linalg.blas import dtrsm
-
-        # X = D^-1 R as X^T = R^T (D^T)^-1, on the same transposed views
-        # as matmul's, so each X comes back C-contiguous
-        return tuple(dtrsm(1.0, denominator.T, rhs.T, side=1, lower=1).T
-                     for rhs in (rhs1, rhs2))
+        return (_upper_solve(denominator, rhs1),
+                _upper_solve(denominator, rhs2))
     if n >= _GEMM_MIN_N:
         work, _ = dgetri_lwork(n)
         inverse, info = dgetri(lu, piv, lwork=int(work), overwrite_lu=1)
@@ -384,20 +359,28 @@ def lu_solve_pair(
 
 
 def _upper_solve(
-    d: DenseMatrix, r: DenseMatrix, out: DenseMatrix
+    d: DenseMatrix, r: DenseMatrix, out: DenseMatrix | None = None
 ) -> DenseMatrix:
-    """out[...] = d^-1 r for upper-triangular d and r; out is returned.
+    """d^-1 r for upper-triangular d and r, in out when given (out is then
+    returned).
 
     The blocks are _upper_product's: X22 = D22^-1 R22 and X11 = D11^-1 R11
     recurse, X12 = D11^-1 (R12 - D12 X22) is one dtrmm (X22 on the right)
-    and one dtrsm, and X21 is +0.  A block below _SPLIT_MIN_N is one dtrsm.
+    and one dtrsm, and X21 is +0.  A block below _SPLIT_MIN_N is one dtrsm,
+    X^T = R^T (D^T)^-1 on _upper_product's transposed views, returned
+    without a copy when out is not given.
     """
     from scipy.linalg.blas import dtrmm, dtrsm
 
     n = d.shape[0]
     if n < _SPLIT_MIN_N:
-        out[...] = dtrsm(1.0, d.T, r.T, side=1, lower=1).T
+        x = dtrsm(1.0, d.T, r.T, side=1, lower=1).T
+        if out is None:
+            return x
+        out[...] = x
         return out
+    if out is None:
+        out = np.empty(d.shape)
     h = n // 2
     x22 = _upper_solve(d[h:, h:], r[h:, h:], out[h:, h:])
     _upper_solve(d[:h, :h], r[:h, :h], out[:h, :h])
