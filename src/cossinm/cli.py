@@ -73,6 +73,7 @@ def _report_line(report: ComputationReport) -> str:
         f"scheme={_scheme_label(report.scheme_used)}"
         f" s={report.scaling_exponent}"
         f" products={report.total_products}"
+        f" structure={report.structure}"
     )
 
 

@@ -43,9 +43,11 @@ entries, evaluated in binary64), and checks only t beyond it.
 Each entry point looks its table up by Precision(precision), so a
 precision's value ("double", "single") serves as well, and any other value
 raises ValueError.  A call's one schemes.MatrixAlgebra holds its ledger
-and whether A is upper triangular (from matcore's crossover size), and
-every product past selection's norms runs through it: a triangular A's
-products and Pade solves are triangular ones, charged as dense ones.
+and the structure of A (matcore.structure_of: upper triangular, symmetric
+or dense, each from matcore's crossover size), and every product runs
+through it, selection's included: a triangular A's products and Pade
+solves are triangular ones, a symmetric A's symmetric ones and a Cholesky
+solve, all charged as dense ones.
 """
 
 from __future__ import annotations
@@ -56,17 +58,17 @@ from fractions import Fraction
 
 import numpy as np
 
-# linear_combination is not called here, but stays a name of this module:
-# perfbench/tracing.py rebinds it to record its spans.
+# linear_combination and matmul are not called here, but stay names of this
+# module: perfbench/tracing.py rebinds them to record their spans.
 from .matcore import (
     CostLedger,
     DenseMatrix,
     MatrixInputError,
     as_matrix,
-    is_upper_triangular,
     linear_combination,
     matmul,
     norm1,
+    structure_of,
 )
 from .schemes import (
     CosSinResult,
@@ -107,7 +109,8 @@ class ComputationReport:
     (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where
     selection did not read a square's norm (an A^2 norm above 2^500, whose
     square waits for s, or a norm the cheapest scheme covers unscaled), its
-    entry repeats the one before it.
+    entry repeats the one before it.  structure names the kernels every
+    product and solve took: "dense", "upper" (triangular) or "symmetric".
     """
 
     result: CosSinResult
@@ -115,6 +118,7 @@ class ComputationReport:
     scaling_exponent: int
     total_products: Fraction
     selection_norms: tuple[float, ...] = ()
+    structure: str = "dense"
 
     @property
     def nonfinite(self) -> bool:
@@ -296,10 +300,9 @@ def _selection(
     operand, and the selection norms.  Every path forms both powers.  At
     the table's floor the cheapest scheme runs unscaled and no power's norm
     is read; where ||y||_1 exceeds 2^500, y^2 is formed from the scaled y
-    once s is chosen.  A product selection reads the norm of stays dense
-    (a triangular one may round differently, by an ulp in ||A^2||_1 on a
-    512 x 512 triangle): it is charged to alg's ledger but skips alg's
-    rule, which the others take.
+    once s is chosen.  Every product runs through alg, so a structured
+    one may round differently from the dense product, and the norms with
+    it (by an ulp in ||A^4||_1^(1/4) on a 512 x 512 triangle).
     """
     norm = norm1(x)
     if norm <= table.floor:
@@ -326,12 +329,12 @@ def _selection(
     if wave:
         y, y_norm = base, base_norm
     else:
-        y = matmul(base, base, alg.ledger)
+        y = alg.mul(base, base)
         y_norm = norm1(y)
     # root is ||y^2||^(1/2), or ||y|| when y^2 waits for s
     y2, root = None, y_norm
     if y_norm <= _SQUARE_LIMIT:
-        y2 = matmul(y, y, alg.ledger)
+        y2 = alg.mul(y, y)
         root = math.sqrt(norm1(y2))
     if wave:
         beta, delta = None, root
@@ -367,17 +370,18 @@ def _evaluate(
     """The one evaluation body: check, select, scale, evaluate, double.
 
     The family comes from the table; t is read for the wave pair only, and
-    must be finite.  An upper-triangular A keeps every matrix formed from
-    it upper triangular, so it is tested once (matcore.is_upper_triangular)
-    into the call's one MatrixAlgebra, with the ledger; selection, the pair
-    and the doubling steps run their products through it.  Selection keeps
-    the products whose norms it reads dense, so the choice of scheme and s,
-    with the norms it read, stays the dense path's bit for bit.  The
-    arithmetic runs with numpy's overflow and invalid-operation warnings
-    off: a result that overflowed says so in the report's nonfinite.
+    must be finite.  An upper-triangular (symmetric) A keeps every matrix
+    formed from it upper triangular (symmetric), so its structure is tested
+    once (matcore.structure_of) into the call's one MatrixAlgebra, with the
+    ledger; selection, the pair and the doubling steps run their products
+    through it.  Selection's norms may then move by ulps from the dense
+    path's, so a choice near a threshold could differ.  The arithmetic
+    runs with numpy's overflow and invalid-operation warnings off: a
+    result that overflowed says so in the report's nonfinite.
     """
     a = as_matrix(a)
-    alg = MatrixAlgebra(CostLedger(), is_upper_triangular(a))
+    structure = structure_of(a)
+    alg = MatrixAlgebra(CostLedger(), structure)
     wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
@@ -398,6 +402,7 @@ def _evaluate(
         scaling_exponent=s,
         total_products=alg.ledger.total_cost,
         selection_norms=norms,
+        structure=structure.value,
     )
 
 

@@ -19,13 +19,16 @@ bound of the plain sum but not its bits, and the solves are still charged
 _GEMM_MIN_N every combination has the bits of the plain zero-started sum,
 and every solve those of dgetrs.
 
-The ledger counts products, not flops.  An upper-triangular operand, the
-form a Schur factor takes, keeps every polynomial and rational function of
-it upper triangular, so the driver tests its input once
-(is_upper_triangular) into the call's one schemes.MatrixAlgebra, which
-passes upper=True to the kernels: matmul then makes a triangular product
-and lu_solve_pair triangular solves without an LU.  Each is still charged
-as before.  A product of two upper triangles needs n^3 / 3 flops against a
+The ledger counts products, not flops.  Two structures of an input survive
+in every polynomial and rational function of it: an upper-triangular A (the
+form a Schur factor takes) keeps every such matrix upper triangular, and a
+symmetric A keeps every such matrix symmetric, all of them commuting.  The
+driver tests its input once (structure_of) into the call's one
+schemes.MatrixAlgebra, which passes the Structure to the kernels: matmul
+and lu_solve_pair then skip what the structure makes redundant, each still
+charged as before.
+
+UPPER: a product of two upper triangles needs n^3 / 3 flops against a
 dense product's 2 n^3, and a solve with an upper-triangular right-hand
 side n^3 / 3 against n^3.  Below _SPLIT_MIN_N the product is one dtrmm,
 which skips the left operand's zero triangle only (n^3 flops), and each
@@ -37,6 +40,15 @@ split, tending to n^3 / 3 as the split deepens).  Below
 _TRIANGULAR_MIN_N the triangular product saves too little, and no input
 takes the triangular path.
 
+SYMMETRIC (from _SYMMETRIC_MIN_N): a square is one dsyrk (n^3 flops), and
+a product of two different operands, which commute, forms only its upper
+triangle in four row panels (5 n^3 / 4 flops); both then mirror the upper
+triangle into the lower one, so every product is exactly symmetric.  The
+Pade denominator p(y), with positive coefficients and y = A^2 positive
+semidefinite, is symmetric positive definite, so its two solves are a
+Cholesky factorization (dpotrf), the inverse from it (dpotri) and two
+symmetric products, still charged 1/3 + 2.
+
 Input is checked once, at the public boundary: as_matrix in every
 evaluator (shape, real entries, finiteness), and read_matrix for the CLI's
 matrix files (a header line ``rows cols``, then ``rows`` lines of ``cols``
@@ -47,6 +59,7 @@ again; numpy or LAPACK raises on a bug.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TypeAlias
@@ -79,6 +92,24 @@ _TRIANGULAR_MIN_N = 96
 # Splitting 128 into 64-blocks took the product from 0.66 to 0.84.
 _SPLIT_MIN_N = 192
 
+# Smallest n whose symmetric input takes the symmetric kernels.  On a 2-core
+# Xeon VM with one OpenBLAS thread (best of 31 interleaved runs), in
+# multiples of one a @ b at the same n: a square (dsyrk), a product of two
+# symmetric matrices (four upper row panels), each with its mirror, and a
+# Pade solve pair through dpotrf and dpotri against dgetrf and dgetri, each
+# with its two products:
+#
+#     n         128   192   256   320   384   512   1024
+#     square    1.11  0.89  0.89  0.76  0.64  0.60  0.62
+#     panels    1.07  0.95  1.01  0.85  0.69  0.69  0.76
+#     Cholesky  5.20  4.32  4.98  4.04  3.64  3.14  2.84
+#     LU        6.43  5.79  6.18  5.38  4.81  4.39  4.31
+#
+# At 256 the squares and panels were 0.89-1.10 over repeated runs, and
+# whole symmetric calls 0.76-1.14 of the dense ones; the structure test
+# costs 0.11-0.13 of a product from 384 up.
+_SYMMETRIC_MIN_N = 320
+
 # Smallest n whose stage combinations are one GEMM and whose Pade solves go
 # through one inverse.  On a 2-core Xeon VM with one OpenBLAS thread (best
 # of 7), a 4 x 4 stage took 2.3 us as a GEMM at n = 2 against 3.7 as an
@@ -89,6 +120,22 @@ _SPLIT_MIN_N = 192
 # 64 the acceptance corpus and the small benchmark (n <= 16) keep their
 # bits: a GEMM at every n dropped criterion 5 to 440/500, below its gate.
 _GEMM_MIN_N = 64
+
+
+class Structure(enum.Enum):
+    """What every matrix of a call keeps from its input: nothing (DENSE),
+    a zero strict lower triangle (UPPER), or symmetry (SYMMETRIC)."""
+
+    DENSE = "dense"
+    UPPER = "upper"
+    SYMMETRIC = "symmetric"
+
+
+# The members as module names: reading one as a class attribute took 0.13
+# us on CPython 3.11, and matmul reads one per product, which at n <= 16
+# costs about as much as the product itself
+_DENSE, _UPPER, _SYMMETRIC = (
+    Structure.DENSE, Structure.UPPER, Structure.SYMMETRIC)
 
 
 class MatrixInputError(ValueError):
@@ -183,35 +230,63 @@ def is_upper_triangular(a: DenseMatrix) -> bool:
     return True
 
 
+def is_symmetric(a: DenseMatrix) -> bool:
+    """True when square a, n >= _SYMMETRIC_MIN_N, equals its transpose.
+
+    The first row is compared with the first column first, so most
+    nonsymmetric input is turned down after 2n reads.  The rest is read in
+    panels of 64 rows, each against the matching 64 columns, so no n x n
+    temporary is made.
+    """
+    n = a.shape[0]
+    if n < _SYMMETRIC_MIN_N or not np.array_equal(a[0], a[:, 0]):
+        return False
+    for j in range(0, n, 64):
+        if not np.array_equal(a[j:j + 64, j:], a[j:, j:j + 64].T):
+            return False
+    return True
+
+
+def structure_of(a: DenseMatrix) -> Structure:
+    """The structure a call's kernels may use: UPPER when is_upper_triangular,
+    else SYMMETRIC when is_symmetric, else DENSE."""
+    if is_upper_triangular(a):
+        return _UPPER
+    if is_symmetric(a):
+        return _SYMMETRIC
+    return _DENSE
+
+
 def matmul(
     a: DenseMatrix,
     b: DenseMatrix,
     ledger: CostLedger,
     *,
-    upper: bool = False,
+    structure: Structure,
     out: DenseMatrix | None = None,
 ) -> DenseMatrix:
     """Matrix product, charged to the ledger as one product unit.
 
-    With out, the product is written there (np.matmul's out, the same bits
-    as a @ b) and out is returned.  With upper, a and b are upper
-    triangular, and so is the product; it is charged 1 all the same.  It
-    is _upper_product, written straight into an out that overlaps neither
-    operand and copied into any other.
+    With out, the product is written there and out is returned.  DENSE is
+    np.matmul (with out, the same bits as a @ b).  Otherwise a and b have
+    the structure, and so does the product; it is charged 1 all the same.
+    UPPER is _upper_product and SYMMETRIC _symmetric_product, written
+    straight into an out that overlaps neither operand and copied into any
+    other.
     """
     ledger.products += 1
-    if not upper:
+    if structure is _DENSE:
         return np.matmul(a, b, out=out)
-    if out is None:
-        return _upper_product(a, b)
-    if np.shares_memory(out, a) or np.shares_memory(out, b):
-        out[...] = _upper_product(a, b)
+    kernel = _upper_product if structure is _UPPER else _symmetric_product
+    if out is not None and (np.shares_memory(out, a)
+                            or np.shares_memory(out, b)):
+        out[...] = kernel(a, b, None)
         return out
-    return _upper_product(a, b, out)
+    return kernel(a, b, out)
 
 
 def _upper_product(
-    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None = None
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
 ) -> DenseMatrix:
     """a @ b for upper-triangular a and b, in out when given (out is then
     returned, and overlaps neither operand).
@@ -245,6 +320,55 @@ def _upper_product(
            out=out[:h, h:])
     out[h:, :h] = 0.0
     return out
+
+
+def _symmetric_product(
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
+) -> DenseMatrix:
+    """a @ b, exactly symmetric, for symmetric a and b that commute: a new
+    C-contiguous array, or out when given (out overlaps neither operand).
+
+    A square (a is b) is one dsyrk: a^T a on the transposed view, whose
+    lower triangle in Fortran order is the upper one in C order, copied
+    into out when given (no square of a chain is written into a slab).
+    Any other product forms its upper triangle in four row panels,
+    a[i:i+h] @ b[:, i:], straight into out.  Either way _mirror_upper then
+    copies the upper triangle into the lower one.
+    """
+    if a is b:
+        from scipy.linalg.blas import dsyrk
+
+        c = dsyrk(1.0, a.T, lower=1).T
+        if out is not None:
+            out[...] = c
+            c = out
+    else:
+        n = a.shape[0]
+        c = np.empty(a.shape) if out is None else out
+        h = -(-n // 4)
+        for i in range(0, n, h):
+            np.matmul(a[i:i + h], b[:, i:], out=c[i:i + h, i:])
+    _mirror_upper(c)
+    return c
+
+
+_MIRROR_LEAF = 64
+_STRICT_LOWER = np.tri(_MIRROR_LEAF, k=-1, dtype=bool)
+
+
+def _mirror_upper(m: DenseMatrix) -> None:
+    # m's strict upper triangle copied into its strict lower one: the
+    # off-diagonal half block as one transposed copy, the diagonal blocks
+    # recursively, and a block of at most _MIRROR_LEAF through a mask
+    # (copyto copies an overlapping source first)
+    n = m.shape[0]
+    if n <= _MIRROR_LEAF:
+        np.copyto(m, m.T, where=_STRICT_LOWER[:n, :n])
+        return
+    h = n // 2
+    m[h:, :h] = m[:h, h:].T
+    _mirror_upper(m[:h, :h])
+    _mirror_upper(m[h:, h:])
 
 
 def norm1(a: DenseMatrix) -> float:
@@ -298,7 +422,7 @@ def lu_solve_pair(
     rhs2: DenseMatrix,
     ledger: CostLedger,
     *,
-    upper: bool,
+    structure: Structure,
 ) -> tuple[DenseMatrix, DenseMatrix]:
     """Solve denominator @ X_i = rhs_i for both right-hand sides.
 
@@ -319,16 +443,33 @@ def lu_solve_pair(
     is as accurate as the two triangular solves (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 14).
 
-    With upper, the C-contiguous denominator and both right-hand sides are
+    With UPPER, the C-contiguous denominator and both right-hand sides are
     upper triangular, and the denominator is not factored: partial
     pivoting never swaps the rows of an upper-triangular matrix, so its
-    pivots are its diagonal.  Each solve is _upper_solve.  The ledger is
+    pivots are its diagonal.  Each solve is _upper_solve.
+
+    With SYMMETRIC, the denominator is symmetric positive definite and
+    commutes with both symmetric right-hand sides.  It is factored by
+    dpotrf, whose pivots are the squares of the Cholesky factor's
+    diagonal (a pivot that is not positive stops it, and is the one
+    read), inverted by dpotri, mirrored, and each solve is one
+    _symmetric_product with that inverse.  Either way the ledger is
     charged as for the LU.
     """
     n = denominator.shape[0]
     threshold = 1e3 * _EPS * norm1(denominator)
-    if upper:
+    if structure is _UPPER:
         small = np.abs(np.diagonal(denominator)).min()
+    elif structure is _SYMMETRIC:
+        from scipy.linalg.lapack import dpotrf, dpotri
+
+        # the Fortran-ordered lower factor of the transposed view is the
+        # upper one of the C-ordered denominator
+        factor, info = dpotrf(denominator.T, lower=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        small = (factor[info - 1, info - 1] if info
+                 else np.diagonal(factor).min() ** 2)
     else:
         from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
@@ -342,9 +483,17 @@ def lu_solve_pair(
             f" <= {threshold:.3e})"
         )
     ledger.charge_lu(solves=2)
-    if upper:
+    if structure is _UPPER:
         return (_upper_solve(denominator, rhs1),
                 _upper_solve(denominator, rhs2))
+    if structure is _SYMMETRIC:
+        inverse, info = dpotri(factor, lower=1, overwrite_c=1)
+        if info:
+            raise ValueError(f"dpotri failed (info {info})")
+        inverse = inverse.T
+        _mirror_upper(inverse)
+        return (_symmetric_product(inverse, rhs1, None),
+                _symmetric_product(inverse, rhs2, None))
     if n >= _GEMM_MIN_N:
         work, _ = dgetri_lwork(n)
         inverse, info = dgetri(lu, piv, lwork=int(work), overwrite_lu=1)

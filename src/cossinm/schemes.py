@@ -16,10 +16,11 @@ a pair through its one dispatch (driver._pair) and owns every fact it
 reads: it checks the input, scales it, forms y and y^2 once and hands them
 in, with the one MatrixAlgebra of the call.  A pair returns one
 CosSinResult and runs the products past y^2, and the Pade solves, through
-that algebra, which charges them to the call's ledger and alone knows
-whether they are triangular.  The verification oracle replays the same
-dispatch over 60-digit scalar polynomials, each sine's leading factor and
-the Pade solve included, to extract every coefficient a scheme computes.
+that algebra, which charges them to the call's ledger and alone knows the
+structure (triangular, symmetric or neither) they keep.  The verification
+oracle replays the same dispatch over 60-digit scalar polynomials, each
+sine's leading factor and the Pade solve included, to extract every
+coefficient a scheme computes.
 
 A chain works in stages over one basis stack: the identity, y, y^2, then
 the products and sums the chain forms, each written straight into its slab.
@@ -56,6 +57,7 @@ import numpy as np
 from .matcore import (
     CostLedger,
     DenseMatrix,
+    Structure,
     linear_combination,
     lu_solve_pair,
     matmul,
@@ -324,15 +326,16 @@ class MatrixAlgebra:
     Chains read the float64 blocks.  A basis is one C-contiguous
     (depth, n, n) array, so a stage's combinations are one
     linear_combination over a prefix of it, and its rows (views into one
-    result array) are returned as they are.  With upper, every operand is
-    upper triangular, as every rational function of an upper-triangular
-    matrix is, and each product and solve is a triangular one (the
-    kernels' upper); no other layer reads the flag.
+    result array) are returned as they are.  structure is what every
+    operand keeps from the call's input, as every rational function of an
+    upper-triangular (symmetric) matrix is upper triangular (symmetric),
+    and each product and solve takes the kernels for it; no other layer
+    reads it.
     """
 
-    def __init__(self, ledger: CostLedger, upper: bool) -> None:
+    def __init__(self, ledger: CostLedger, structure: Structure) -> None:
         self.ledger = ledger
-        self._upper = upper
+        self._structure = structure
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.floats
@@ -350,12 +353,14 @@ class MatrixAlgebra:
     def mul(
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
     ) -> DenseMatrix:
-        return matmul(p, q, self.ledger, upper=self._upper, out=out)
+        return matmul(p, q, self.ledger, structure=self._structure,
+                      out=out)
 
     def solve(
         self, den: DenseMatrix, rhs1: DenseMatrix, rhs2: DenseMatrix
     ) -> tuple[DenseMatrix, DenseMatrix]:
-        return lu_solve_pair(den, rhs1, rhs2, self.ledger, upper=self._upper)
+        return lu_solve_pair(den, rhs1, rhs2, self.ledger,
+                             structure=self._structure)
 
     def lin(self, basis: np.ndarray, block: np.ndarray) -> np.ndarray:
         return linear_combination(basis, block)

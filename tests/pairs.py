@@ -1,7 +1,7 @@
 """The pair functions as the driver calls them, for the scheme-level tests."""
 
 from cossinm.driver import _pair
-from cossinm.matcore import is_upper_triangular
+from cossinm.matcore import structure_of
 from cossinm.schemes import MatrixAlgebra, SchemeFamily
 
 
@@ -10,11 +10,11 @@ def run_pair(a, scheme, ledger, t=1.0):
 
     The powers the driver hands in, y and y^2 (y = A^2, or t^2 A for the
     wave pair), are formed here in the algebra the driver would make,
-    charged to ledger and triangular as its structure test says, so the
+    charged to ledger and structured as its structure test says, so the
     ledger totals the pair's cost.  The pair is reached through the
     driver's own dispatch.
     """
-    alg = MatrixAlgebra(ledger, is_upper_triangular(a))
+    alg = MatrixAlgebra(ledger, structure_of(a))
     wave = scheme.family is SchemeFamily.WAVE_KERNEL
     y = t * t * a if wave else alg.mul(a, a)
     return _pair(scheme, t if wave else a, alg, (y, alg.mul(y, y)))

@@ -15,7 +15,7 @@ from cossinm.driver import (
     wave_cos_sin,
 )
 from cossinm.gallery import CorpusSpec, generate_corpus
-from cossinm.matcore import CostLedger, MatrixInputError, norm1
+from cossinm.matcore import CostLedger, MatrixInputError, Structure, norm1
 from cossinm.schemes import (
     PADE8,
     CosSinResult,
@@ -191,7 +191,7 @@ def test_nested_list_input_matches_the_array():
         assert _same_bits(call(rows), call(np.array(rows)))
 
 
-# ------------------------------------------------- upper-triangular input
+# ------------------------------------- upper-triangular and symmetric input
 
 
 _ENTRY_POINTS = {
@@ -209,32 +209,45 @@ def _triangular_inputs(n):
             "triu": triu * (24.0 / norm1(triu))}
 
 
-def _blas_spy(monkeypatch):
-    """Count the calls to the triangular kernels matcore imports on use."""
-    import scipy.linalg.blas as blas
+def _symmetric_inputs(n):
+    """The benchmark's negative definite kind, and a positive definite one
+    for the wave pair, both exactly symmetric."""
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((n, n))
+    spd = b @ b.T  # numpy forms a @ a.T by dsyrk, exactly symmetric
+    assert np.array_equal(spd, spd.T)
+    return {"negdef": spd * (-30.0 / norm1(spd)),
+            "spd": spd * (40.0 / norm1(spd))}
 
-    calls = {"dtrmm": 0, "dtrsm": 0}
+
+def _blas_spy(monkeypatch):
+    """Count the calls to the structured kernels matcore imports on use."""
+    import scipy.linalg.blas as blas
+    import scipy.linalg.lapack as lapack
+
+    calls = {"dtrmm": 0, "dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
     for name in calls:
-        kernel = getattr(blas, name)
+        module = lapack if name == "dpotrf" else blas
+        kernel = getattr(module, name)
 
         def counted(*args, _name=name, _kernel=kernel, **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
 
-        monkeypatch.setattr(blas, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def _upper_kernel_spy(monkeypatch):
-    """Count the triangular products and solves the schemes layer asks of
-    matcore (matmul and lu_solve_pair with upper), whatever BLAS calls each
-    makes."""
+def _structured_kernel_spy(monkeypatch):
+    """Count the structured products and solves the schemes layer asks of
+    matcore (matmul and lu_solve_pair with a structure other than DENSE),
+    whatever BLAS calls each makes."""
     calls = {"matmul": 0, "lu_solve_pair": 0}
     for name in calls:
         kernel = getattr(schemes, name)
 
         def counted(*args, _name=name, _kernel=kernel, **kwargs):
-            calls[_name] += kwargs["upper"]
+            calls[_name] += kwargs["structure"] is not Structure.DENSE
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(schemes, name, counted)
@@ -244,6 +257,7 @@ def _upper_kernel_spy(monkeypatch):
 def _dense_path(monkeypatch, call, a):
     with monkeypatch.context() as m:
         m.setattr(matcore, "_TRIANGULAR_MIN_N", math.inf)
+        m.setattr(matcore, "_SYMMETRIC_MIN_N", math.inf)
         return call(a)
 
 
@@ -252,6 +266,25 @@ def _same_choice(got, want):
     assert got.scaling_exponent == want.scaling_exponent
     assert got.total_products == want.total_products
     assert got.selection_norms == want.selection_norms
+
+
+def _same_choice_from_structured_norms(got, want, entry):
+    # selection's products are structured ones, which may round otherwise
+    # than the dense path's: the choice and the ledger are the dense
+    # path's, the reported norms yield that choice again, and each is
+    # within 4 ulps of the dense path's norm
+    assert got.scheme_used == want.scheme_used
+    assert got.scaling_exponent == want.scaling_exponent
+    assert got.total_products == want.total_products
+    norms = got.selection_norms
+    if entry == "wave_cos_sin":
+        again = select_scheme(norms[0], DOUBLE_WAVE, None, norms[1])
+    else:
+        table = DOUBLE_PADE if entry == "pade_cos_sin" else DOUBLE_TAYLOR
+        again = select_scheme(norms[0], table, *norms[1:])
+    assert again == (got.scheme_used, got.scaling_exponent)
+    for x, ref in zip(norms, want.selection_norms, strict=True):
+        assert abs(x - ref) <= 4 * math.ulp(ref)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
@@ -291,22 +324,56 @@ def test_upper_triangular_input_takes_the_triangular_kernels(
         call = _ENTRY_POINTS[entry]
         want = _dense_path(monkeypatch, call, a)
         with monkeypatch.context() as m:
-            calls = _upper_kernel_spy(m)
+            calls = _structured_kernel_spy(m)
             got = call(a)
-        # selection forms y = A^2 (free for the wave pair) and y^2 densely;
-        # every other product is a triangular one, and the Pade pair's
-        # solves (charged 1/3 + 2) are one triangular solve pair
-        dense = 1 if entry == "wave_cos_sin" else 2
+        # every product is a triangular one, selection's included, and the
+        # Pade pair's solves (charged 1/3 + 2) are one triangular solve pair
         pairs = 1 if entry == "pade_cos_sin" else 0
         assert calls == {
-            "matmul": got.total_products - dense - Fraction(7, 3) * pairs,
+            "matmul": got.total_products - Fraction(7, 3) * pairs,
             "lu_solve_pair": pairs}
-        _same_choice(got, want)
+        assert got.structure == "upper" and want.structure == "dense"
+        _same_choice_from_structured_norms(got, want, entry)
         tol = 1e3 * n * 4.0 ** got.scaling_exponent * 2.0 ** -53
         for x, ref in ((got.result.cos_part, want.result.cos_part),
                        (got.result.sin_part, want.result.sin_part)):
             assert norm1(x - ref) <= tol * norm1(ref)
             assert not np.tril(x, -1).any()
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["negdef", "spd"])
+def test_symmetric_input_takes_the_symmetric_kernels(
+        monkeypatch, entry, kind):
+    # at the crossover, whose row panels are even, and at an n that is not
+    # a multiple of 4, whose last panel is shorter
+    for n in (matcore._SYMMETRIC_MIN_N, matcore._SYMMETRIC_MIN_N + 3):
+        a = _symmetric_inputs(n)[kind]
+        call = _ENTRY_POINTS[entry]
+        want = _dense_path(monkeypatch, call, a)
+        with monkeypatch.context() as m:
+            calls = _structured_kernel_spy(m)
+            kernels = _blas_spy(m)
+            got = call(a)
+        # every product is a symmetric one, and the Pade pair's solves are
+        # one Cholesky factorization; every square (A^2 and y^2, or B^2,
+        # and one per doubling step at least) is one dsyrk
+        s = got.scaling_exponent
+        pairs = 1 if entry == "pade_cos_sin" else 0
+        assert calls == {
+            "matmul": got.total_products - Fraction(7, 3) * pairs,
+            "lu_solve_pair": pairs}
+        assert kernels["dpotrf"] == pairs
+        assert kernels["dsyrk"] >= (1 if entry == "wave_cos_sin" else 2) + s
+        assert kernels["dtrmm"] == kernels["dtrsm"] == 0
+        assert got.structure == "symmetric" and want.structure == "dense"
+        _same_choice_from_structured_norms(got, want, entry)
+        tol = 1e3 * n * 4.0 ** s * 2.0 ** -53
+        for x, ref in ((got.result.cos_part, want.result.cos_part),
+                       (got.result.sin_part, want.result.sin_part)):
+            assert norm1(x - ref) <= tol * norm1(ref)
+            assert np.array_equal(x, x.T)
+            assert x.flags.c_contiguous
 
 
 def _nearly_upper(n):
@@ -315,17 +382,28 @@ def _nearly_upper(n):
     return a
 
 
+def _nearly_symmetric(n):
+    # one entry of the last row panel, past the first row and column
+    a = _symmetric_inputs(n)["negdef"]
+    a[n - 1, n - 2] *= 1.0 + 2.0 ** -52
+    return a
+
+
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("a", [
     _nearly_upper(2 * matcore._TRIANGULAR_MIN_N),
     _triangular_inputs(matcore._TRIANGULAR_MIN_N - 1)["triu"],
-], ids=["one-entry-below", "below-crossover"])
+    _nearly_symmetric(matcore._SYMMETRIC_MIN_N),
+    _symmetric_inputs(matcore._SYMMETRIC_MIN_N - 1)["negdef"],
+], ids=["one-entry-below", "below-crossover", "one-entry-off-symmetric",
+        "symmetric-below-crossover"])
 def test_other_input_keeps_the_dense_path_bit_for_bit(monkeypatch, entry, a):
     call = _ENTRY_POINTS[entry]
     want = _dense_path(monkeypatch, call, a)
     calls = _blas_spy(monkeypatch)
     got = call(a)
-    assert calls == {"dtrmm": 0, "dtrsm": 0}
+    assert calls == {"dtrmm": 0, "dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
+    assert got.structure == "dense"
     _same_choice(got, want)
     assert got.result.cos_part.tobytes() == want.result.cos_part.tobytes()
     assert got.result.sin_part.tobytes() == want.result.sin_part.tobytes()
@@ -641,7 +719,7 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         warnings.simplefilter("error")
         report = cos_sin(involutory)
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
-            alg = MatrixAlgebra(CostLedger(), False)
+            alg = MatrixAlgebra(CostLedger(), Structure.DENSE)
             _scheme, _s, powers, norms = driver._selection(
                 dense, table, alg, False)
             # A^2 is formed from A 2^-11; its norm is too large to square
@@ -758,20 +836,23 @@ def test_wave_rejects_a_time_whose_operand_overflows(a, t):
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
-@pytest.mark.parametrize("kind", ["jordan", "triu"])
+@pytest.mark.parametrize("kind", ["jordan", "triu", "negdef"])
 def test_structure_is_tested_once_per_call(monkeypatch, entry, kind):
-    n = 2 * matcore._TRIANGULAR_MIN_N
-    a = _triangular_inputs(n)[kind]
+    if kind == "negdef":
+        a = _symmetric_inputs(matcore._SYMMETRIC_MIN_N)[kind]
+    else:
+        a = _triangular_inputs(2 * matcore._TRIANGULAR_MIN_N)[kind]
     seen = []
-    original = driver.is_upper_triangular
+    original = driver.structure_of
 
     def counted(m):
         seen.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(driver, "is_upper_triangular", counted)
+    monkeypatch.setattr(driver, "structure_of", counted)
     report = _ENTRY_POINTS[entry](a)
     assert report.scaling_exponent > 0
+    assert report.structure == ("symmetric" if kind == "negdef" else "upper")
     assert seen == [a.shape]
 
 
@@ -814,7 +895,6 @@ def _flushed_at(monkeypatch, min_n, call, a):
 
     with monkeypatch.context() as m:
         m.setattr(driver, "_FLUSH_MIN_N", min_n)
-        m.setattr(driver, "matmul", spied)
         m.setattr(schemes, "matmul", spied)
         return call(a), sum(reads)
 
@@ -878,7 +958,7 @@ def test_a_pair_that_overflowed_doubles_as_before(monkeypatch):
             m.setattr(driver, "_FLUSH_MIN_N", min_n)
             return CosSinResult(*driver._double_angle(
                 cos.copy(), part.sin_part.copy(), 1,
-                MatrixAlgebra(CostLedger(), False), False))
+                MatrixAlgebra(CostLedger(), Structure.DENSE), False))
 
     cos = part.cos_part.copy()
     assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos),

@@ -25,7 +25,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import cossinm
 from cossinm import driver, matcore, schemes
-from cossinm.matcore import CostLedger, matmul
+from cossinm.matcore import CostLedger, Structure, matmul
 from cossinm.schemes import (
     PADE8_DEN,
     PADE8_NUM_COS,
@@ -53,6 +53,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
+def _dense(p, q, ledger):
+    """One charged product on the dense path, np.matmul's bits."""
+    return matmul(p, q, ledger, structure=Structure.DENSE)
+
+
 class NaiveAlgebra:
     """The plain dense algebra: exact constants converted per term."""
 
@@ -75,7 +80,7 @@ class NaiveAlgebra:
         return value
 
     def mul(self, p, q, out=None):
-        return self._into(matmul(p, q, self.ledger), out)
+        return self._into(_dense(p, q, self.ledger), out)
 
     def lin(self, basis, block):
         rows = []
@@ -96,12 +101,12 @@ def _naive_double_angle(cos, sin, steps, ledger, wave):
     eye = np.eye(cos.shape[0])
     for _ in range(steps):
         if wave:
-            new_cos = np.zeros(cos.shape) + 2.0 * matmul(cos, cos, ledger) \
+            new_cos = np.zeros(cos.shape) + 2.0 * _dense(cos, cos, ledger) \
                 + (-1.0) * eye
         else:
-            new_cos = np.zeros(cos.shape) + (-2.0) * matmul(sin, sin, ledger) \
+            new_cos = np.zeros(cos.shape) + (-2.0) * _dense(sin, sin, ledger) \
                 + 1.0 * eye
-        sin = np.zeros(sin.shape) + 2.0 * matmul(sin, cos, ledger)
+        sin = np.zeros(sin.shape) + 2.0 * _dense(sin, cos, ledger)
         cos = new_cos
     return cos, sin
 
@@ -210,7 +215,8 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         kept_cos, kept_sin = cos0.copy(), sin0.copy()
         fast_ledger, naive_ledger = CostLedger(), CostLedger()
         cos, sin = driver._double_angle(
-            cos0, sin0, steps, MatrixAlgebra(fast_ledger, False), wave)
+            cos0, sin0, steps, MatrixAlgebra(fast_ledger, Structure.DENSE),
+            wave)
         want_cos, want_sin = _naive_double_angle(kept_cos, kept_sin, steps,
                                                  naive_ledger, wave)
         assert np.array_equal(cos, want_cos)
@@ -499,9 +505,9 @@ def test_no_library_default_that_every_library_call_overrides():
 
 
 def test_only_the_algebra_is_handed_the_structure_flag():
-    # a call's one MatrixAlgebra holds whether its input is triangular, so
-    # no other function, method or lambda of the driver or the schemes
-    # takes upper
+    # a call's one MatrixAlgebra holds its input's structure, so no other
+    # function, method or lambda of the driver or the schemes takes
+    # structure
     takers = []
     for stem in ("driver", "schemes"):
         tree = ast.parse((ROOT / "src" / "cossinm" / f"{stem}.py").read_text())
@@ -516,7 +522,7 @@ def test_only_the_algebra_is_handed_the_structure_flag():
             qualname = f"{owner[node]}.{name}" if node in owner else name
             args = node.args
             if qualname != "MatrixAlgebra.__init__" and any(
-                    arg.arg == "upper" for arg in (
+                    arg.arg == "structure" for arg in (
                         *args.posonlyargs, *args.args, *args.kwonlyargs)):
                 takers.append((stem, qualname))
     assert takers == []
@@ -662,13 +668,20 @@ def test_import_does_not_load_scipy_linalg():
 
 
 def test_dense_call_does_not_load_the_triangular_kernels():
-    # scipy.linalg comes in on the first upper-triangular call only
+    # scipy.linalg comes in on the first upper-triangular call only; a
+    # dense call past the symmetric crossover, whose first row equals its
+    # first column, has its structure tested in panels and stays dense
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cossinm.__file__).resolve().parents[1])
+    n = matcore._SYMMETRIC_MIN_N
     code = (
         "import sys\nimport numpy as np\nimport cossinm\n"
-        "a = np.random.default_rng(0).standard_normal((256, 256)) / 256\n"
+        "rng = np.random.default_rng(0)\n"
+        "a = rng.standard_normal((256, 256)) / 256\n"
         "cossinm.cos_sin(a)\n"
+        f"b = rng.standard_normal(({n}, {n})) / {n}\n"
+        "b[0] = b[:, 0]\n"
+        "assert cossinm.cos_sin(b).structure == 'dense'\n"
         "print('scipy.linalg' in sys.modules)\n"
         "cossinm.cos_sin(np.triu(a))\n"
         "print('scipy.linalg' in sys.modules)\n"

@@ -10,13 +10,16 @@ from cossinm.matcore import (
     CostLedger,
     MatrixInputError,
     SingularMatrixError,
+    Structure,
     identity,
+    is_symmetric,
     is_upper_triangular,
     linear_combination,
     lu_solve_pair,
     matmul,
     norm1,
     read_matrix,
+    structure_of,
     write_matrix,
 )
 
@@ -44,7 +47,7 @@ def test_identity():
 def test_matmul_matches_slow_loop(rng, shape):
     a = rng.standard_normal(shape)
     b = rng.standard_normal((shape[1], 4))
-    got = matmul(a, b, CostLedger())
+    got = matmul(a, b, CostLedger(), structure=Structure.DENSE)
     want = _slow_matmul(a, b)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -52,8 +55,8 @@ def test_matmul_matches_slow_loop(rng, shape):
 def test_matmul_charges_one_product_each():
     ledger = CostLedger()
     a = identity(2)
-    matmul(a, a, ledger)
-    matmul(a, a, ledger)
+    matmul(a, a, ledger, structure=Structure.DENSE)
+    matmul(a, a, ledger, structure=Structure.DENSE)
     assert ledger.total_cost == Fraction(2)
 
 
@@ -90,7 +93,7 @@ def test_upper_matmul_matches_the_dense_product(rng):
         triu, jordan = _upper_pair(rng, n)
         for a, b in ((triu, jordan), (jordan, triu), (triu, triu)):
             ledger = CostLedger()
-            got = matmul(a, b, ledger, upper=True)
+            got = matmul(a, b, ledger, structure=Structure.UPPER)
             want = a @ b
             bound = n * 2.0 ** -53 * norm1(a) * norm1(b)
             assert norm1(got - want) <= bound
@@ -108,9 +111,10 @@ def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
         a, b = _upper_pair(rng, n)
         stack = np.full((3, n, n), np.nan)
         ledger = CostLedger()
-        got = matmul(a, b, ledger, upper=upper, out=stack[1])
+        structure = Structure.UPPER if upper else Structure.DENSE
+        got = matmul(a, b, ledger, structure=structure, out=stack[1])
         assert np.shares_memory(got, stack[1])
-        want = matmul(a, b, CostLedger(), upper=upper)
+        want = matmul(a, b, CostLedger(), structure=structure)
         assert stack[1].tobytes() == want.tobytes()
         assert np.isnan(stack[[0, 2]]).all()
         assert ledger.products == 1
@@ -124,14 +128,80 @@ def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
     # out is written block by block
     for n in _SPLIT_SIZES:
         a, b = _upper_pair(rng, n)
-        want = matmul(a, b, CostLedger(), upper=True)
+        want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
         if into == "strided":
             out = np.empty((n, 2 * n))[:, ::2]
         else:
             out = {"a": a, "b": b}[into]
-        got = matmul(a, b, CostLedger(), upper=True, out=out)
+        got = matmul(a, b, CostLedger(), structure=Structure.UPPER, out=out)
         assert got is out
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def _symmetric_pair(rng, n):
+    """A symmetric a, and a symmetric b that commutes with it (a polynomial
+    in a), both exactly symmetric."""
+    g = rng.standard_normal((n, n))
+    a = (g @ g.T) / n  # numpy forms g @ g.T by dsyrk, exactly symmetric
+    b = matmul(a, a, CostLedger(), structure=Structure.SYMMETRIC) - 0.5 * a
+    assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
+    return a, b
+
+
+# Sizes the symmetric kernels are checked at: one below the crossover and
+# one above it, both odd, so the row panels and the mirror's halves are
+# uneven
+_SYMMETRIC_SIZES = (matcore._SYMMETRIC_MIN_N - 1, matcore._SYMMETRIC_MIN_N + 1)
+
+
+def test_symmetric_predicate_and_structure(rng):
+    n = matcore._SYMMETRIC_MIN_N
+    a, _ = _symmetric_pair(rng, n)
+    assert is_symmetric(a) and structure_of(a) is Structure.SYMMETRIC
+    assert not is_symmetric(a[1:, 1:])  # below the crossover
+    assert structure_of(a[1:, 1:]) is Structure.DENSE
+    # the first row, a diagonal block and the far corner of the last panel
+    for i, j in ((0, n - 1), (70, 65), (n - 1, n - 2)):
+        b = a.copy()
+        b[i, j] = np.nextafter(b[i, j], np.inf)
+        assert not is_symmetric(b)
+    # triangular input is UPPER even where it is also symmetric (diagonal)
+    assert structure_of(np.diag(np.arange(n + 1.0))) is Structure.UPPER
+    assert structure_of(rng.standard_normal((n, n))) is Structure.DENSE
+
+
+def test_symmetric_matmul_matches_the_dense_product(rng):
+    for n in _SYMMETRIC_SIZES:
+        a, b = _symmetric_pair(rng, n)
+        # a square (one dsyrk), and products of two operands (row panels)
+        for p, q in ((a, a), (a, b), (b, a)):
+            ledger = CostLedger()
+            got = matmul(p, q, ledger, structure=Structure.SYMMETRIC)
+            bound = n * 2.0 ** -53 * norm1(p) * norm1(q)
+            assert norm1(got - p @ q) <= bound
+            assert np.array_equal(got, got.T)
+            assert got.flags.c_contiguous
+            assert ledger.products == 1 and ledger.total_cost == Fraction(1)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "panels"])
+@pytest.mark.parametrize("into", ["slab", "a", "b", "strided"])
+def test_symmetric_matmul_out(rng, square, into):
+    # a slab is written in place; out overlapping an operand takes a copy,
+    # and a strided out is written as it is
+    for n in _SYMMETRIC_SIZES:
+        a, b = _symmetric_pair(rng, n)
+        if square:
+            b = a
+        want = matmul(a, b, CostLedger(), structure=Structure.SYMMETRIC)
+        stack = np.full((3, n, n), np.nan)
+        out = {"slab": stack[1], "a": a, "b": b,
+               "strided": np.empty((n, 2 * n))[:, ::2]}[into]
+        got = matmul(a, b, CostLedger(), structure=Structure.SYMMETRIC,
+                     out=out)
+        assert got is out
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.isnan(stack[[0, 2]]).all()
 
 
 def test_norm1_is_max_column_sum(rng):
@@ -262,7 +332,7 @@ def test_cost_ledger_counts_products_as_an_int():
     ledger = CostLedger()
     a = identity(2)
     for _ in range(3):
-        matmul(a, a, ledger)
+        matmul(a, a, ledger, structure=Structure.DENSE)
     assert type(ledger.products) is int and ledger.products == 3
     assert isinstance(ledger.total_cost, Fraction)
 
@@ -281,7 +351,7 @@ def test_lu_solve_pair_residuals(rng):
     rhs1 = rng.standard_normal((5, 5))
     rhs2 = rng.standard_normal((5, 5))
     ledger = CostLedger()
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=False)
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, structure=Structure.DENSE)
     assert np.max(np.abs(den @ x1 - rhs1)) <= 1e-12
     assert np.max(np.abs(den @ x2 - rhs2)) <= 1e-12
     assert ledger.total_cost == Fraction(7, 3)
@@ -294,7 +364,7 @@ def test_upper_lu_solve_pair_residuals(rng):
         den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
         rhs1, rhs2 = _upper_pair(rng, n)
         ledger = CostLedger()
-        x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=True)
+        x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, structure=Structure.UPPER)
         assert ledger.total_cost == Fraction(7, 3)
         for x, rhs in ((x1, rhs1), (x2, rhs2)):
             assert np.max(np.abs(den @ x - rhs)) <= 1e-12
@@ -313,7 +383,7 @@ def test_lu_solve_pair_through_the_inverse_keeps_residual_and_ledger(rng, n):
     den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
     rhs1, rhs2 = rng.standard_normal((2, n, n))
     ledger = CostLedger()
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, upper=False)
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, structure=Structure.DENSE)
     assert ledger.total_cost == Fraction(7, 3)
     condition = norm1(den) * norm1(np.linalg.inv(den))
     for x, rhs in ((x1, rhs1), (x2, rhs2)):
@@ -328,7 +398,7 @@ def test_lu_solve_pair_below_the_crossover_is_dgetrs_bit_for_bit(rng):
     n = matcore._GEMM_MIN_N - 1
     den = identity(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
     rhs1, rhs2 = rng.standard_normal((2, n, n))
-    x1, x2 = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=False)
+    x1, x2 = lu_solve_pair(den, rhs1, rhs2, CostLedger(), structure=Structure.DENSE)
     factors = lu_factor(den, check_finite=False)
     for x, rhs in ((x1, rhs1), (x2, rhs2)):
         want = lu_solve(factors, rhs, check_finite=False)
@@ -349,7 +419,7 @@ def test_lu_solve_pair_detects_singular_on_both_sides_of_the_crossover():
         ledger = CostLedger()
         with pytest.raises(SingularMatrixError, match="singular") as err:
             lu_solve_pair(_padded_singular(n), eye, eye, ledger,
-                          upper=False)
+                          structure=Structure.DENSE)
         assert ledger.total_cost == 0
         messages.append(str(err.value))
     assert messages[1:] == messages[:1] * 2
@@ -362,21 +432,73 @@ def test_upper_lu_solve_pair_keeps_its_triangular_solves(rng, monkeypatch):
     assert n >= matcore._GEMM_MIN_N
     den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
     rhs1, rhs2 = _upper_pair(rng, n)
-    got = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=True)
+    got = lu_solve_pair(den, rhs1, rhs2, CostLedger(), structure=Structure.UPPER)
     monkeypatch.setattr(matcore, "_GEMM_MIN_N", np.inf)
-    want = lu_solve_pair(den, rhs1, rhs2, CostLedger(), upper=True)
+    want = lu_solve_pair(den, rhs1, rhs2, CostLedger(), structure=Structure.UPPER)
     for x, ref in zip(got, want):
         assert x.tobytes() == ref.tobytes()
+
+
+def test_symmetric_lu_solve_pair_is_a_cholesky_solve(rng, monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    factored = []
+    dpotrf = lapack.dpotrf
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counted)
+    for n in _SYMMETRIC_SIZES:
+        a, b = _symmetric_pair(rng, n)
+        # I + a/28 + b/1000 is symmetric positive definite, as the Pade
+        # denominator is, and commutes with a and b
+        den = identity(n) + a / 28.0 + b / 1000.0
+        ledger = CostLedger()
+        x1, x2 = lu_solve_pair(den, a, b, ledger,
+                               structure=Structure.SYMMETRIC)
+        assert ledger.total_cost == Fraction(7, 3)
+        condition = norm1(den) * norm1(np.linalg.inv(den))
+        for x, rhs in ((x1, a), (x2, b)):
+            assert norm1(den @ x - rhs) <= (n * 2.0 ** -53 * condition
+                                            * norm1(rhs))
+            assert np.array_equal(x, x.T)
+            assert x.flags.c_contiguous
+    assert len(factored) == len(_SYMMETRIC_SIZES)
+
+
+def test_symmetric_lu_solve_pair_detects_singular_as_the_lu_does():
+    # the Cholesky pivots are the squared diagonal of its factor: the
+    # padded block's second is 4 - 2^2 = 0, as the LU's is, and the
+    # message is the LU's
+    n = matcore._SYMMETRIC_MIN_N
+    eye = identity(n)
+    messages = []
+    for structure in (Structure.DENSE, Structure.SYMMETRIC):
+        ledger = CostLedger()
+        with pytest.raises(SingularMatrixError, match="singular") as err:
+            lu_solve_pair(_padded_singular(n), eye, eye, ledger,
+                          structure=structure)
+        assert ledger.total_cost == 0
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # a pivot that is not positive stops the factorization, and is read
+    den = identity(n)
+    den[5, 5] = -2.0
+    with pytest.raises(SingularMatrixError, match=r"pivot -2\.000e\+00"):
+        lu_solve_pair(den, eye, eye, CostLedger(),
+                      structure=Structure.SYMMETRIC)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_upper_lu_solve_pair_detects_a_zero_diagonal_entry():
     den = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 4.0]])
     messages = []
-    for upper in (False, True):
+    for structure in (Structure.DENSE, Structure.UPPER):
         with pytest.raises(SingularMatrixError, match="singular") as err:
             lu_solve_pair(den, identity(3), identity(3), CostLedger(),
-                          upper=upper)
+                          structure=structure)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -386,7 +508,7 @@ def test_lu_solve_pair_detects_singular():
     den = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError, match="singular"):
         lu_solve_pair(den, identity(2), identity(2), CostLedger(),
-                      upper=False)
+                      structure=Structure.DENSE)
 
 
 def test_write_read_roundtrip(tmp_path, rng):
