@@ -47,7 +47,11 @@ and the structure of A (matcore.structure_of: upper triangular, symmetric
 or dense, each from matcore's crossover size), and every product runs
 through it, selection's included: a triangular A's products and Pade
 solves are triangular ones, a symmetric A's symmetric ones and a Cholesky
-solve, all charged as dense ones.
+solve, all charged as dense ones.  A triangular product of banded operands
+runs over their bandwidths only (matcore._band_product): a Jordan-type A's
+selection powers, chain products, leading sine factor and doubling steps
+take it while the widths stay under half of n, which in the doubling the
+zeroing above keeps so by leaving the far corner at exact zeros.
 """
 
 from __future__ import annotations
@@ -392,7 +396,9 @@ def _evaluate(
             odd = t / 2.0 ** s
         else:
             scheme, s, powers, norms = _selection(a, table, alg, False)
-            odd = a * 2.0 ** -s
+            # at s = 0 the pair reads A itself (x 1.0 = x); no pair
+            # writes into odd
+            odd = a * 2.0 ** -s if s else a
         part = _pair(scheme, odd, alg, powers)
         result = CosSinResult(*_double_angle(
             part.cos_part, part.sin_part, s, alg, wave))

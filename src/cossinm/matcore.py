@@ -40,6 +40,17 @@ split, tending to n^3 / 3 as the split deepens).  Below
 _TRIANGULAR_MIN_N the triangular product saves too little, and no input
 takes the triangular path.
 
+Banded UPPER operands: from _SPLIT_MIN_N a product first reads each
+operand's bandwidth, the most columns any nonzero lies right of its
+diagonal (_bandwidth).  The bandwidths of a product of band matrices add,
+so when the two sum below n // _BAND_MAX_RATIO the product is one GEMM per
+panel of _PANEL rows over the window they leave, and +0 elsewhere
+(_band_product).  A Jordan-type input's products take it: its powers and
+chains, and its doubling pairs, whose far corner the driver's zeroing of
+tiny entries keeps at exact zeros.  A full triangle stops at its top-right
+panel and keeps the split kernel, bit for bit.  The Pade solves always
+take the split kernel: a solve fills the whole triangle.
+
 SYMMETRIC (from _SYMMETRIC_MIN_N): a square is one dsyrk (n^3 flops), and
 a product of two different operands, which commute, forms only its upper
 triangle in four row panels (5 n^3 / 4 flops); both then mirror the upper
@@ -77,7 +88,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _TRIANGULAR_MIN_N = 96
 
 # Smallest n whose upper-triangular products and solves split into half
-# blocks (_upper_product, _upper_solve); at 2 * _TRIANGULAR_MIN_N every
+# blocks (_split_product, _upper_solve); at 2 * _TRIANGULAR_MIN_N every
 # block that does not split again is at least _TRIANGULAR_MIN_N.  On a
 # 2-core Xeon VM with one OpenBLAS thread (best of 15 to 400 alternating
 # runs), in multiples of one a @ b at the same n, one dtrmm against the
@@ -91,6 +102,30 @@ _TRIANGULAR_MIN_N = 96
 #
 # Splitting 128 into 64-blocks took the product from 0.66 to 0.84.
 _SPLIT_MIN_N = 192
+
+# From _SPLIT_MIN_N an upper-triangular product whose operands' bandwidths
+# sum below n // _BAND_MAX_RATIO is _band_product.  On a 2-core Xeon VM with
+# one OpenBLAS thread (best of 41, 9 at n = 1024, interleaved), in multiples
+# of one a @ b at the same n: a product of two operands of bandwidth w
+# through _upper_product, both scans included ("-" where it takes the split
+# kernel), the split kernel on the same operands, and one operand's scan:
+#
+#     w \ n    192   256   384   512   1024
+#     1        0.47  0.28  0.17  0.12  0.08
+#     24       0.46  0.36  0.21  0.14  0.09
+#     48       -     0.49  0.24  0.15  0.10
+#     127      -     -     -     0.27  0.14
+#     split    0.47  0.54  0.43  0.41  0.33
+#     scan     0.12  0.08  0.05  0.03  0.02
+#
+# With widths summing to 0.4-0.75 n it kept winning to about 0.6 n at
+# n = 256-1024; at 192 it broke even on narrow bands and lost 5-10 % at
+# 0.4-0.5 n.
+_BAND_MAX_RATIO = 2
+# Rows per panel of _band_product, and of the top panel _bandwidth reads
+# first; rows per block of its scan (64 and 256 were slower at n = 512).
+_PANEL = 32
+_SCAN_ROWS = 128
 
 # Smallest n whose symmetric input takes the symmetric kernels.  On a 2-core
 # Xeon VM with one OpenBLAS thread (best of 31 interleaved runs), in
@@ -291,6 +326,87 @@ def _upper_product(
     """a @ b for upper-triangular a and b, in out when given (out is then
     returned, and overlaps neither operand).
 
+    From _SPLIT_MIN_N each operand's bandwidth is read first (_bandwidth):
+    when the two sum below n // _BAND_MAX_RATIO, the product is
+    _band_product, and every other product is _split_product's, bit for
+    bit.  The second operand is read only when the first one's width
+    leaves room.
+    """
+    n = a.shape[0]
+    if n >= _SPLIT_MIN_N:
+        # a square needs twice its width below the limit
+        limit = n // _BAND_MAX_RATIO
+        width_a = _bandwidth(a, (limit + 1) // 2 if b is a else limit)
+        if width_a is not None:
+            width_b = width_a if b is a else _bandwidth(b, limit - width_a)
+            if width_b is not None:
+                return _band_product(a, b, width_a, width_b, out)
+    return _split_product(a, b, out)
+
+
+def _bandwidth(a: DenseMatrix, limit: int) -> int | None:
+    # The largest c - r over the nonzero entries a[r, c] of upper-triangular
+    # a when it is below limit, else None.  The top panel's entries limit or
+    # more past its last row's diagonal (its first _PANEL rows from column
+    # _PANEL - 1 + limit on) are read first, so a full triangle, whose
+    # top-right corner holds nonzeros, stops there.  The rest is read as
+    # one sheared view of row stride n + 1 whose column j holds diagonal j:
+    # row r's entries from its diagonal on, followed by row r + 1's zeros
+    # left of its diagonal, are n contiguous words.  It stops one row short
+    # of the end of a, as the last row holds only diagonal 0.  Each block
+    # of _SCAN_ROWS rows is ORed over its rows as int64 words, as many
+    # columns as its first row has diagonals.  A word other than +0 and -0
+    # keeps a bit past the sign bit, so an inf or a NaN counts as nonzero
+    # and -0.0 as zero.  Input that is not C-contiguous is not read.
+    n = a.shape[0]
+    if (not a.flags.c_contiguous
+            or a[:_PANEL, _PANEL - 1 + limit:].any()):
+        return None
+    step = (n + 1) * 8
+    found = np.zeros(n, dtype=np.int64)
+    for r0 in range(0, n - 1, _SCAN_ROWS):
+        sheared = np.ndarray((min(_SCAN_ROWS, n - 1 - r0), n - r0), np.int64,
+                             a, r0 * step, (step, 8))
+        found[:n - r0] |= np.bitwise_or.reduce(sheared, axis=0)
+    found <<= 1
+    found[0] = 1  # a zero matrix has bandwidth 0
+    width = n - 1 - int(np.argmax(found[::-1] != 0))
+    return width if width < limit else None
+
+
+def _band_product(
+    a: DenseMatrix, b: DenseMatrix, width_a: int, width_b: int,
+    out: DenseMatrix | None,
+) -> DenseMatrix:
+    # a @ b for upper-triangular a and b of bandwidths width_a and width_b:
+    # the rows r0:r1 of each panel of _PANEL rows are one GEMM,
+    # a[r0:r1, r0:i] @ b[r0:i, r0:j] with i = r1 + width_a and
+    # j = i + width_b (each at most n), and +0 on the rest of those rows,
+    # where every term holds a zero of an operand.  Written straight into a
+    # C-contiguous out; any other out takes a copy, so every layout gets
+    # the same bits.
+    n = a.shape[0]
+    c = out if out is not None and out.flags.c_contiguous else np.empty(
+        a.shape)
+    for r0 in range(0, n, _PANEL):
+        r1 = min(n, r0 + _PANEL)
+        i = min(n, r1 + width_a)
+        j = min(n, i + width_b)
+        np.matmul(a[r0:r1, r0:i], b[r0:i, r0:j], out=c[r0:r1, r0:j])
+        c[r0:r1, :r0] = 0.0
+        c[r0:r1, j:] = 0.0
+    if out is not None and c is not out:
+        out[...] = c
+        return out
+    return c
+
+
+def _split_product(
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
+) -> DenseMatrix:
+    """a @ b for upper-triangular a and b that skips both zero triangles,
+    in out when given (out is then returned, and overlaps neither operand).
+
     At h = n // 2, C11 = A11 B11 and C22 = A22 B22 recurse,
     C12 = A11 B12 + A12 B22 is two dtrmm on the half blocks (a's diagonal
     block on the left of one, b's on the right of the other) and C21 is
@@ -313,8 +429,8 @@ def _upper_product(
     if out is None:
         out = np.empty(a.shape)
     h = n // 2
-    _upper_product(a[:h, :h], b[:h, :h], out[:h, :h])
-    _upper_product(a[h:, h:], b[h:, h:], out[h:, h:])
+    _split_product(a[:h, :h], b[:h, :h], out[:h, :h])
+    _split_product(a[h:, h:], b[h:, h:], out[h:, h:])
     np.add(dtrmm(1.0, a[:h, :h].T, b[:h, h:].T, side=1, lower=1).T,
            dtrmm(1.0, b[h:, h:].T, a[:h, h:].T, side=0, lower=1).T,
            out=out[:h, h:])
@@ -513,10 +629,10 @@ def _upper_solve(
     """d^-1 r for upper-triangular d and r, in out when given (out is then
     returned).
 
-    The blocks are _upper_product's: X22 = D22^-1 R22 and X11 = D11^-1 R11
+    The blocks are _split_product's: X22 = D22^-1 R22 and X11 = D11^-1 R11
     recurse, X12 = D11^-1 (R12 - D12 X22) is one dtrmm (X22 on the right)
     and one dtrsm, and X21 is +0.  A block below _SPLIT_MIN_N is one dtrsm,
-    X^T = R^T (D^T)^-1 on _upper_product's transposed views, returned
+    X^T = R^T (D^T)^-1 on _split_product's transposed views, returned
     without a copy when out is not given.
     """
     from scipy.linalg.blas import dtrmm, dtrsm

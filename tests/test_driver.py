@@ -287,6 +287,27 @@ def _same_choice_from_structured_norms(got, want, entry):
         assert abs(x - ref) <= 4 * math.ulp(ref)
 
 
+@pytest.mark.parametrize("entry", ["cos_sin", "pade_cos_sin"])
+def test_an_unscaled_pair_reads_the_input_itself(monkeypatch, entry):
+    # at s = 0, A 2^-0 = A: the pair reads the checked input, not a copy,
+    # and leaves it as it was; at s > 0 it reads the scaled copy
+    seen = []
+
+    def spied(scheme, odd, alg, powers, _pair=driver._pair):
+        seen.append(odd)
+        return _pair(scheme, odd, alg, powers)
+
+    monkeypatch.setattr(driver, "_pair", spied)
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    for norm, scaled in ((0.05, False), (40.0, True)):
+        a *= norm / norm1(a)
+        before = a.copy()
+        report = _ENTRY_POINTS[entry](a)
+        assert (report.scaling_exponent > 0) is scaled
+        assert (seen.pop() is a) is not scaled
+        assert a.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("form", ["dense", "triu"])
 @pytest.mark.parametrize("n", [6, 2 * matcore._TRIANGULAR_MIN_N])
@@ -901,8 +922,16 @@ def _flushed_at(monkeypatch, min_n, call, a):
 
 def test_doubling_reads_no_subnormal_entry(monkeypatch):
     # the Pade pair of a Jordan-type matrix is a full triangle whose
-    # entries decay far below 2^-1022 away from the diagonal
+    # entries decay far below 2^-1022 away from the diagonal.  Zeroed, the
+    # pair is banded, and its products take the banded kernel, which rounds
+    # apart from the split kernel the full triangles take; the zeroing
+    # alone is measured with the split kernel in both calls
     a = _jordan(_FLUSH_N)
+    banded, banded_reads = _flushed_at(monkeypatch, driver._FLUSH_MIN_N,
+                                       pade_cos_sin, a)
+    assert banded_reads == 0
+    # no width sums below n // (n + 1) = 0
+    monkeypatch.setattr(matcore, "_BAND_MAX_RATIO", _FLUSH_N + 1)
     want, before = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
     got, after = _flushed_at(monkeypatch, driver._FLUSH_MIN_N, pade_cos_sin,
                              a)
@@ -913,6 +942,12 @@ def test_doubling_reads_no_subnormal_entry(monkeypatch):
     for x, ref in ((got.result.cos_part, want.result.cos_part),
                    (got.result.sin_part, want.result.sin_part)):
         assert norm1(x - ref) <= 2.0 ** -400 * norm1(ref)
+    # the banded kernel's products keep the choice and the rounding bound
+    _same_choice(banded, want)
+    tol = 1e3 * _FLUSH_N * 4.0 ** want.scaling_exponent * 2.0 ** -53
+    for x, ref in ((banded.result.cos_part, want.result.cos_part),
+                   (banded.result.sin_part, want.result.sin_part)):
+        assert norm1(x - ref) <= tol * norm1(ref)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))

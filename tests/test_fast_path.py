@@ -14,6 +14,7 @@ import ast
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -448,6 +449,38 @@ def test_no_unused_library_import_and_no_test_name_bound_twice():
                 twice.append((path.name, name, first[name], line))
             first.setdefault(name, line)
     assert twice == []
+
+
+# A crossover constant of matcore or driver: the size, or the ratio, at
+# which a kernel or a step changes
+_CROSSOVER = re.compile(r"_[A-Z0-9_]+_(?:MIN_N|MAX_RATIO)")
+
+
+def test_readme_names_every_crossover_with_its_value():
+    # each mention reads `module._NAME` = value, or = value (`module._NAME`)
+    readme = (ROOT / "README.md").read_text()
+    found, stale = [], []
+    for module in (matcore, driver):
+        prefix = module.__name__.rpartition(".")[2]
+        for name, value in sorted(vars(module).items()):
+            if not _CROSSOVER.fullmatch(name):
+                continue
+            found.append(name)
+            number = re.escape(str(value))
+            mentions = list(re.finditer(re.escape(f"`{prefix}.{name}`"),
+                                        readme))
+            if not mentions:
+                stale.append((name, value, "missing"))
+            for mention in mentions:
+                after = readme[mention.end():mention.end() + 40]
+                before = readme[max(0, mention.start() - 40):mention.start()]
+                if not (re.match(rf" = {number}(?![\d.])", after)
+                        or re.search(rf"= {number}\s*\($", before)):
+                    line = readme.count("\n", 0, mention.start()) + 1
+                    stale.append((name, value, f"README.md:{line}"))
+    assert {"_TRIANGULAR_MIN_N", "_SPLIT_MIN_N", "_SYMMETRIC_MIN_N",
+            "_GEMM_MIN_N", "_FLUSH_MIN_N"} <= set(found)
+    assert stale == []
 
 
 def _library_definitions(trees, public):

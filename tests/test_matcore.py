@@ -138,6 +138,123 @@ def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
+def _band(rng, n, width):
+    """An upper-triangular matrix whose nonzeros lie within width of the
+    diagonal: width 1 is bidiagonal (Jordan-like)."""
+    return np.triu(np.tril(rng.standard_normal((n, n)), width))
+
+
+# Sizes the banded product is checked at: the split crossover, where it
+# starts, and an odd n whose last panel is short
+_BAND_SIZES = (matcore._SPLIT_MIN_N, 2 * matcore._SPLIT_MIN_N + 17)
+
+
+def _band_spy(monkeypatch):
+    """Count the products the banded kernel forms."""
+    calls = []
+
+    def spied(*args, _kernel=matcore._band_product):
+        calls.append(args[0].shape)
+        return _kernel(*args)
+
+    monkeypatch.setattr(matcore, "_band_product", spied)
+    return calls
+
+
+def _check_upper_product(got, a, b, ledger):
+    n = a.shape[0]
+    assert norm1(got - a @ b) <= n * 2.0 ** -53 * norm1(a) * norm1(b)
+    assert not np.tril(got, -1).any()
+    assert got.flags.c_contiguous
+    assert ledger.products == 1 and ledger.total_cost == Fraction(1)
+
+
+def test_bandwidth_reads_the_widest_diagonal(rng):
+    n = matcore._SPLIT_MIN_N + 1
+    for width in (0, 1, 24, 127):
+        assert matcore._bandwidth(_band(rng, n, width), n) == width
+    b = _band(rng, n, 1)
+    b[n - 3, n - 1] = 5e-324  # one subnormal on the last rows' diagonal 2
+    assert matcore._bandwidth(b, n) == 2
+    b[5, 30] = -0.0  # a signed zero is a zero
+    assert matcore._bandwidth(b, n) == 2
+    for value in (np.inf, np.nan):
+        c = b.copy()
+        c[40, 70] = value
+        assert matcore._bandwidth(c, n) == 30
+        # a width at the limit is not read as a bandwidth
+        assert matcore._bandwidth(c, 31) == 30
+        assert matcore._bandwidth(c, 30) is None
+    assert matcore._bandwidth(np.zeros((n, n)), 1) == 0
+    # a nonzero in the top-right panel, and a layout the scan cannot shear
+    c = b.copy()
+    c[matcore._PANEL - 1, n - matcore._PANEL] = 1.0
+    assert matcore._bandwidth(c, n // matcore._BAND_MAX_RATIO) is None
+    assert matcore._bandwidth(np.asfortranarray(b), n) is None
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES)
+def test_banded_upper_matmul_matches_the_dense_product(rng, monkeypatch, n):
+    limit = n // matcore._BAND_MAX_RATIO
+    cases = [(1, 1), (24, 1), (24, 24), (limit - 25, 24)]
+    if 127 + 24 < limit:
+        cases.append((127, 24))
+    calls = _band_spy(monkeypatch)
+    for wa, wb in cases:
+        for a, b in ((_band(rng, n, wa), _band(rng, n, wb)),
+                     (_band(rng, n, wb), _band(rng, n, wa))):
+            ledger = CostLedger()
+            got = matmul(a, b, ledger, structure=Structure.UPPER)
+            _check_upper_product(got, a, b, ledger)
+    assert len(calls) == 2 * len(cases)
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES)
+def test_upper_matmul_past_the_band_crossover_keeps_the_split_bytes(
+        rng, monkeypatch, n):
+    # widths that sum to n // _BAND_MAX_RATIO, a banded operand times a
+    # full triangle, two full triangles, and one nonzero in the far corner,
+    # in the top-right panel or below it, all take the split kernel, bit
+    # for bit
+    limit = n // matcore._BAND_MAX_RATIO
+    band, triangle = _band(rng, n, 24), np.triu(rng.standard_normal((n, n)))
+    top_right, far = band.copy(), band.copy()
+    top_right[0, n - 1] = 1.0
+    far[n // 4, n // 4 + limit] = 1.0
+    pairs = [(_band(rng, n, limit - 24), band), (band, triangle),
+             (triangle, triangle), (top_right, band), (band, far)]
+    calls = _band_spy(monkeypatch)
+    for a, b in pairs:
+        ledger = CostLedger()
+        got = matmul(a, b, ledger, structure=Structure.UPPER)
+        _check_upper_product(got, a, b, ledger)
+        assert got.tobytes() == matcore._split_product(a, b, None).tobytes()
+    assert not calls
+
+
+@pytest.mark.parametrize("into", ["slab", "a", "b", "strided"])
+def test_banded_upper_matmul_into_a_slab_an_operand_or_a_strided_out(
+        rng, into):
+    # a slab is written in place, out overlapping an operand takes a copy,
+    # and a strided out is written from a C-contiguous result: all give the
+    # bytes of no out, and a square (a is b) those of the same product
+    for n in _BAND_SIZES:
+        a, b = _band(rng, n, 24), _band(rng, n, 1)
+        want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
+        square = matmul(a, a.copy(), CostLedger(), structure=Structure.UPPER)
+        stack = np.full((3, n, n), np.nan)
+        out = {"slab": stack[1], "a": a, "b": b,
+               "strided": np.empty((n, 2 * n))[:, ::2]}[into]
+        got = matmul(a, b, CostLedger(), structure=Structure.UPPER, out=out)
+        assert got is out
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.isnan(stack[[0, 2]]).all()
+        if into != "a":
+            got = matmul(a, a, CostLedger(), structure=Structure.UPPER,
+                         out=out)
+            assert np.ascontiguousarray(got).tobytes() == square.tobytes()
+
+
 def _symmetric_pair(rng, n):
     """A symmetric a, and a symmetric b that commutes with it (a polynomial
     in a), both exactly symmetric."""
