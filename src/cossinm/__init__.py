@@ -4,10 +4,11 @@ The library computes cos(A) and sin(A) in one pass (sharing every matrix
 product between them), the wave kernels c(t^2 A) and s(t, A) without any
 matrix square root, and a rational order-8 baseline for comparison.  Norms
 beyond a scheme's threshold are handled by exact power-of-two scaling and
-double-angle recovery.  The cossinm.verify module, imported on its own
-(it needs mpmath), re-derives every shipped threshold and checks every
-scheme's order conditions against the true series with extended-precision
-coefficient extraction.
+double-angle recovery.  The cossinm.verify module, imported on its own,
+holds the reference evaluator the tests and benchmarks measure errors
+against, and re-derives every shipped threshold and checks every scheme's
+order conditions against the true series with extended-precision
+coefficient extraction; only those last two load mpmath.
 """
 
 from .driver import (

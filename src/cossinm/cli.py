@@ -2,9 +2,9 @@
 
 Subcommands: cossin (one matrix file in, cos/sin files out), wave (the wave
 kernel pair for a time step), bench (corpus benchmark CSV plus a summary
-line), theta (print shipped thresholds, optionally recomputed), gallery
-(write the corpus to a directory).  Exit code 0 on success, 2 on any input
-error; diagnostics go to standard error.
+line), theta (print shipped thresholds and leading degrees, the thresholds
+optionally recomputed), gallery (write the corpus to a directory).  Exit
+code 0 on success, 2 on any input error; diagnostics go to standard error.
 
 The commands are thin shells over the library: identical inputs give
 byte-identical results to direct calls.
@@ -69,11 +69,14 @@ def _scheme_label(scheme: SchemeId) -> str:
 
 
 def _report_line(report: ComputationReport) -> str:
+    # the cube norms selection read past selection_norms, or "none"
+    cubes = ",".join(f"{x:.5g}" for x in report.cube_norms) or "none"
     return (
         f"scheme={_scheme_label(report.scheme_used)}"
         f" s={report.scaling_exponent}"
         f" products={report.total_products}"
         f" structure={report.structure}"
+        f" cube_norms={cubes}"
     )
 
 
@@ -210,10 +213,12 @@ def _cmd_theta(args: argparse.Namespace) -> int:
                 recomputed[entry.scheme] = (entry.theta_cos, entry.theta_sin)
     tables = (TAYLOR_TABLE, PADE_TABLE, WAVE_TABLE)
     for entry in (e for t in tables for e in t[precision].entries):
+        ells = f"{entry.ell_cos},{entry.ell_sin}"
         line = (
             f"{_scheme_label(entry.scheme):<12}"
             f" theta_cos={format_theta(entry.theta_cos):<10}"
             f" theta_sin={format_theta(entry.theta_sin):<10}"
+            f" ell={ells:<5}"
             f" cost={entry.cost}"
         )
         if args.recompute:

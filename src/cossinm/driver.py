@@ -8,9 +8,13 @@ B = t^2 A (free) and B^2 for the wave pair.  The driver forms those two
 powers once, before selection (an operand above 2^500 first brought under
 it by an exact power of two), and picks the scheme and the scaling exponent
 s from their norms (select_scheme), which sees through nonnormal input
-whose 1-norm far exceeds what its powers do.  The input is scaled by an
-exact power of two, the chain is evaluated there with the powers scaled to
-match (2^-s per factor of A, also exact, so the chain forms neither again
+whose 1-norm far exceeds what its powers do.  The degree-12 chains and the
+Pade pair read y^3 too; the driver forms it once the scheme is chosen,
+and from n = _CUBE_MIN_N reads its norm and a bound on ||y^4|| to lower s
+where they allow (_refined_steps).  The powers go to the pair as the first
+slabs of its basis stack (_basis).  The input is scaled by an exact power
+of two, the chain is evaluated there with the powers scaled to match
+(2^-s per factor of A, also exact, so the chain forms none of them again
 and the cost law stays pair cost + 2s), and the result is pushed back up
 with double-angle steps, each costing two products formed from the old pair
 and scaled in place: S <- 2 S C and C <- I - 2 S^2.  The sine form keeps
@@ -59,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +80,7 @@ from .matcore import (
     structure_of,
 )
 from .schemes import (
+    SCHEMES,
     CosSinResult,
     MatrixAlgebra,
     OperandAlgebra,
@@ -113,8 +119,14 @@ class ComputationReport:
     (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where
     selection did not read a square's norm (an A^2 norm above 2^500, whose
     square waits for s, or a norm the cheapest scheme covers unscaled), its
-    entry repeats the one before it.  structure names the kernels every
-    product and solve took: "dense", "upper" (triangular) or "symmetric".
+    entry repeats the one before it.  cube_norms holds the norms selection
+    read beyond those, rooted alike: (||A^6||_1^(1/6), c^(1/8)) with c the
+    bound on ||A^8||_1 (_cube_norms), or (||B^3||_1^(1/3), c^(1/4)) with c
+    the bound on ||B^4||_1; it is empty where they were not read.  Given
+    both, as norm, beta, delta and cube_norms (beta None for the wave
+    pair), select_scheme returns the call's scheme and s again.  structure
+    names the kernels every product and solve took: "dense", "upper"
+    (triangular) or "symmetric".
     """
 
     result: CosSinResult
@@ -123,6 +135,7 @@ class ComputationReport:
     total_products: Fraction
     selection_norms: tuple[float, ...] = ()
     structure: str = "dense"
+    cube_norms: tuple[float, ...] = ()
 
     @property
     def nonfinite(self) -> bool:
@@ -148,6 +161,8 @@ def select_scheme(
     table: ThetaTable,
     beta: float | None = None,
     delta: float | None = None,
+    *,
+    cube_norms: tuple[float, ...] = (),
 ) -> tuple[SchemeId, int]:
     """Pick (scheme, scaling exponent) from the norms of an operand's powers.
 
@@ -173,10 +188,44 @@ def select_scheme(
     at most u (x' / theta)^ell at the scaled norm x'; K times it stays
     within u exactly when delta K^(1/ell) <= theta.  Because x <= norm for
     every entry, no entry needs more steps than on the norm alone.
+
+    cube_norms = (gamma, eps), rooted as delta is, are gamma =
+    ||A^6||_1^(1/6) and eps^8 >= ||A^8||_1 (wave: ||B^3||_1^(1/3) and
+    eps^4 >= ||B^4||_1), and are given once the scheme is fixed; left out
+    (or empty, as a report holds them where none were read), the rule
+    above stands.  They recompute s for the scheme that rule chose, and
+    never change it (_refined_steps): each side's x can only fall.
+
+    Why the refined x is safe: with y the even variable (A^2, or B), every
+    j >= p (p - 1) is a sum of p's and (p + 1)'s, so ||y^j|| <= alpha_p^j
+    with alpha_p = max(||y^p||^(1/p), ||y^(p+1)||^(1/(p+1))) (Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009, Lemma 4.1; Al-Mohy,
+    Higham and Relton choose s for the cosine and sine on it, SIAM J. Sci.
+    Comput. 37, 2015).  Rooted as delta is, alpha_2 is max(delta, gamma)
+    and alpha_3 max(gamma, eps); a bound on ||y^4|| in place of its norm
+    only raises alpha_3.  The even cosine's tail starts at y-degree
+    j = ceil(ell/2), and its terms ||A^(2j)|| are at most alpha^(2j): its x
+    is alpha, with K = 1.  The odd sine's terms A y^j start at
+    j = ceil((ell - 1)/2) and are at most a alpha^(2j), which is
+    K alpha^(2j+1) with K = a/alpha >= 1 read through its leading factor:
+    its x is alpha (a/alpha)^(1/ell).  A wave kernel's tail is in B itself
+    from degree ell, its terms at most alpha^j: its x is alpha.  A side
+    reads each alpha_p whose condition j >= p (p - 1) its tail's start
+    meets, so the degree-12 chains (ell 26 and 23, wave 13 and 11) read
+    both and the Pade pair (ell 10 and 9, starts 5 and 4) alpha_2 alone,
+    and it keeps the x above where that is smaller.  A gamma of 0 (y^3 =
+    0, so alpha_3 = 0 and every tail term from y^3 on vanishes) keeps the
+    rule's s: ending the scaling of input proven nilpotent leaves the
+    chain to sum large terms that cancel, and rounding, not truncation,
+    then decides the error (on the acceptance corpus it took criterion 5
+    to 448 of 500, under its gate of 450).
     """
     beta = norm if beta is None else beta
     delta = norm if delta is None else delta
-    for name, value in (("norm", norm), ("beta", beta), ("delta", delta)):
+    named = (("norm", norm), ("beta", beta), ("delta", delta))
+    if cube_norms:
+        named += tuple(zip(("gamma", "eps"), cube_norms, strict=True))
+    for name, value in named:
         if not (value >= 0.0 and math.isfinite(value)):
             raise ValueError(
                 f"{name} must be finite and nonnegative, got {value}")
@@ -189,7 +238,7 @@ def select_scheme(
     lb = math.log2(beta / delta)
     bits = table.step_bits
     step = 2 * table.cost_denominator
-    best: tuple[tuple[int, int], SchemeId] | None = None
+    best: tuple[tuple[int, int], SchemeId, float, float] | None = None
     for tc, pc, qc, ts, ps, qs, units, scheme in candidates:
         ec = pc * la + qc * lb
         es = ps * la + qs * lb
@@ -205,8 +254,39 @@ def select_scheme(
         s = math.ceil(math.log2(rc if rc > rs else rs) / bits)
         key = (units + step * s, s)
         if best is None or key < best[0]:
-            best = (key, scheme)
-    return best[1], best[0][1]
+            best = (key, scheme, xc, xs)
+    (_, s), scheme, xc, xs = best
+    # a gamma of 0 keeps this s (see "Why the refined x is safe")
+    if not cube_norms or cube_norms[0] == 0.0:
+        return scheme, s
+    return scheme, _refined_steps(table, scheme, norm, delta, cube_norms,
+                                  (xc, xs))
+
+
+def _refined_steps(
+    table: ThetaTable, scheme: SchemeId, norm: float, delta: float,
+    cube_norms: tuple[float, float], today: tuple[float, float],
+) -> int:
+    """s for the chosen scheme, each side's x lowered by the alpha_p its
+    tail may read (select_scheme's "Why the refined x is safe")."""
+    wave = table.step_bits == 2
+    gamma, eps = cube_norms
+    entry = next(e for e in table.entries if e.scheme == scheme)
+    alphas = ((2, max(delta, gamma)), (3, max(gamma, eps)))
+    ratio = 0.0
+    for x, theta, ell, odd in ((today[0], entry.theta_cos, entry.ell_cos, 0),
+                               (today[1], entry.theta_sin, entry.ell_sin, 1)):
+        # the tail's first y-degree: ell for a wave kernel, ceil(ell/2)
+        # for the cosine, ceil((ell - 1)/2) for the sine
+        start = ell if wave else (ell + 1 - odd) // 2
+        for p, alpha in alphas:
+            if start >= p * (p - 1):
+                if odd and not wave:
+                    # K = a/alpha, at least 1 but for rounding
+                    alpha *= max(1.0, norm / alpha) ** (1.0 / ell)
+                x = min(x, alpha)
+        ratio = max(ratio, x / theta)
+    return max(0, math.ceil(math.log2(ratio) / table.step_bits))
 
 
 # Smallest n whose doubling zeroes the pair's tiny entries.  On a 2-core
@@ -272,12 +352,15 @@ def _double_angle(
     return cos, sin
 
 
-def _scaled(m: DenseMatrix, bits: int) -> DenseMatrix:
-    # exact, as ldexp is: multiplying by 2.0 ** bits, a normal number down
-    # to 2^-1022, rounds each entry once; ldexp takes the larger shifts
-    if bits == 0:
-        return m
-    return m * 2.0 ** bits if bits >= -1022 else np.ldexp(m, bits)
+def _scale(m: DenseMatrix, bits: int) -> None:
+    # m <- m 2^bits in place, exact as ldexp is: multiplying by 2.0 ** bits,
+    # a normal number from 2^-1022 to 2^1023, rounds each entry once; ldexp
+    # takes the larger shifts
+    if -1022 <= bits <= 1023:
+        if bits:
+            np.multiply(m, 2.0 ** bits, out=m)
+    else:
+        np.ldexp(m, bits, out=m)
 
 
 def _upscaled(x: float, bits: int) -> float:
@@ -288,10 +371,57 @@ def _upscaled(x: float, bits: int) -> float:
         return math.inf
 
 
+# Smallest n whose selection reads the norms of y^3 and y^4 (_cube_norms).
+# On a 2-core Xeon VM with one OpenBLAS thread (best of 7-9), the reads
+# took 1.3 of a product at n = 64, 0.68 at 96, 0.27 at 128, 0.12 at 256 and
+# 0.11 at 512, and whole cos_sin calls at s = 3 that kept their s grew by
+# 1.0-4.3 products at n = 64-112 and by 0.2 or less from 128.  On the
+# large-dense benchmark 22 % of the calls that read them drop one step,
+# which saves 2 products, so they pay on average from about 0.44 of a
+# product down.
+_CUBE_MIN_N = 128
+
+
+def _basis(
+    scheme: SchemeId, alg: OperandAlgebra[T], y: T, y2: T
+) -> Sequence[T]:
+    """The basis stack scheme's pair starts from: the identity, y, y^2 and,
+    for the pairs that read it, y^3 (RegisteredScheme), then free slabs.
+
+    y^3 is written into its slab as y^2 y for the degree-12 chains and as
+    y y^2 for the Pade pair: the operands and order each pair used when it
+    formed y^3 itself, so the product keeps its bits.  verify and the
+    scheme tests build a pair's basis here too.
+    """
+    registered = SCHEMES[scheme.family, scheme.k_products]
+    basis = alg.basis(registered.depth, y, y2)
+    if registered.powers == 3:
+        if scheme.family is SchemeFamily.PADE8:
+            alg.mul(basis[1], basis[2], out=basis[3])
+        else:
+            alg.mul(basis[2], basis[1], out=basis[3])
+    return basis
+
+
+def _cube_norms(
+    y: DenseMatrix, y3: DenseMatrix, scratch: DenseMatrix, wave: bool
+) -> tuple[float, float]:
+    # (||y^3||_1^(1/d), c^(1/e)), c = max((e^T |y^3|) |y|) >= ||y^4||_1,
+    # with d, e = 6, 8 (the degrees of y^3, y^4 in A), or 3, 4 in B: the
+    # column sums of |y^3| give its norm and, times |y|, the bound, as
+    # ||y^3 y||_1 <= || |y^3| |y| ||_1.  scratch, a free slab of the pair's
+    # basis (written before it is read), holds |y^3|, then |y|.
+    d, e = (3, 4) if wave else (6, 8)
+    magnitude = np.abs(y3, out=scratch)
+    columns = np.add.reduce(magnitude, axis=0)
+    np.abs(y, out=magnitude)
+    return (float(columns.max()) ** (1.0 / d),
+            float((columns @ magnitude).max()) ** (1.0 / e))
+
+
 def _selection(
     x: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, wave: bool
-) -> tuple[SchemeId, int, tuple[DenseMatrix, DenseMatrix],
-           tuple[float, ...]]:
+) -> tuple[SchemeId, int, np.ndarray, tuple[float, ...], tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
 
     x is A, whose y = A^2 costs a product, or B = t^2 A, which is its own
@@ -300,20 +430,37 @@ def _selection(
     a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and the
     q steps count in p.  A B with an inf or NaN entry (t^2 A overflowed)
     raises MatrixInputError.
-    Returns the scheme, s, the powers (y, y^2) scaled to the chain's
-    operand, and the selection norms.  Every path forms both powers.  At
-    the table's floor the cheapest scheme runs unscaled and no power's norm
-    is read; where ||y||_1 exceeds 2^500, y^2 is formed from the scaled y
-    once s is chosen.  Every product runs through alg, so a structured
-    one may round differently from the dense product, and the norms with
-    it (by an ulp in ||A^4||_1^(1/4) on a 512 x 512 triangle).
+    Returns the scheme, s, the basis stack its pair starts from (_basis),
+    its powers scaled to the chain's operand, the selection norms and the
+    cube norms (empty where not read).  Every path forms the pair's
+    powers.  At the table's floor the cheapest scheme runs unscaled and no
+    power's norm is read; where ||y||_1 exceeds 2^500, y^2 is formed from
+    the scaled y once s is chosen.  Every product runs through alg, so a
+    structured one may round differently from the dense product, and the
+    norms with it (by an ulp in ||A^4||_1^(1/4) on a 512 x 512 triangle).
+
+    From n = _CUBE_MIN_N, a scheme whose pair reads y^3 (the degree-12
+    chains, the Pade pair) and needs s >= 1 has it formed at that s, from
+    the scaled y and y^2, so no product can overflow that the pair would
+    not have formed anyway.  Its norm and the bound on ||y^4|| are read
+    then (_cube_norms) and s is recomputed for that scheme alone: every
+    side whose tail starts at y-degree 2 or more (6 or more) may bound it
+    by alpha_2 = max(||y^2||^(1/2), ||y^3||^(1/3)) (by alpha_3 =
+    max(||y^3||^(1/3), ||y^4||^(1/4))), the cosine and the wave kernels as
+    their effective norm, the sine through its leading factor as
+    alpha (a/alpha)^(1/ell) (select_scheme gives the argument).  The
+    scheme is fixed before y^3 is formed: it is a product of that scheme's
+    pair only, and a choice that moved after it would waste it.  Where s
+    falls, the slabs y, y^2 and y^3 are multiplied in place by the exact
+    powers of two the lower s asks for; the ledger stays pair cost + 2s,
+    and a call whose s does not move keeps every bit.
     """
     norm = norm1(x)
     if norm <= table.floor:
+        scheme = table.entries[0].scheme
         y = x if wave else alg.mul(x, x)
-        powers = (y, alg.mul(y, y))
-        return (table.entries[0].scheme, 0, powers,
-                (norm,) * (2 if wave else 3))
+        return (scheme, 0, _basis(scheme, alg, y, alg.mul(y, y)),
+                (norm,) * (2 if wave else 3), ())
     bits = table.step_bits
     # q steps taken first when the 1-norm itself overflows, though every
     # entry is finite: 2^(bits q) > 2n brings every column sum under the
@@ -347,25 +494,44 @@ def _selection(
         beta, delta = math.sqrt(y_norm), math.sqrt(root)
         norms = (norm, _upscaled(beta, p), _upscaled(delta, p))
     scheme, s = select_scheme(base_norm, table, beta, delta)
-    y = _scaled(y, -2 * s)
-    y2 = alg.mul(y, y) if y2 is None else _scaled(y2, -4 * s)
-    return scheme, s + p, (y, y2), norms
+    # y and y^2 are this call's own (B = t^2 A a fresh product too), so
+    # they are scaled in place
+    _scale(y, -2 * s)
+    if y2 is None:
+        y2 = alg.mul(y, y)
+    else:
+        _scale(y2, -4 * s)
+    basis = _basis(scheme, alg, y, y2)
+    if not (s and x.shape[0] >= _CUBE_MIN_N
+            and SCHEMES[scheme.family, scheme.k_products].powers == 3):
+        return scheme, s + p, basis, norms, ()
+    # the cube norms at s, in the base operand's units
+    gamma, eps = (math.ldexp(c, bits * s)
+                  for c in _cube_norms(basis[1], basis[3], basis[4], wave))
+    refined = select_scheme(base_norm, table, beta, delta,
+                            cube_norms=(gamma, eps))[1]
+    if refined < s:
+        for degree in (1, 2, 3):
+            _scale(basis[degree], 2 * degree * (s - refined))
+    return (scheme, refined + p, basis, norms,
+            (_upscaled(gamma, bits * p), _upscaled(eps, bits * p)))
 
 
 def _pair(
-    scheme: SchemeId, odd: T, alg: OperandAlgebra[T], powers: tuple[T, T]
+    scheme: SchemeId, odd: T, alg: OperandAlgebra[T], basis: Sequence[T]
 ) -> CosSinResult:
     """The one dispatch from a scheme's family to its pair function.
 
-    odd is A 2^-s, or t 2^-s for the wave pair, and powers the scaled
-    (y, y^2); verify replays this call over polynomials.  The pairs are
-    read as this module's globals, which perfbench/tracing.py rebinds.
+    odd is A 2^-s, or t 2^-s for the wave pair, and basis the pair's basis
+    stack (_basis), its powers scaled to match; verify replays this call
+    over polynomials.  The pairs are read as this module's globals, which
+    perfbench/tracing.py rebinds.
     """
     if scheme.family is SchemeFamily.WAVE_KERNEL:
-        return wave_kernels(odd, scheme, alg, powers)
+        return wave_kernels(odd, scheme, alg, basis)
     if scheme.family is SchemeFamily.PADE8:
-        return pade8_cos_sin(odd, alg, powers)
-    return taylor_cos_sin(odd, scheme, alg, powers)
+        return pade8_cos_sin(odd, alg, basis)
+    return taylor_cos_sin(odd, scheme, alg, basis)
 
 
 def _evaluate(
@@ -392,14 +558,16 @@ def _evaluate(
             t = float(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
-            scheme, s, powers, norms = _selection(t * t * a, table, alg, True)
+            scheme, s, basis, norms, cubes = _selection(
+                t * t * a, table, alg, True)
             odd = t / 2.0 ** s
         else:
-            scheme, s, powers, norms = _selection(a, table, alg, False)
+            scheme, s, basis, norms, cubes = _selection(
+                a, table, alg, False)
             # at s = 0 the pair reads A itself (x 1.0 = x); no pair
             # writes into odd
             odd = a * 2.0 ** -s if s else a
-        part = _pair(scheme, odd, alg, powers)
+        part = _pair(scheme, odd, alg, basis)
         result = CosSinResult(*_double_angle(
             part.cos_part, part.sin_part, s, alg, wave))
     return ComputationReport(
@@ -409,6 +577,7 @@ def _evaluate(
         total_products=alg.ledger.total_cost,
         selection_norms=norms,
         structure=structure.value,
+        cube_norms=cubes,
     )
 
 

@@ -10,28 +10,30 @@ leading factor (A, or the scalar t).
 Because the two families share their even-variable cores, the chains here
 are written once, with the three pairs that run them (taylor_cos_sin,
 wave_kernels, pade8_cos_sin), over an abstract operand algebra.  SCHEMES,
-the one registry, maps each scheme to its chain and its cost; a chain
-takes the even variable y and its square y^2 as given.  The driver reaches
-a pair through its one dispatch (driver._pair) and owns every fact it
-reads: it checks the input, scales it, forms y and y^2 once and hands them
-in, with the one MatrixAlgebra of the call.  A pair returns one
-CosSinResult and runs the products past y^2, and the Pade solves, through
-that algebra, which charges them to the call's ledger and alone knows the
-structure (triangular, symmetric or neither) they keep.  The verification
-oracle replays the same dispatch over 60-digit scalar polynomials, each
-sine's leading factor and the Pade solve included, to extract every
-coefficient a scheme computes.
+the one registry, maps each scheme to its chain, its cost and its basis
+stack's depth.  The driver reaches a pair through its one dispatch
+(driver._pair) and owns every fact it reads: it checks the input, scales
+it, forms the even variable y and its square y^2 and, for the pairs that
+read it (the degree-12 chain and the Pade pair), y^3 once, and hands them
+in as the first slabs of the pair's basis stack (driver._basis), with the
+one MatrixAlgebra of the call.  A pair returns one CosSinResult and runs
+the products past those, and the Pade solves, through that algebra, which
+charges them to the call's ledger and alone knows the structure
+(triangular, symmetric or neither) they keep.  The verification oracle
+replays the same dispatch over 60-digit scalar polynomials, each sine's
+leading factor and the Pade solve included, to extract every coefficient
+a scheme computes.
 
-A chain works in stages over one basis stack: the identity, y, y^2, then
-the products and sums the chain forms, each written straight into its slab.
-A stage forms all its combinations with one lin call, a coefficient block
-(one row per combination, one column per slab) against a prefix of the
-stack; on dense matrices that is one matcore.linear_combination, one
-GEMM from n = matcore._GEMM_MIN_N and below it in the rounding order of
-the plain term-by-term sum.  There the two-term sums between stages
-(alg.add) always start from a stage's combination, which a sum started
-from zero never leaves at -0, so they too round as the plain sums
-0 + p + q do.
+A chain works in stages over that basis stack: the identity, the powers it
+is handed, then the products and sums the chain forms, each written
+straight into its slab.  A stage forms all its combinations with one lin
+call, a coefficient block (one row per combination, one column per slab)
+against a prefix of the stack; on dense matrices that is one
+matcore.linear_combination, one GEMM from n = matcore._GEMM_MIN_N and
+below it in the rounding order of the plain term-by-term sum.  There the
+two-term sums between stages (alg.add) always start from a stage's
+combination, which a sum started from zero never leaves at -0, so they too
+round as the plain sums 0 + p + q do.
 
 Coefficient sets are stored exactly: as ``Fraction`` where rational, as
 ``SqrtCoeff`` (p + q*sqrt(36681)) for the closed-form irrational set of the
@@ -377,18 +379,19 @@ class MatrixAlgebra:
         return m.copy() if base is not None and base.nbytes > m.nbytes else m
 
 
-def chain_deg2(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
+def chain_deg2(alg: OperandAlgebra[T], basis: Sequence[T]) -> tuple[T, T]:
     """Degree-2 pair: cos core 1 - y/2 + y^2/24, sine core 1 - y/6 + y^2/120.
 
-    One product (y^2).  Trigonometric instantiation: T4c and T5s.
+    One product (y^2).  basis: I, y, y^2.  Trigonometric instantiation:
+    T4c and T5s.
     """
     k = alg.constants(TAYLOR_CONSTANTS)
-    cos, sin_core = alg.lin(alg.basis(3, y, y2), k.deg2)
+    cos, sin_core = alg.lin(basis, k.deg2)
     return cos, sin_core
 
 
 def chain_deg4(
-    alg: OperandAlgebra[T], y: T, y2: T, exact_sine: bool
+    alg: OperandAlgebra[T], basis: Sequence[T], exact_sine: bool
 ) -> tuple[T, T]:
     """Degree-4 pair built from two products (three with the exact sine).
 
@@ -403,23 +406,21 @@ def chain_deg4(
     k = alg.constants(TAYLOR_CONSTANTS)
     inner, cores = ((k.deg4_exact_inner, k.deg4_exact) if exact_sine
                     else (k.deg4_inner, k.deg4))
-    # I, y, y^2, then q = y^2 (c3 y + c4 y^2) and, with the exact sine,
-    # q9 = y^2 (s3 y + s4 y^2)
-    basis = alg.basis(3 + len(inner), y, y2)
+    # basis: I, y, y^2, then q = y^2 (c3 y + c4 y^2) and, with the exact
+    # sine, q9 = y^2 (s3 y + s4 y^2)
     for slab, factor in enumerate(alg.lin(basis[:3], inner), start=3):
         alg.mul(basis[2], factor, out=basis[slab])
     cos, sin_core = alg.lin(basis, cores)
     return cos, sin_core
 
 
-def chain_deg8(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
+def chain_deg8(alg: OperandAlgebra[T], basis: Sequence[T]) -> tuple[T, T]:
     """Degree-8 cos core (order 16 in A) and its degree-12 sine core.
 
-    Four products.  Trigonometric instantiation: T16c and T17,25s; wave
-    instantiation: P8c and P8,12s.
+    Four products.  basis: I, y, y^2, then p8 and cos.  Trigonometric
+    instantiation: T16c and T17,25s; wave instantiation: P8c and P8,12s.
     """
     k = alg.constants(DEG8_CONSTANTS)
-    basis = alg.basis(5, y, y2)  # I, y, y^2, p8, cos
     p8_factor, cos_low = alg.lin(basis[:3], k.low)
     p8 = alg.mul(basis[2], p8_factor, out=basis[3])
     left, right = alg.lin(basis[:4], k.p16)
@@ -429,17 +430,16 @@ def chain_deg8(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
     return cos, sin_core
 
 
-def chain_deg12(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
+def chain_deg12(alg: OperandAlgebra[T], basis: Sequence[T]) -> tuple[T, T]:
     """Degree-12 cos core (order 24 in A) and its degree-24 sine core.
 
-    Five products.  Trigonometric instantiation: T24c and T23,49s; wave
-    instantiation: P12c and P11,24s.  The sine core satisfies its order
-    conditions through y^10; the y^11 condition cannot be met by this chain
-    shape (see Z_DEG12).
+    Five products, y^3 = y^2 y among them, which the caller forms.  basis:
+    I, y, y^2, y^3, then mid and cos.  Trigonometric instantiation: T24c
+    and T23,49s; wave instantiation: P12c and P11,24s.  The sine core
+    satisfies its order conditions through y^10; the y^11 condition cannot
+    be met by this chain shape (see Z_DEG12).
     """
     k = alg.constants(DEG12_CONSTANTS)
-    basis = alg.basis(6, y, y2)  # I, y, y^2, y^3, mid, cos
-    alg.mul(basis[2], basis[1], out=basis[3])
     c1, c2, c3, c4 = alg.lin(basis[:4], k.c)
     mid = alg.add(c3, alg.mul(c4, c4), out=basis[4])
     cos = alg.add(c1, alg.mul(alg.add(c2, mid), mid), out=basis[5])
@@ -454,14 +454,20 @@ def chain_deg12(alg: OperandAlgebra[T], y: T, y2: T) -> tuple[T, T]:
 
 @dataclass(frozen=True)
 class RegisteredScheme:
-    """One scheme's even-variable chain and its cost in products.
+    """One scheme's even-variable chain, its cost in products, and the
+    basis stack its pair starts from.
 
-    chain(alg, y, y2) returns the (cosine core, sine core) pair; the
+    The stack has depth slabs: the identity, then powers = 2 or 3 powers
+    of y (y, y^2 and, for the degree-12 chain and the Pade pair, y^3),
+    which the caller forms, then the slabs the pair fills.
+    chain(alg, basis) returns the (cosine core, sine core) pair; the
     rational baseline has none, its cores being series quotients.
     """
 
     chain: Callable[..., tuple] | None
     cost: Fraction
+    depth: int
+    powers: int = 2
 
 
 _TAYLOR, _WAVE = SchemeFamily.COS_SIN_TAYLOR, SchemeFamily.WAVE_KERNEL
@@ -470,60 +476,62 @@ _TAYLOR, _WAVE = SchemeFamily.COS_SIN_TAYLOR, SchemeFamily.WAVE_KERNEL
 # cost.  The wave family uses the trigonometric chains one step down: its
 # even variable needs no product, and its degree-4 sine is the exact one.
 SCHEMES: dict[tuple[SchemeFamily, int], RegisteredScheme] = {
-    (_TAYLOR, 3): RegisteredScheme(chain_deg2, F(3)),
+    (_TAYLOR, 3): RegisteredScheme(chain_deg2, F(3), 3),
     (_TAYLOR, 4): RegisteredScheme(partial(chain_deg4, exact_sine=False),
-                                   F(4)),
-    (_TAYLOR, 6): RegisteredScheme(chain_deg8, F(6)),
-    (_TAYLOR, 7): RegisteredScheme(chain_deg12, F(7)),
-    (_WAVE, 3): RegisteredScheme(partial(chain_deg4, exact_sine=True), F(3)),
-    (_WAVE, 4): RegisteredScheme(chain_deg8, F(4)),
-    (_WAVE, 5): RegisteredScheme(chain_deg12, F(5)),
-    (SchemeFamily.PADE8, 5): RegisteredScheme(None, F(22, 3)),
+                                   F(4), 4),
+    (_TAYLOR, 6): RegisteredScheme(chain_deg8, F(6), 5),
+    (_TAYLOR, 7): RegisteredScheme(chain_deg12, F(7), 6, powers=3),
+    (_WAVE, 3): RegisteredScheme(partial(chain_deg4, exact_sine=True), F(3),
+                                 5),
+    (_WAVE, 4): RegisteredScheme(chain_deg8, F(4), 5),
+    (_WAVE, 5): RegisteredScheme(chain_deg12, F(5), 6, powers=3),
+    (SchemeFamily.PADE8, 5): RegisteredScheme(None, F(22, 3), 5, powers=3),
 }
 
 PADE8 = SchemeId(SchemeFamily.PADE8, 5)
 
 
 def taylor_cos_sin(
-    a: T, scheme: SchemeId, alg: OperandAlgebra[T], powers: tuple[T, T]
+    a: T, scheme: SchemeId, alg: OperandAlgebra[T], basis: Sequence[T]
 ) -> CosSinResult:
     """Evaluate one trigonometric pair scheme at a.
 
-    powers = (A^2, A^4), formed by the caller; the pair charges the rest of
-    scheme.k_products: the chain's products past A^4 and the leading sine
-    factor.
+    basis starts with I, A^2, A^4, and A^6 for the degree-12 chain, formed
+    by the caller (see RegisteredScheme); the pair charges the rest of
+    scheme.k_products: the chain's products past those and the leading
+    sine factor.
     """
     cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
-        alg, *powers)
+        alg, basis)
     return CosSinResult(alg.own(cos), alg.mul(a, sin_core))
 
 
 def wave_kernels(
-    t: float, scheme: SchemeId, alg: OperandAlgebra[T], powers: tuple[T, T]
+    t: float, scheme: SchemeId, alg: OperandAlgebra[T], basis: Sequence[T]
 ) -> CosSinResult:
     """Evaluate one wave-kernel pair scheme: c(t^2 A) and s(t, A).
 
     No square root of A is ever formed: both kernels are polynomials in
-    B = t^2 A.  powers = (B, B^2), formed by the caller; the s part is the
-    even-variable sine core times the scalar t, so the pair charges
-    scheme.k_products less the one product B^2.
+    B = t^2 A.  basis starts with I, B, B^2, and B^3 for the degree-12
+    chain, formed by the caller; the s part is the even-variable sine core
+    times the scalar t, so the pair charges scheme.k_products less the
+    caller's products.
     """
-    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, *powers)
+    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, basis)
     return CosSinResult(alg.own(c), t * s_core)
 
 
 def pade8_cos_sin(
-    a: T, alg: OperandAlgebra[T], powers: tuple[T, T]
+    a: T, alg: OperandAlgebra[T], basis: Sequence[T]
 ) -> CosSinResult:
     """Order-8 Pade baseline: shared-denominator rational cos/sin pair.
 
-    Five products (A^2, A^4, A^6, A^8 and the odd numerator's leading
-    factor) plus one LU factorization shared by two solves: 7 + 1/3
-    product-equivalents total.  powers = (A^2, A^4), formed by the caller,
-    so the pair charges the other three products and the LU.
+    Five products (A^2, A^4, A^6 = A^2 A^4, A^8 and the odd numerator's
+    leading factor) plus one LU factorization shared by two solves: 7 + 1/3
+    product-equivalents total.  basis holds I, A^2, A^4 and A^6, formed by
+    the caller, and a slab for A^8, so the pair charges the other two
+    products and the LU.
     """
-    basis = alg.basis(5, *powers)  # I, y, ..., y^4
-    alg.mul(basis[1], basis[2], out=basis[3])
     alg.mul(basis[1], basis[3], out=basis[4])
     k = alg.constants(PADE8_CONSTANTS)
     den, num_cos, num_sin_factor = alg.lin(basis, k.block)

@@ -12,6 +12,9 @@ Three jobs live here, all deliberately outside the product path:
 * a heavy-scaling reference evaluator used as the accuracy yardstick in
   tests and benchmarks.
 
+The first two run in mpmath, which each function imports where it uses
+it, so the reference evaluator and relative_error_2 load without it.
+
 Threshold convention.  The tail bound at norm theta sums per-degree
 absolute differences between a scheme's coefficients and the true series,
 |c_deg - t_deg| * theta^deg, with the true series extended 150 terms past
@@ -30,12 +33,11 @@ import enum
 import math
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import mpmath
 import numpy as np
 
-from .driver import _pair
+from .driver import _basis, _pair
 from .matcore import DenseMatrix, as_matrix, identity, norm1
 from .schemes import (
     Constants,
@@ -47,6 +49,9 @@ from .schemes import (
     chain_deg4,
 )
 from .theta_tables import UNIT_ROUNDOFF, Precision, ThetaTable, family_table
+
+if TYPE_CHECKING:
+    import mpmath
 
 F = Fraction
 
@@ -70,6 +75,8 @@ class Which(enum.Enum):
 
 
 def _mpf(value: ExactScalar | int | float) -> mpmath.mpf:
+    import mpmath
+
     if isinstance(value, SqrtCoeff):
         return _mpf(value.rational) + _mpf(value.surd) * mpmath.sqrt(
             mpmath.mpf(36681)
@@ -83,6 +90,8 @@ class ScalarPoly:
     """Dense polynomial with WORKING_DIGITS-digit coefficients, degree 0 up."""
 
     def __init__(self, coefficients: Sequence) -> None:
+        import mpmath
+
         with mpmath.workdps(WORKING_DIGITS):
             coeffs = [_mpf(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
@@ -96,9 +105,13 @@ class ScalarPoly:
     def coefficient(self, deg: int) -> mpmath.mpf:
         if 0 <= deg < len(self.coefficients):
             return self.coefficients[deg]
+        import mpmath
+
         return mpmath.mpf(0)
 
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
+        import mpmath
+
         with mpmath.workdps(WORKING_DIGITS):
             out = [
                 self.coefficient(d) + other.coefficient(d)
@@ -110,6 +123,8 @@ class ScalarPoly:
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         if not self.coefficients or not other.coefficients:
             return ScalarPoly([])
+        import mpmath
+
         with mpmath.workdps(WORKING_DIGITS):
             out = [mpmath.mpf(0)] * (
                 len(self.coefficients) + len(other.coefficients) - 1
@@ -120,6 +135,8 @@ class ScalarPoly:
         return ScalarPoly(out)
 
     def scale(self, factor: ExactScalar | int | float) -> "ScalarPoly":
+        import mpmath
+
         with mpmath.workdps(WORKING_DIGITS):
             f = _mpf(factor)
             out = [f * c for c in self.coefficients]
@@ -188,6 +205,8 @@ class PolyAlgebra:
 
 def _quotient(num: ScalarPoly, den: ScalarPoly) -> ScalarPoly:
     # power-series long division through _SOLVE_DEGREE; den(0) != 0
+    import mpmath
+
     out: list[mpmath.mpf] = []
     with mpmath.workdps(WORKING_DIGITS):
         for k in range(_SOLVE_DEGREE + 1):
@@ -211,7 +230,9 @@ def extract_scheme_poly(scheme: SchemeId, which: Which) -> ScalarPoly:
         raise ValueError(f"{which.value} does not apply to {scheme.family.value}")
     x = ScalarPoly([0, 1])
     y = x if wave else x * x
-    pair = _pair(scheme, 1 if wave else x, PolyAlgebra(), (y, y * y))
+    alg = PolyAlgebra()
+    pair = _pair(scheme, 1 if wave else x, alg,
+                 _basis(scheme, alg, y, y * y))
     sine = which in (Which.SIN, Which.WAVE_S)
     return pair.sin_part if sine else pair.cos_part
 
@@ -220,14 +241,18 @@ def extract_sin9_poly() -> ScalarPoly:
     """Scalar polynomial of the exact degree-9 sine variant."""
     x = ScalarPoly([0, 1])
     y = x * x
-    _, sin_core = chain_deg4(PolyAlgebra(), y, y * y, exact_sine=True)
+    alg = PolyAlgebra()
+    # I, y, y^2, q, q9
+    _, sin_core = chain_deg4(alg, alg.basis(5, y, y * y), exact_sine=True)
     return x * sin_core
 
 
 def extract_wave_s34_poly() -> ScalarPoly:
     """Even-variable polynomial of the reduced wave sine variant."""
     y = ScalarPoly([0, 1])
-    _, sin_core = chain_deg4(PolyAlgebra(), y, y * y, exact_sine=False)
+    alg = PolyAlgebra()
+    # I, y, y^2, q
+    _, sin_core = chain_deg4(alg, alg.basis(4, y, y * y), exact_sine=False)
     return sin_core
 
 
@@ -238,6 +263,8 @@ def true_coefficient(which: Which, deg: int) -> mpmath.mpf:
     WAVE_S: the even-variable series whose term k is (-1)^k/(2k)! and
     (-1)^k/(2k+1)! respectively.
     """
+    import mpmath
+
     if which is Which.COS:
         if deg % 2:
             return mpmath.mpf(0)
@@ -262,6 +289,8 @@ def difference_series(
     true-series terms.  Degrees whose relative mismatch is below the gate
     contribute nothing.
     """
+    import mpmath
+
     step = 1 if which in (Which.WAVE_C, Which.WAVE_S) else 2
     top = max(poly.degree, 0) + step * TAIL_TERMS
     out: list[tuple[int, mpmath.mpf]] = []
@@ -280,6 +309,8 @@ def difference_series(
 def _tail_bound(
     diffs: Sequence[tuple[int, mpmath.mpf]], theta: float
 ) -> mpmath.mpf:
+    import mpmath
+
     th = mpmath.mpf(theta)
     return mpmath.fsum(c * th ** d for d, c in diffs)
 
@@ -295,6 +326,8 @@ def compute_theta(
     bound is at most target_u at the returned value and exceeds it by
     1e-6 relative further out.
     """
+    import mpmath
+
     poly = extract_scheme_poly(scheme, which)
     with mpmath.workdps(WORKING_DIGITS):
         diffs = difference_series(poly, which)
@@ -320,6 +353,8 @@ def leading_degree(scheme: SchemeId, which: Which) -> int:
     From there on the tail bound has only nonnegative terms, which is what
     lets selection use norms of powers (see theta_tables).
     """
+    import mpmath
+
     with mpmath.workdps(WORKING_DIGITS):
         return difference_series(extract_scheme_poly(scheme, which),
                                  which)[0][0]

@@ -97,6 +97,28 @@ def test_theta_double_prints_known_thresholds(capsys):
     assert "9.8108e-1" in out
     assert "1.777e-2" in out
     assert "22/3" in out
+    # each rung's leading degrees beside its thresholds
+    assert "theta_sin=1.8555     ell=26,23 cost=7" in out
+    assert "ell=10,9  cost=22/3" in out
+
+
+def test_report_line_prints_the_cube_norms(tmp_path, capsys):
+    # read past the cube crossover for a degree-12 chain at s >= 1, and
+    # "none" where they were not read
+    from cossinm import cos_sin, driver
+
+    n = driver._CUBE_MIN_N
+    a = np.triu(np.random.default_rng(3).standard_normal((n, n)))
+    a *= 24.0 / np.abs(a).sum(axis=0).max()
+    small = _write(tmp_path, "small.mat", [[0.5, 1.0], [0.0, 2.0]])
+    big = _write(tmp_path, "big.mat", a)
+    assert main(["cossin", str(small)]) == 0
+    assert capsys.readouterr().out.endswith(" cube_norms=none\n")
+    report = cos_sin(read_matrix(str(big)))
+    gamma, eps = report.cube_norms
+    assert main(["cossin", str(big)]) == 0
+    assert capsys.readouterr().out.endswith(
+        f" structure=upper cube_norms={gamma:.5g},{eps:.5g}\n")
 
 
 def test_theta_single_prints_known_thresholds(capsys):

@@ -266,6 +266,7 @@ def _same_choice(got, want):
     assert got.scaling_exponent == want.scaling_exponent
     assert got.total_products == want.total_products
     assert got.selection_norms == want.selection_norms
+    assert got.cube_norms == want.cube_norms
 
 
 def _same_choice_from_structured_norms(got, want, entry):
@@ -276,14 +277,16 @@ def _same_choice_from_structured_norms(got, want, entry):
     assert got.scheme_used == want.scheme_used
     assert got.scaling_exponent == want.scaling_exponent
     assert got.total_products == want.total_products
-    norms = got.selection_norms
+    norms, cubes = got.selection_norms, got.cube_norms
     if entry == "wave_cos_sin":
-        again = select_scheme(norms[0], DOUBLE_WAVE, None, norms[1])
+        again = select_scheme(norms[0], DOUBLE_WAVE, None, norms[1],
+                              cube_norms=cubes)
     else:
         table = DOUBLE_PADE if entry == "pade_cos_sin" else DOUBLE_TAYLOR
-        again = select_scheme(norms[0], table, *norms[1:])
+        again = select_scheme(norms[0], table, *norms[1:], cube_norms=cubes)
     assert again == (got.scheme_used, got.scaling_exponent)
-    for x, ref in zip(norms, want.selection_norms, strict=True):
+    for x, ref in zip(norms + cubes, want.selection_norms + want.cube_norms,
+                      strict=True):
         assert abs(x - ref) <= 4 * math.ulp(ref)
 
 
@@ -320,7 +323,7 @@ def test_input_layout_moves_no_bit(entry, form, n):
     big = rng.standard_normal((2 * n, 2 * n))
     if form == "triu":
         big = np.triu(big)
-    big *= 20.0 / norm1(big[::2, ::2])
+    big *= 40.0 / norm1(big[::2, ::2])
     strided = big[::2, ::2]
     c_order = np.ascontiguousarray(strided)
     fortran = np.asfortranarray(c_order)
@@ -445,7 +448,8 @@ def test_cost_law_total_is_pi_plus_2s(rng):
         norm, beta, delta = _power_norms(a)
         if norm > DOUBLE_TAYLOR.floor:
             assert report.selection_norms == (norm, beta, delta)
-        scheme, s = select_scheme(norm, DOUBLE_TAYLOR, beta, delta)
+        scheme, s = select_scheme(norm, DOUBLE_TAYLOR, beta, delta,
+                                  cube_norms=report.cube_norms)
         assert report.scheme_used == scheme
         assert report.scaling_exponent == s
         assert report.total_products == Fraction(scheme.k_products) + 2 * s
@@ -741,12 +745,13 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         report = cos_sin(involutory)
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
             alg = MatrixAlgebra(CostLedger(), Structure.DENSE)
-            _scheme, _s, powers, norms = driver._selection(
+            _scheme, _s, basis, norms, _ = driver._selection(
                 dense, table, alg, False)
             # A^2 is formed from A 2^-11; its norm is too large to square
-            # before selection, so y^2 is formed from y once s is chosen
-            assert alg.ledger.products == 2
-            assert all(np.isfinite(m).all() for m in powers)
+            # before selection, so y^2 is formed from y once s is chosen,
+            # and y^3, which both pairs read, from those two
+            assert alg.ledger.products == 3
+            assert np.isfinite(basis[:4]).all()
             assert all(math.isfinite(x) for x in norms)
         wave = wave_cos_sin(np.array([[0.0, big], [0.0, 0.0]]), 1.0)
     assert report.selection_norms == (1.0 + big, 1.0, 1.0)
@@ -896,7 +901,7 @@ def _without_tiny_entries(n):
     triu = np.triu(rng.standard_normal((n, n)))
     return {name: m * (norm / norm1(m)) for name, m, norm in (
         ("dense", dense, 30.0), ("negdef", -(b @ b.T), 30.0),
-        ("triu", triu, 24.0))}
+        ("triu", triu, 48.0))}
 
 
 def _has_subnormal(m):

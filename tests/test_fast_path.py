@@ -128,6 +128,20 @@ def _inputs():
 INPUTS = _inputs()
 TAYLOR_CHAINS = {3: chain_deg2, 4: chain_deg4, 6: chain_deg8, 7: chain_deg12}
 WAVE_CHAINS = {3: chain_deg4, 4: chain_deg8, 5: chain_deg12}
+# each chain's basis: I, y, y^2, (y^3,) then the slabs it fills
+DEPTHS = {chain_deg2: 3, chain_deg8: 5, chain_deg12: 6}
+
+
+def _naive_basis(alg, family, k, y, y2):
+    """A chain's basis as separate matrices, y^3 = y^2 y formed for the
+    degree-12 chain."""
+    chain = (TAYLOR_CHAINS if family is SchemeFamily.COS_SIN_TAYLOR
+             else WAVE_CHAINS)[k]
+    exact = family is SchemeFamily.WAVE_KERNEL
+    depth = (4 + exact) if chain is chain_deg4 else DEPTHS[chain]
+    if chain is chain_deg12:
+        return alg.basis(depth, y, y2, alg.mul(y2, y))
+    return alg.basis(depth, y, y2)
 
 
 def _same_bits(got, want):
@@ -144,10 +158,11 @@ def test_taylor_chain_matches_naive_arithmetic(name, k):
     y = alg.mul(a, a)
     y2 = alg.mul(y, y)
     chain = TAYLOR_CHAINS[k]
+    basis = _naive_basis(alg, SchemeFamily.COS_SIN_TAYLOR, k, y, y2)
     if chain is chain_deg4:
-        cos, core = chain(alg, y, y2, exact_sine=False)
+        cos, core = chain(alg, basis, exact_sine=False)
     else:
-        cos, core = chain(alg, y, y2)
+        cos, core = chain(alg, basis)
     sin = alg.mul(a, core)
     assert _same_bits(fast.cos_part, cos)
     assert _same_bits(fast.sin_part, sin)
@@ -165,10 +180,11 @@ def test_wave_chain_matches_naive_arithmetic(name, k):
     y = t * t * a
     y2 = alg.mul(y, y)
     chain = WAVE_CHAINS[k]
+    basis = _naive_basis(alg, SchemeFamily.WAVE_KERNEL, k, y, y2)
     if chain is chain_deg4:
-        c, core = chain(alg, y, y2, exact_sine=True)
+        c, core = chain(alg, basis, exact_sine=True)
     else:
-        c, core = chain(alg, y, y2)
+        c, core = chain(alg, basis)
     assert _same_bits(fast.cos_part, c)
     assert _same_bits(fast.sin_part, t * core)
     assert fast_ledger.total_cost == naive_ledger.total_cost == k
@@ -257,10 +273,14 @@ def _naive_call(entry, a, t):
     """One driver call replayed in the naive algebra: selection on norms
     of powers formed here, the chain at the scaled operand with those
     powers scaled to match, scipy's LU for the Pade pair, and the doubling
-    from the old pair.  Returns the report's fields and the pair."""
+    from the old pair.  From the cube crossover, a degree-12 chain or Pade
+    pair at s >= 1 has s recomputed from the norm of y^3 at that s and the
+    bound max((e^T |y^3|) |y|) on ||y^4||, and its powers rescaled.
+    Returns the report's fields and the pair."""
     table = TABLES[entry][Precision.DOUBLE]
     ledger = CostLedger()
-    alg = NaiveAlgebra(a.shape[0], ledger)
+    n = a.shape[0]
+    alg = NaiveAlgebra(n, ledger)
     wave = entry == "wave_cos_sin"
     x = t * t * a if wave else a
     norm = matcore.norm1(x)
@@ -269,15 +289,30 @@ def _naive_call(entry, a, t):
     root = math.sqrt(matcore.norm1(y2))
     if wave:
         norms = (norm, root)
-        scheme, s = driver.select_scheme(norm, table, None, root)
+        beta, delta = None, root
     else:
         beta = math.sqrt(matcore.norm1(y))
-        norms = (norm, beta, math.sqrt(root))
-        scheme, s = driver.select_scheme(norm, table, beta, math.sqrt(root))
+        delta = math.sqrt(root)
+        norms = (norm, beta, delta)
+    scheme, s = driver.select_scheme(norm, table, beta, delta)
     y, y2 = y * 2.0 ** (-2 * s), y2 * 2.0 ** (-4 * s)
+    y3, cubes = None, ()
+    if scheme.k_products == (5 if wave else 7) or entry == "pade_cos_sin":
+        y3 = alg.mul(y, y2) if entry == "pade_cos_sin" else alg.mul(y2, y)
+        if s and n >= driver._CUBE_MIN_N:
+            columns = np.abs(y3).sum(axis=0)
+            d, e = (3, 4) if wave else (6, 8)
+            step = 2.0 ** (table.step_bits * s)
+            cubes = (matcore.norm1(y3) ** (1 / d) * step,
+                     (columns @ np.abs(y)).max() ** (1 / e) * step)
+            again, refined = driver.select_scheme(norm, table, beta, delta,
+                                                  cube_norms=cubes)
+            assert again == scheme and refined <= s
+            y, y2, y3 = (m * 4.0 ** (k * (s - refined))
+                         for k, m in enumerate((y, y2, y3), start=1))
+            s = refined
     scaled = a * 2.0 ** -s
     if entry == "pade_cos_sin":
-        y3 = alg.mul(y, y2)
         powers = [alg.one, y, y2, y3, alg.mul(y, y3)]
         den, num_cos = alg.lin(powers, (PADE8_DEN, PADE8_NUM_COS))
         (num_sin_factor,) = alg.lin(powers[:4], (PADE8_NUM_SIN,))
@@ -288,10 +323,15 @@ def _naive_call(entry, a, t):
         ledger.charge_lu(solves=2)
     else:
         chain = schemes.SCHEMES[scheme.family, scheme.k_products].chain
-        cos, core = chain(alg, y, y2)
+        if y3 is None:
+            basis = _naive_basis(alg, scheme.family, scheme.k_products, y,
+                                 y2)
+        else:
+            basis = alg.basis(6, y, y2, y3)
+        cos, core = chain(alg, basis)
         sin = float(t / 2.0 ** s) * core if wave else alg.mul(scaled, core)
     cos, sin = _naive_double_angle(cos, sin, s, ledger, wave)
-    return (scheme, s, ledger.total_cost, norms), (cos, sin)
+    return (scheme, s, ledger.total_cost, norms, cubes), (cos, sin)
 
 
 def _driver_call(entry, a, t):
@@ -322,6 +362,7 @@ def test_large_calls_match_the_naive_replay(entry, kind, n):
         assert report.selection_norms == (choice[3][0],) * len(choice[3])
     else:
         assert report.selection_norms == choice[3]
+    assert report.cube_norms == choice[4]
     got = (report.result.cos_part, report.result.sin_part)
     if n < matcore._GEMM_MIN_N:
         assert all(map(np.array_equal, got, pair))
@@ -689,12 +730,17 @@ def test_precomputed_selection_matches_exact_rule(table):
 
 
 def test_import_does_not_load_scipy_linalg():
-    # nor mpmath: it serves cossinm.verify only, imported on its own
+    # nor mpmath: it serves cossinm.verify's coefficient extraction and
+    # thresholds only, not its reference evaluator, which the benchmark's
+    # set-up loads
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cossinm.__file__).resolve().parents[1])
-    for module in ("cossinm", "cossinm.cli"):
-        code = (f"import sys, {module}; print('scipy.linalg' in sys.modules,"
-                " 'mpmath' in sys.modules)")
+    for module, call in (
+            ("cossinm", ""), ("cossinm.cli", ""),
+            ("cossinm.verify",
+             "; cossinm.verify.reference_cos_sin([[0.5, 1.0], [0.0, 2.0]])")):
+        code = (f"import sys, {module}{call}; print('scipy.linalg' in"
+                " sys.modules, 'mpmath' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "False False", module
