@@ -52,10 +52,10 @@ or dense, each from matcore's crossover size), and every product runs
 through it, selection's included: a triangular A's products and Pade
 solves are triangular ones, a symmetric A's symmetric ones and a Cholesky
 solve, all charged as dense ones.  A triangular product of banded operands
-runs over their bandwidths only (matcore._band_product): a Jordan-type A's
-selection powers, chain products, leading sine factor and doubling steps
-take it while the widths stay under half of n, which in the doubling the
-zeroing above keeps so by leaving the far corner at exact zeros.
+runs over their bandwidths only (matcore._upper_product): a Jordan-type
+A's selection powers, chain products, leading sine factor and doubling
+steps stay banded, which in the doubling the zeroing above keeps so by
+leaving the far corner at exact zeros.
 """
 
 from __future__ import annotations

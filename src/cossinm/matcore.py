@@ -30,26 +30,18 @@ charged as before.
 
 UPPER: a product of two upper triangles needs n^3 / 3 flops against a
 dense product's 2 n^3, and a solve with an upper-triangular right-hand
-side n^3 / 3 against n^3.  Below _SPLIT_MIN_N the product is one dtrmm,
-which skips the left operand's zero triangle only (n^3 flops), and each
-solve one dtrsm, which reads the right-hand side as dense (n^3 flops).
-From _SPLIT_MIN_N both split at h = n // 2 into half blocks, the diagonal
-blocks recursively and the off-diagonal block by dtrmm and dtrsm on the
-halves, so they skip both operands' zero triangles (n^3 / 2 flops at one
-split, tending to n^3 / 3 as the split deepens).  Below
-_TRIANGULAR_MIN_N the triangular product saves too little, and no input
-takes the triangular path.
-
-Banded UPPER operands: from _SPLIT_MIN_N a product first reads each
-operand's bandwidth, the most columns any nonzero lies right of its
-diagonal (_bandwidth).  The bandwidths of a product of band matrices add,
-so when the two sum below n // _BAND_MAX_RATIO the product is one GEMM per
-panel of _PANEL rows over the window they leave, and +0 elsewhere
-(_band_product).  A Jordan-type input's products take it: its powers and
-chains, and its doubling pairs, whose far corner the driver's zeroing of
-tiny entries keeps at exact zeros.  A full triangle stops at its top-right
-panel and keeps the split kernel, bit for bit.  The Pade solves always
-take the split kernel: a solve fills the whole triangle.
+side n^3 / 3 against n^3.  Both are one tiled kernel over square tiles of
+_PANEL rows and columns on and above the diagonal (_upper_product,
+_upper_solve), each tile one GEMM over the inner range where neither
+operand is zero, and +0 below the diagonal tiles.  That range also skips
+what lies past an operand's bandwidth, the most columns any nonzero lies
+right of its diagonal (_bandwidth; a full triangle's is read at once from
+its top-right tile): a Jordan-type input's powers and chains are banded,
+and so are its doubling pairs, whose far corner the driver's zeroing of
+tiny entries keeps at exact zeros, and a solve's update is bounded by its
+denominator's bandwidth.  Each panel of a solve ends in one dtrsm.  Below
+_TRIANGULAR_MIN_N the tiles save too little, and no input takes the
+triangular path.
 
 SYMMETRIC (from _SYMMETRIC_MIN_N): a square is one dsyrk (n^3 flops), and
 a product of two different operands, which commute, forms only its upper
@@ -82,49 +74,30 @@ DenseMatrix: TypeAlias = np.ndarray
 _EPS = float(np.finfo(np.float64).eps)
 
 # Smallest n whose upper-triangular input takes the triangular kernels.  On
-# a 2-core Xeon VM with one OpenBLAS thread (best of 15), a dtrmm took 0.98
-# of an a @ b at n = 64, 0.93 at 80, 0.81 at 96 and 0.58-0.62 from 112 up;
-# below 96 the saving does not repay the structure test.
-_TRIANGULAR_MIN_N = 96
+# a 2-core Xeon VM with one OpenBLAS thread (best of 21 interleaved runs),
+# whole cos_sin, wave_cos_sin and pade_cos_sin calls on a full triangle
+# (norm 24) and a Jordan-type matrix (norm 12), in multiples of the same
+# call on the dense path: the median of the six and their range, through
+# the tiles at three sizes (_PANEL), and through the kernels they replaced
+# (one triangular BLAS call per product or solve below n = 192, half-block
+# splits and a banded product from there):
+#
+#     n          96    104   112   128   160   256   512
+#     tile 64    1.18  0.97  0.92  0.94  0.79  0.63  0.46
+#       lowest   1.08  0.84  0.80  0.75  0.66  0.54  0.34
+#       highest  1.20  1.02  0.96  0.98  0.88  0.74  0.67
+#     tile 32    1.25  1.12  1.02  0.96  0.85  0.64  0.47
+#     tile 96    1.23  1.09  1.01  1.01  0.81  0.67  0.45
+#     replaced   1.09  0.92  0.92  0.91  0.85  0.65  0.46
+#
+# At 96 every call lost to the dense path, and at 104 two of the six did;
+# the replaced single BLAS calls did better there than the tiles do.
+_TRIANGULAR_MIN_N = 112
 
-# Smallest n whose upper-triangular products and solves split into half
-# blocks (_split_product, _upper_solve); at 2 * _TRIANGULAR_MIN_N every
-# block that does not split again is at least _TRIANGULAR_MIN_N.  On a
-# 2-core Xeon VM with one OpenBLAS thread (best of 15 to 400 alternating
-# runs), in multiples of one a @ b at the same n, one dtrmm against the
-# split, and one solve pair as two whole dtrsm against the split:
-#
-#     n       96    128   192   256   384   512   1024
-#     dtrmm   0.86  0.62  0.59  0.60  0.57  0.56  0.55
-#     split   -     -     0.59  0.56  0.46  0.40  0.33
-#     dtrsm   4.50  3.39  3.24  3.60  3.46  2.55  2.02
-#     split   -     -     2.09  2.51  1.80  1.35  1.16
-#
-# Splitting 128 into 64-blocks took the product from 0.66 to 0.84.
-_SPLIT_MIN_N = 192
-
-# From _SPLIT_MIN_N an upper-triangular product whose operands' bandwidths
-# sum below n // _BAND_MAX_RATIO is _band_product.  On a 2-core Xeon VM with
-# one OpenBLAS thread (best of 41, 9 at n = 1024, interleaved), in multiples
-# of one a @ b at the same n: a product of two operands of bandwidth w
-# through _upper_product, both scans included ("-" where it takes the split
-# kernel), the split kernel on the same operands, and one operand's scan:
-#
-#     w \ n    192   256   384   512   1024
-#     1        0.47  0.28  0.17  0.12  0.08
-#     24       0.46  0.36  0.21  0.14  0.09
-#     48       -     0.49  0.24  0.15  0.10
-#     127      -     -     -     0.27  0.14
-#     split    0.47  0.54  0.43  0.41  0.33
-#     scan     0.12  0.08  0.05  0.03  0.02
-#
-# With widths summing to 0.4-0.75 n it kept winning to about 0.6 n at
-# n = 256-1024; at 192 it broke even on narrow bands and lost 5-10 % at
-# 0.4-0.5 n.
-_BAND_MAX_RATIO = 2
-# Rows per panel of _band_product, and of the top panel _bandwidth reads
-# first; rows per block of its scan (64 and 256 were slower at n = 512).
-_PANEL = 32
+# Rows and columns of the square tiles of the triangular product and solve
+# (the table above), and of the top-right tile _bandwidth reads first; rows
+# per block of its scan (64 and 256 were slower at n = 512).
+_PANEL = 64
 _SCAN_ROWS = 128
 
 # Smallest n whose symmetric input takes the symmetric kernels.  On a 2-core
@@ -326,42 +299,56 @@ def _upper_product(
     """a @ b for upper-triangular a and b, in out when given (out is then
     returned, and overlaps neither operand).
 
-    From _SPLIT_MIN_N each operand's bandwidth is read first (_bandwidth):
-    when the two sum below n // _BAND_MAX_RATIO, the product is
-    _band_product, and every other product is _split_product's, bit for
-    bit.  The second operand is read only when the first one's width
-    leaves room.
+    The bandwidths of a product of band matrices add, so with w_a and w_b
+    the operands' bandwidths (_bandwidth; a square's is read once), the
+    rows r0:r1 of each panel of _PANEL rows end before column
+    j = r1 + w_a + w_b.  Each square tile (r0:r1, c0:c1) from the diagonal
+    (c0 = r0) up to j, the last one cut at j, is one GEMM,
+    a[r0:r1, lo:hi] @ b[lo:hi, c0:c1], over the inner range
+    lo = max(r0, c0 - w_b), hi = min(r1 + w_a, c1) outside which every
+    term holds a zero of an operand, and the rest of the rows is +0.  A
+    full triangle thus costs about n^3 / 3 flops, and no entry below the
+    diagonal tiles is read.  Written straight into a C-contiguous out; any
+    other out takes a copy, so every layout gets the same bits.
     """
     n = a.shape[0]
-    if n >= _SPLIT_MIN_N:
-        # a square needs twice its width below the limit
-        limit = n // _BAND_MAX_RATIO
-        width_a = _bandwidth(a, (limit + 1) // 2 if b is a else limit)
-        if width_a is not None:
-            width_b = width_a if b is a else _bandwidth(b, limit - width_a)
-            if width_b is not None:
-                return _band_product(a, b, width_a, width_b, out)
-    return _split_product(a, b, out)
+    width_a = _bandwidth(a)
+    width_b = width_a if b is a else _bandwidth(b)
+    c = out if out is not None and out.flags.c_contiguous else np.empty(
+        a.shape)
+    for r0 in range(0, n, _PANEL):
+        r1 = min(n, r0 + _PANEL)
+        i = min(n, r1 + width_a)
+        j = min(n, i + width_b)
+        c[r0:r1, :r0] = 0.0
+        for c0 in range(r0, j, _PANEL):
+            c1 = min(j, c0 + _PANEL)
+            lo, hi = max(r0, c0 - width_b), min(i, c1)
+            np.matmul(a[r0:r1, lo:hi], b[lo:hi, c0:c1], out=c[r0:r1, c0:c1])
+        c[r0:r1, j:] = 0.0
+    if out is not None and c is not out:
+        out[...] = c
+        return out
+    return c
 
 
-def _bandwidth(a: DenseMatrix, limit: int) -> int | None:
+def _bandwidth(a: DenseMatrix) -> int:
     # The largest c - r over the nonzero entries a[r, c] of upper-triangular
-    # a when it is below limit, else None.  The top panel's entries limit or
-    # more past its last row's diagonal (its first _PANEL rows from column
-    # _PANEL - 1 + limit on) are read first, so a full triangle, whose
-    # top-right corner holds nonzeros, stops there.  The rest is read as
-    # one sheared view of row stride n + 1 whose column j holds diagonal j:
-    # row r's entries from its diagonal on, followed by row r + 1's zeros
-    # left of its diagonal, are n contiguous words.  It stops one row short
-    # of the end of a, as the last row holds only diagonal 0.  Each block
-    # of _SCAN_ROWS rows is ORed over its rows as int64 words, as many
-    # columns as its first row has diagonals.  A word other than +0 and -0
-    # keeps a bit past the sign bit, so an inf or a NaN counts as nonzero
-    # and -0.0 as zero.  Input that is not C-contiguous is not read.
+    # a, or n - 1 at once when the top-right _PANEL x _PANEL tile holds a
+    # nonzero (as a full triangle's does; below n = 2 _PANEL that tile
+    # reaches the diagonal) or a is not C-contiguous: a width past the true
+    # one only adds terms that hold a zero to the tiled kernels' GEMMs.
+    # The rest is read as one sheared view of row stride n + 1 whose column
+    # j holds diagonal j: row r's entries from its diagonal on, followed by
+    # row r + 1's zeros left of its diagonal, are n contiguous words.  It
+    # stops one row short of the end of a, as the last row holds only
+    # diagonal 0.  Each block of _SCAN_ROWS rows is ORed over its rows as
+    # int64 words, as many columns as its first row has diagonals.  A word
+    # other than +0 and -0 keeps a bit past the sign bit, so an inf or a
+    # NaN counts as nonzero and -0.0 as zero.
     n = a.shape[0]
-    if (not a.flags.c_contiguous
-            or a[:_PANEL, _PANEL - 1 + limit:].any()):
-        return None
+    if not a.flags.c_contiguous or a[:_PANEL, n - _PANEL:].any():
+        return n - 1
     step = (n + 1) * 8
     found = np.zeros(n, dtype=np.int64)
     for r0 in range(0, n - 1, _SCAN_ROWS):
@@ -370,72 +357,7 @@ def _bandwidth(a: DenseMatrix, limit: int) -> int | None:
         found[:n - r0] |= np.bitwise_or.reduce(sheared, axis=0)
     found <<= 1
     found[0] = 1  # a zero matrix has bandwidth 0
-    width = n - 1 - int(np.argmax(found[::-1] != 0))
-    return width if width < limit else None
-
-
-def _band_product(
-    a: DenseMatrix, b: DenseMatrix, width_a: int, width_b: int,
-    out: DenseMatrix | None,
-) -> DenseMatrix:
-    # a @ b for upper-triangular a and b of bandwidths width_a and width_b:
-    # the rows r0:r1 of each panel of _PANEL rows are one GEMM,
-    # a[r0:r1, r0:i] @ b[r0:i, r0:j] with i = r1 + width_a and
-    # j = i + width_b (each at most n), and +0 on the rest of those rows,
-    # where every term holds a zero of an operand.  Written straight into a
-    # C-contiguous out; any other out takes a copy, so every layout gets
-    # the same bits.
-    n = a.shape[0]
-    c = out if out is not None and out.flags.c_contiguous else np.empty(
-        a.shape)
-    for r0 in range(0, n, _PANEL):
-        r1 = min(n, r0 + _PANEL)
-        i = min(n, r1 + width_a)
-        j = min(n, i + width_b)
-        np.matmul(a[r0:r1, r0:i], b[r0:i, r0:j], out=c[r0:r1, r0:j])
-        c[r0:r1, :r0] = 0.0
-        c[r0:r1, j:] = 0.0
-    if out is not None and c is not out:
-        out[...] = c
-        return out
-    return c
-
-
-def _split_product(
-    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
-) -> DenseMatrix:
-    """a @ b for upper-triangular a and b that skips both zero triangles,
-    in out when given (out is then returned, and overlaps neither operand).
-
-    At h = n // 2, C11 = A11 B11 and C22 = A22 B22 recurse,
-    C12 = A11 B12 + A12 B22 is two dtrmm on the half blocks (a's diagonal
-    block on the left of one, b's on the right of the other) and C21 is
-    +0.  A block below _SPLIT_MIN_N is one dtrmm on the transposed views:
-    AB = (B^T A^T)^T, and the transposes of C-contiguous operands are
-    Fortran-contiguous with A^T lower triangular.  Without out that block
-    is returned as the dtrmm made it, not copied.  scipy's wrapper copies
-    each block view it is given that is not Fortran-contiguous: O(n^2)
-    per level.
-    """
-    from scipy.linalg.blas import dtrmm
-
-    n = a.shape[0]
-    if n < _SPLIT_MIN_N:
-        c = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-        if out is None:
-            return c
-        out[...] = c
-        return out
-    if out is None:
-        out = np.empty(a.shape)
-    h = n // 2
-    _split_product(a[:h, :h], b[:h, :h], out[:h, :h])
-    _split_product(a[h:, h:], b[h:, h:], out[h:, h:])
-    np.add(dtrmm(1.0, a[:h, :h].T, b[:h, h:].T, side=1, lower=1).T,
-           dtrmm(1.0, b[h:, h:].T, a[:h, h:].T, side=0, lower=1).T,
-           out=out[:h, h:])
-    out[h:, :h] = 0.0
-    return out
+    return n - 1 - int(np.argmax(found[::-1] != 0))
 
 
 def _symmetric_product(
@@ -562,7 +484,8 @@ def lu_solve_pair(
     With UPPER, the C-contiguous denominator and both right-hand sides are
     upper triangular, and the denominator is not factored: partial
     pivoting never swaps the rows of an upper-triangular matrix, so its
-    pivots are its diagonal.  Each solve is _upper_solve.
+    pivots are its diagonal.  Each solve is _upper_solve, both bounded by
+    the denominator's bandwidth, read once.
 
     With SYMMETRIC, the denominator is symmetric positive definite and
     commutes with both symmetric right-hand sides.  It is factored by
@@ -600,8 +523,9 @@ def lu_solve_pair(
         )
     ledger.charge_lu(solves=2)
     if structure is _UPPER:
-        return (_upper_solve(denominator, rhs1),
-                _upper_solve(denominator, rhs2))
+        width = _bandwidth(denominator)
+        return (_upper_solve(denominator, rhs1, width),
+                _upper_solve(denominator, rhs2, width))
     if structure is _SYMMETRIC:
         inverse, info = dpotri(factor, lower=1, overwrite_c=1)
         if info:
@@ -623,37 +547,37 @@ def lu_solve_pair(
     return x1, x2
 
 
-def _upper_solve(
-    d: DenseMatrix, r: DenseMatrix, out: DenseMatrix | None = None
-) -> DenseMatrix:
-    """d^-1 r for upper-triangular d and r, in out when given (out is then
-    returned).
+def _upper_solve(d: DenseMatrix, r: DenseMatrix, width: int) -> DenseMatrix:
+    """d^-1 r for upper-triangular d and r, as a new C-contiguous array.
 
-    The blocks are _split_product's: X22 = D22^-1 R22 and X11 = D11^-1 R11
-    recurse, X12 = D11^-1 (R12 - D12 X22) is one dtrmm (X22 on the right)
-    and one dtrsm, and X21 is +0.  A block below _SPLIT_MIN_N is one dtrsm,
-    X^T = R^T (D^T)^-1 on _split_product's transposed views, returned
-    without a copy when out is not given.
+    A blocked back-substitution on _upper_product's tiles, bottom panel
+    first: each tile (r0:r1, c0:c1) right of the panel's diagonal tile
+    takes r[r0:r1, c0:c1] - d[r0:r1, r1:hi] @ x[r1:hi, c0:c1], one GEMM
+    over the rows of x below the panel that the tile's columns have, up to
+    hi = min(c1, r1 + width) with width d's bandwidth (_bandwidth); then one
+    dtrsm with d's diagonal block solves the whole panel.  It is backward
+    stable as the unblocked substitution is (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 8).  d is read only in its upper triangle
+    and r only from its diagonal tiles on; the rows left of the panel's
+    diagonal tile are +0.
     """
-    from scipy.linalg.blas import dtrmm, dtrsm
+    from scipy.linalg.blas import dtrsm
 
     n = d.shape[0]
-    if n < _SPLIT_MIN_N:
-        x = dtrsm(1.0, d.T, r.T, side=1, lower=1).T
-        if out is None:
-            return x
-        out[...] = x
-        return out
-    if out is None:
-        out = np.empty(d.shape)
-    h = n // 2
-    x22 = _upper_solve(d[h:, h:], r[h:, h:], out[h:, h:])
-    _upper_solve(d[:h, :h], r[:h, :h], out[:h, :h])
-    rest = r[:h, h:] - dtrmm(1.0, x22.T, d[:h, h:].T, side=0, lower=1).T
-    out[:h, h:] = dtrsm(1.0, d[:h, :h].T, rest.T, side=1, lower=1,
-                        overwrite_b=1).T
-    out[h:, :h] = 0.0
-    return out
+    x = np.empty(d.shape)
+    for r0 in reversed(range(0, n, _PANEL)):
+        r1 = min(n, r0 + _PANEL)
+        panel = r[r0:r1, r0:].copy()
+        for c0 in range(r1, n, _PANEL):
+            c1 = min(n, c0 + _PANEL)
+            hi = min(c1, r1 + width)
+            panel[:, c0 - r0:c1 - r0] -= d[r0:r1, r1:hi] @ x[r1:hi, c0:c1]
+        # the transposed views: X^T D^T = P^T with D^T lower triangular,
+        # solved in place on the Fortran-contiguous panel.T
+        x[r0:r1, r0:] = dtrsm(1.0, d[r0:r1, r0:r1].T, panel.T, side=1,
+                              lower=1, overwrite_b=1).T
+        x[r0:r1, :r0] = 0.0
+    return x
 
 
 def read_matrix(path: str) -> DenseMatrix:

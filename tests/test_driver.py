@@ -225,7 +225,7 @@ def _blas_spy(monkeypatch):
     import scipy.linalg.blas as blas
     import scipy.linalg.lapack as lapack
 
-    calls = {"dtrmm": 0, "dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
+    calls = {"dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
     for name in calls:
         module = lapack if name == "dpotrf" else blas
         kernel = getattr(module, name)
@@ -313,7 +313,7 @@ def test_an_unscaled_pair_reads_the_input_itself(monkeypatch, entry):
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("form", ["dense", "triu"])
-@pytest.mark.parametrize("n", [6, 2 * matcore._TRIANGULAR_MIN_N])
+@pytest.mark.parametrize("n", [6, 3 * matcore._PANEL])
 def test_input_layout_moves_no_bit(entry, form, n):
     # numpy sums a Fortran-ordered column in another order (selection's
     # 1-norm moved by an ulp at n = 192 before as_matrix took input to C
@@ -341,9 +341,8 @@ def test_input_layout_moves_no_bit(entry, form, n):
 @pytest.mark.parametrize("kind", ["jordan", "triu"])
 def test_upper_triangular_input_takes_the_triangular_kernels(
         monkeypatch, entry, kind):
-    # at an n whose triangular kernels split once, and one where they split
-    # twice
-    for n in (2 * matcore._TRIANGULAR_MIN_N, 2 * matcore._SPLIT_MIN_N):
+    # at a multiple of the tile, and at an n whose last tile is short
+    for n in (4 * matcore._PANEL, 6 * matcore._PANEL + 17):
         a = _triangular_inputs(n)[kind]
         call = _ENTRY_POINTS[entry]
         want = _dense_path(monkeypatch, call, a)
@@ -389,7 +388,7 @@ def test_symmetric_input_takes_the_symmetric_kernels(
             "lu_solve_pair": pairs}
         assert kernels["dpotrf"] == pairs
         assert kernels["dsyrk"] >= (1 if entry == "wave_cos_sin" else 2) + s
-        assert kernels["dtrmm"] == kernels["dtrsm"] == 0
+        assert kernels["dtrsm"] == 0
         assert got.structure == "symmetric" and want.structure == "dense"
         _same_choice_from_structured_norms(got, want, entry)
         tol = 1e3 * n * 4.0 ** s * 2.0 ** -53
@@ -426,7 +425,7 @@ def test_other_input_keeps_the_dense_path_bit_for_bit(monkeypatch, entry, a):
     want = _dense_path(monkeypatch, call, a)
     calls = _blas_spy(monkeypatch)
     got = call(a)
-    assert calls == {"dtrmm": 0, "dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
+    assert calls == {"dtrsm": 0, "dsyrk": 0, "dpotrf": 0}
     assert got.structure == "dense"
     _same_choice(got, want)
     assert got.result.cos_part.tobytes() == want.result.cos_part.tobytes()
@@ -928,15 +927,14 @@ def _flushed_at(monkeypatch, min_n, call, a):
 def test_doubling_reads_no_subnormal_entry(monkeypatch):
     # the Pade pair of a Jordan-type matrix is a full triangle whose
     # entries decay far below 2^-1022 away from the diagonal.  Zeroed, the
-    # pair is banded, and its products take the banded kernel, which rounds
-    # apart from the split kernel the full triangles take; the zeroing
-    # alone is measured with the split kernel in both calls
+    # pair is banded, and its products run over narrower windows, which
+    # round apart from the full ones; the zeroing alone is measured with
+    # every operand's width pinned to the full n - 1 in both calls
     a = _jordan(_FLUSH_N)
     banded, banded_reads = _flushed_at(monkeypatch, driver._FLUSH_MIN_N,
                                        pade_cos_sin, a)
     assert banded_reads == 0
-    # no width sums below n // (n + 1) = 0
-    monkeypatch.setattr(matcore, "_BAND_MAX_RATIO", _FLUSH_N + 1)
+    monkeypatch.setattr(matcore, "_bandwidth", lambda m: m.shape[0] - 1)
     want, before = _flushed_at(monkeypatch, math.inf, pade_cos_sin, a)
     got, after = _flushed_at(monkeypatch, driver._FLUSH_MIN_N, pade_cos_sin,
                              a)
@@ -947,7 +945,7 @@ def test_doubling_reads_no_subnormal_entry(monkeypatch):
     for x, ref in ((got.result.cos_part, want.result.cos_part),
                    (got.result.sin_part, want.result.sin_part)):
         assert norm1(x - ref) <= 2.0 ** -400 * norm1(ref)
-    # the banded kernel's products keep the choice and the rounding bound
+    # the banded windows keep the choice and the rounding bound
     _same_choice(banded, want)
     tol = 1e3 * _FLUSH_N * 4.0 ** want.scaling_exponent * 2.0 ** -53
     for x, ref in ((banded.result.cos_part, want.result.cos_part),

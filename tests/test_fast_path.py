@@ -519,7 +519,7 @@ def test_readme_names_every_crossover_with_its_value():
                         or re.search(rf"= {number}\s*\($", before)):
                     line = readme.count("\n", 0, mention.start()) + 1
                     stale.append((name, value, f"README.md:{line}"))
-    assert {"_TRIANGULAR_MIN_N", "_SPLIT_MIN_N", "_SYMMETRIC_MIN_N",
+    assert {"_TRIANGULAR_MIN_N", "_SYMMETRIC_MIN_N",
             "_GEMM_MIN_N", "_FLUSH_MIN_N"} <= set(found)
     assert stale == []
 
@@ -747,9 +747,10 @@ def test_import_does_not_load_scipy_linalg():
 
 
 def test_dense_call_does_not_load_the_triangular_kernels():
-    # scipy.linalg comes in on the first upper-triangular call only; a
-    # dense call past the symmetric crossover, whose first row equals its
-    # first column, has its structure tested in panels and stays dense
+    # scipy.linalg comes in on the first upper-triangular Pade call only,
+    # whose solves end in dtrsm; the triangular products are numpy GEMMs,
+    # and a dense call past the symmetric crossover, whose first row equals
+    # its first column, has its structure tested in panels and stays dense
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cossinm.__file__).resolve().parents[1])
     n = matcore._SYMMETRIC_MIN_N
@@ -762,9 +763,11 @@ def test_dense_call_does_not_load_the_triangular_kernels():
         "b[0] = b[:, 0]\n"
         "assert cossinm.cos_sin(b).structure == 'dense'\n"
         "print('scipy.linalg' in sys.modules)\n"
-        "cossinm.cos_sin(np.triu(a))\n"
+        "assert cossinm.cos_sin(np.triu(a)).structure == 'upper'\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "cossinm.pade_cos_sin(np.triu(a))\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -66,10 +66,10 @@ def _upper_pair(rng, n):
     return np.triu(rng.standard_normal((n, n))), jordan
 
 
-# Sizes on the triangular path: below the split, odd and split once (into
-# halves of 96 and 97), and split twice (384 into 192 into 96)
-_SPLIT_SIZES = (matcore._TRIANGULAR_MIN_N, matcore._SPLIT_MIN_N + 1,
-                2 * matcore._SPLIT_MIN_N)
+# Sizes on the triangular path: the crossover, a multiple of the tile, and
+# an odd n whose last tile is short
+_TILE_SIZES = (matcore._TRIANGULAR_MIN_N, 3 * matcore._PANEL,
+               6 * matcore._PANEL + 17)
 
 
 def test_upper_triangular_predicate(rng):
@@ -87,27 +87,17 @@ def test_upper_triangular_predicate(rng):
 
 
 def test_upper_matmul_matches_the_dense_product(rng):
-    from scipy.linalg.blas import dtrmm
-
-    for n in _SPLIT_SIZES:
+    for n in _TILE_SIZES:
         triu, jordan = _upper_pair(rng, n)
         for a, b in ((triu, jordan), (jordan, triu), (triu, triu)):
             ledger = CostLedger()
             got = matmul(a, b, ledger, structure=Structure.UPPER)
-            want = a @ b
-            bound = n * 2.0 ** -53 * norm1(a) * norm1(b)
-            assert norm1(got - want) <= bound
-            assert not np.tril(got, -1).any()
-            assert got.flags.c_contiguous
-            assert ledger.products == 1 and ledger.total_cost == Fraction(1)
-            if n < matcore._SPLIT_MIN_N:
-                single = dtrmm(1.0, a.T, b.T, side=1, lower=1).T
-                assert got.tobytes() == single.tobytes()
+            _check_upper_product(got, a, b, ledger)
 
 
 @pytest.mark.parametrize("upper", [False, True])
 def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
-    for n in _SPLIT_SIZES:
+    for n in _TILE_SIZES:
         a, b = _upper_pair(rng, n)
         stack = np.full((3, n, n), np.nan)
         ledger = CostLedger()
@@ -122,11 +112,9 @@ def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
 
 @pytest.mark.parametrize("into", ["a", "b", "strided"])
 def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
-    # below the split, out overlapping a, or not C-contiguous, takes a copy
-    # of the result, and out = b takes the in-place path on b itself; from
-    # the split, out overlapping either operand takes a copy, and a strided
-    # out is written block by block
-    for n in _SPLIT_SIZES:
+    # out overlapping either operand, or not C-contiguous, takes a copy of
+    # the result
+    for n in _TILE_SIZES:
         a, b = _upper_pair(rng, n)
         want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
         if into == "strided":
@@ -144,21 +132,10 @@ def _band(rng, n, width):
     return np.triu(np.tril(rng.standard_normal((n, n)), width))
 
 
-# Sizes the banded product is checked at: the split crossover, where it
-# starts, and an odd n whose last panel is short
-_BAND_SIZES = (matcore._SPLIT_MIN_N, 2 * matcore._SPLIT_MIN_N + 17)
-
-
-def _band_spy(monkeypatch):
-    """Count the products the banded kernel forms."""
-    calls = []
-
-    def spied(*args, _kernel=matcore._band_product):
-        calls.append(args[0].shape)
-        return _kernel(*args)
-
-    monkeypatch.setattr(matcore, "_band_product", spied)
-    return calls
+def _tile_widths(n):
+    """Bandwidths on both sides of a tile's edge, and a full triangle's."""
+    tile = matcore._PANEL
+    return (0, 1, tile - 1, tile, tile + 1, n - 1)
 
 
 def _check_upper_product(got, a, b, ledger):
@@ -170,66 +147,82 @@ def _check_upper_product(got, a, b, ledger):
 
 
 def test_bandwidth_reads_the_widest_diagonal(rng):
-    n = matcore._SPLIT_MIN_N + 1
+    n = 6 * matcore._PANEL + 1
     for width in (0, 1, 24, 127):
-        assert matcore._bandwidth(_band(rng, n, width), n) == width
+        assert matcore._bandwidth(_band(rng, n, width)) == width
     b = _band(rng, n, 1)
     b[n - 3, n - 1] = 5e-324  # one subnormal on the last rows' diagonal 2
-    assert matcore._bandwidth(b, n) == 2
+    assert matcore._bandwidth(b) == 2
     b[5, 30] = -0.0  # a signed zero is a zero
-    assert matcore._bandwidth(b, n) == 2
+    assert matcore._bandwidth(b) == 2
     for value in (np.inf, np.nan):
         c = b.copy()
         c[40, 70] = value
-        assert matcore._bandwidth(c, n) == 30
-        # a width at the limit is not read as a bandwidth
-        assert matcore._bandwidth(c, 31) == 30
-        assert matcore._bandwidth(c, 30) is None
-    assert matcore._bandwidth(np.zeros((n, n)), 1) == 0
-    # a nonzero in the top-right panel, and a layout the scan cannot shear
+        assert matcore._bandwidth(c) == 30
+    assert matcore._bandwidth(np.zeros((n, n))) == 0
+    # a nonzero in the top-right tile, and a layout the scan cannot shear,
+    # give the full width at once
     c = b.copy()
     c[matcore._PANEL - 1, n - matcore._PANEL] = 1.0
-    assert matcore._bandwidth(c, n // matcore._BAND_MAX_RATIO) is None
-    assert matcore._bandwidth(np.asfortranarray(b), n) is None
+    assert matcore._bandwidth(c) == n - 1
+    assert matcore._bandwidth(np.asfortranarray(b)) == n - 1
 
 
-@pytest.mark.parametrize("n", _BAND_SIZES)
-def test_banded_upper_matmul_matches_the_dense_product(rng, monkeypatch, n):
-    limit = n // matcore._BAND_MAX_RATIO
-    cases = [(1, 1), (24, 1), (24, 24), (limit - 25, 24)]
-    if 127 + 24 < limit:
-        cases.append((127, 24))
-    calls = _band_spy(monkeypatch)
-    for wa, wb in cases:
-        for a, b in ((_band(rng, n, wa), _band(rng, n, wb)),
-                     (_band(rng, n, wb), _band(rng, n, wa))):
-            ledger = CostLedger()
-            got = matmul(a, b, ledger, structure=Structure.UPPER)
-            _check_upper_product(got, a, b, ledger)
-    assert len(calls) == 2 * len(cases)
-
-
-@pytest.mark.parametrize("n", _BAND_SIZES)
-def test_upper_matmul_past_the_band_crossover_keeps_the_split_bytes(
-        rng, monkeypatch, n):
-    # widths that sum to n // _BAND_MAX_RATIO, a banded operand times a
-    # full triangle, two full triangles, and one nonzero in the far corner,
-    # in the top-right panel or below it, all take the split kernel, bit
-    # for bit
-    limit = n // matcore._BAND_MAX_RATIO
-    band, triangle = _band(rng, n, 24), np.triu(rng.standard_normal((n, n)))
-    top_right, far = band.copy(), band.copy()
-    top_right[0, n - 1] = 1.0
-    far[n // 4, n // 4 + limit] = 1.0
-    pairs = [(_band(rng, n, limit - 24), band), (band, triangle),
-             (triangle, triangle), (top_right, band), (band, far)]
-    calls = _band_spy(monkeypatch)
-    for a, b in pairs:
+@pytest.mark.parametrize("n", _TILE_SIZES)
+def test_banded_upper_matmul_matches_the_dense_product(rng, n):
+    # every pair of widths on both sides of a tile's edge, each product in
+    # both orders, and each width's square; a width that reaches the
+    # top-right tile reads as the full one
+    widths = _tile_widths(n)
+    for wa in widths:
+        a = _band(rng, n, wa)
+        full = wa > n - 2 * matcore._PANEL
+        assert matcore._bandwidth(a) == (n - 1 if full else wa)
+        for wb in widths:
+            b = _band(rng, n, wb)
+            for p, q in ((a, b), (b, a)):
+                ledger = CostLedger()
+                got = matmul(p, q, ledger, structure=Structure.UPPER)
+                _check_upper_product(got, p, q, ledger)
         ledger = CostLedger()
-        got = matmul(a, b, ledger, structure=Structure.UPPER)
-        _check_upper_product(got, a, b, ledger)
-        assert got.tobytes() == matcore._split_product(a, b, None).tobytes()
-    assert not calls
+        _check_upper_product(matmul(a, a, ledger, structure=Structure.UPPER),
+                             a, a, ledger)
+
+
+def _nan_below_the_diagonal_tiles(m):
+    """A copy of m with NaN in every entry below its diagonal tiles: the
+    entries (i, j) whose tile row i // _PANEL is past the tile column."""
+    tile = np.arange(m.shape[0]) // matcore._PANEL
+    return np.where(tile[:, None] > tile[None, :], np.nan, m)
+
+
+@pytest.mark.parametrize("n", _TILE_SIZES)
+def test_upper_kernels_read_nothing_below_the_diagonal_tiles(rng, n):
+    # NaN below the operands' diagonal tiles, and in the whole strict lower
+    # triangle of a solve's denominator, never reaches the result.  Full
+    # triangles keep the bits they have without it; a banded operand's
+    # scan reads some of the NaN as a wider band, and its products stay
+    # within the rounding bound
+    triu, jordan = _upper_pair(rng, n)
+    other = np.triu(rng.standard_normal((n, n)))
+    marked = {id(m): _nan_below_the_diagonal_tiles(m)
+              for m in (triu, jordan, other)}
+    for a, b in ((triu, other), (jordan, triu), (triu, triu)):
+        # a square stays one marked operand, a is b
+        got = matcore._upper_product(marked[id(a)], marked[id(b)], None)
+        assert np.isfinite(got).all() and not np.tril(got, -1).any()
+        assert norm1(got - a @ b) <= n * 2.0 ** -53 * norm1(a) * norm1(b)
+        if a is not jordan:
+            want = matcore._upper_product(a, b, None)
+            assert got.tobytes() == want.tobytes()
+    den = identity(n) + 0.1 * triu / n
+    marked_den = np.where(np.tri(n, k=-1, dtype=bool), np.nan, den)
+    width = matcore._bandwidth(den)
+    for r in (triu, jordan):
+        got = matcore._upper_solve(marked_den, marked[id(r)], width)
+        want = matcore._upper_solve(den, r, width)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all() and not np.tril(got, -1).any()
 
 
 @pytest.mark.parametrize("into", ["slab", "a", "b", "strided"])
@@ -238,7 +231,7 @@ def test_banded_upper_matmul_into_a_slab_an_operand_or_a_strided_out(
     # a slab is written in place, out overlapping an operand takes a copy,
     # and a strided out is written from a C-contiguous result: all give the
     # bytes of no out, and a square (a is b) those of the same product
-    for n in _BAND_SIZES:
+    for n in _TILE_SIZES:
         a, b = _band(rng, n, 24), _band(rng, n, 1)
         want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
         square = matmul(a, a.copy(), CostLedger(), structure=Structure.UPPER)
@@ -475,21 +468,19 @@ def test_lu_solve_pair_residuals(rng):
 
 
 def test_upper_lu_solve_pair_residuals(rng):
-    from scipy.linalg.blas import dtrsm
-
-    for n in _SPLIT_SIZES:
-        den = identity(n) + 0.1 * np.triu(rng.standard_normal((n, n))) / n
+    # denominators of every bandwidth on both sides of a tile's edge
+    for n in _TILE_SIZES:
         rhs1, rhs2 = _upper_pair(rng, n)
-        ledger = CostLedger()
-        x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger, structure=Structure.UPPER)
-        assert ledger.total_cost == Fraction(7, 3)
-        for x, rhs in ((x1, rhs1), (x2, rhs2)):
-            assert np.max(np.abs(den @ x - rhs)) <= 1e-12
-            assert not np.tril(x, -1).any()
-            assert x.flags.c_contiguous
-            if n < matcore._SPLIT_MIN_N:
-                want = dtrsm(1.0, den.T, rhs.T, side=1, lower=1).T
-                assert x.tobytes() == want.tobytes()
+        for width in _tile_widths(n):
+            den = identity(n) + 0.1 * _band(rng, n, width) / n
+            ledger = CostLedger()
+            x1, x2 = lu_solve_pair(den, rhs1, rhs2, ledger,
+                                   structure=Structure.UPPER)
+            assert ledger.total_cost == Fraction(7, 3)
+            for x, rhs in ((x1, rhs1), (x2, rhs2)):
+                assert np.max(np.abs(den @ x - rhs)) <= 1e-12
+                assert not np.tril(x, -1).any()
+                assert x.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [matcore._GEMM_MIN_N, 256])
