@@ -11,18 +11,27 @@ s from their norms (select_scheme), which sees through nonnormal input
 whose 1-norm far exceeds what its powers do.  The degree-12 chains and the
 Pade pair read y^3 too; the driver forms it once the scheme is chosen,
 and from n = _CUBE_MIN_N reads its norm and a bound on ||y^4|| to lower s
-where they allow (_refined_steps).  The powers go to the pair as the first
-slabs of its basis stack (_basis).  The input is scaled by an exact power
-of two, the chain is evaluated there with the powers scaled to match
-(2^-s per factor of A, also exact, so the chain forms none of them again
-and the cost law stays pair cost + 2s), and the result is pushed back up
-with double-angle steps, each costing two products formed from the old pair
-and scaled in place: S <- 2 S C and C <- I - 2 S^2.  The sine form keeps
-I - C, all the information a cosine near the identity carries, to full
-relative accuracy; 2 C^2 - I would rebuild it by cancellation and lose
-about a factor 4 per step.  The wave pair scales the time step instead
-(halving t quarters the even variable) and doubles with c <- 2 c^2 - I: its
-s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
+where they allow (_refined_steps).  The powers are formed straight into the
+first slabs of the pair's basis stack, one workspace per call made before
+selection (MatrixAlgebra.workspace), so none is copied on its way to the
+pair (_basis).  The input is scaled by an exact power of two, the chain is
+evaluated there with the powers scaled to match (2^-s per factor of A,
+also exact, so the chain forms none of them again and the cost law stays
+pair cost + 2s), and the result is pushed back up with double-angle steps,
+each costing two products formed from the old pair and scaled in place:
+S <- 2 S C and C <- I - 2 S^2.  From s = 2 every step after the first
+is one stacked product, S [S, C] = [S^2, S C], which matcore.matmul
+charges 2, into one of two alternating (2, n, n) buffers
+(_double_angle); the first writes the entering pair's two products into
+a buffer, so that pair is never copied (a C-ordered copy of a
+Fortran-ordered pair, as the Pade pair's dgetrs solves return below
+matcore._GEMM_MIN_N, would round differently).  Every bit is that of two
+products per step.  The sine form keeps I - C, all the information a
+cosine near the identity carries, to full relative accuracy; 2 C^2 - I
+would rebuild it by cancellation and lose about a factor 4 per step.  The
+wave pair scales the time step instead (halving t quarters the even
+variable) and doubles with c <- 2 c^2 - I, two products per step: its s
+kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
 third product per step.
 
 A large pair (n >= _FLUSH_MIN_N) is tested once as it enters the doubling.
@@ -311,45 +320,98 @@ def _tiny_mask(m: DenseMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return magnitude < math.ldexp(top, -_FLUSH_BITS), magnitude
 
 
+# The scale of a step into each buffer of _double_angle: [S C, S^2] into
+# pairs[0], [S^2, S C] into pairs[1]
+_STEP_SCALES = (np.array([2.0, -2.0]).reshape(2, 1, 1),
+                np.array([-2.0, 2.0]).reshape(2, 1, 1))
+
+
 def _double_angle(
     cos: DenseMatrix, sin: DenseMatrix, steps: int, alg: MatrixAlgebra,
     wave: bool,
 ) -> tuple[DenseMatrix, DenseMatrix]:
-    # Both products of a step read the old pair; each fresh, C-contiguous
-    # product is then scaled in place and its identity term added on the
-    # diagonal: C <- I - 2 (S S), or C <- 2 (C C) - I for the wave pair,
-    # and S <- 2 (S C).  Scaling by -2 turns each +0 of S S into -0, so C's
-    # off-diagonal zeros are -0 where a plain sum gives +0 (equal values; a
-    # fix costs a pass per step).  Tiny entries are zeroed as the module
-    # docstring says: the entering pair is tested once, and zeroing runs
-    # only when it is finite and a matrix of it holds a nonzero tiny entry.
+    # Both products of a step read the old pair, and each is then scaled in
+    # place and its identity term added on the diagonal: C <- I - 2 (S S),
+    # or C <- 2 (C C) - I for the wave pair, and S <- 2 (S C).  Scaling by
+    # -2 turns each +0 of S S into -0, so C's off-diagonal zeros are -0
+    # where a plain sum gives +0 (equal values; a fix costs a pass per
+    # step).  Tiny entries are zeroed as the module docstring says: the
+    # entering pair is tested once, and zeroing runs only when it is finite
+    # and a matrix of it holds a nonzero tiny entry.
+    #
+    # From s = 2 the trigonometric pairs alternate between two (2, n, n)
+    # buffers, pairs[0] holding [S, C] and pairs[1] [C, S], so S is slab i
+    # of pairs[i].  The first step writes the two products of the entering
+    # pair into pairs[1]: that pair is not copied into a stack, whose
+    # C-ordered copy of a Fortran-ordered pair (the Pade pair's dgetrs
+    # solves below matcore._GEMM_MIN_N) would round differently.  Every
+    # later step is one stacked product, S [S, C] = [S^2, S C] or
+    # S [C, S] = [S C, S^2], one broadcast scale and one diagonal update,
+    # and copies no slab.  The returned pair is copied out of its buffer,
+    # so it holds nothing else alive.  One step alone costs less as two
+    # products into fresh arrays than the buffers' set-up and copy.  The
+    # wave pair's step, [C, S] C = [C^2, S C] for the bits of S C, would
+    # put the stack first (perfbench's tracer reads n from the first
+    # operand), and keeps its two products.
     n = cos.shape[0]
-    flush = False
+    tiny = None
     if steps and n >= _FLUSH_MIN_N:
         tiny = _tiny_mask(cos), _tiny_mask(sin)
-        flush = all(t is not None for t in tiny) and any(
-            np.max(magnitude, where=mask, initial=0.0)
-            for mask, magnitude in tiny)
+        if not (all(t is not None for t in tiny) and any(
+                np.max(magnitude, where=mask, initial=0.0)
+                for mask, magnitude in tiny)):
+            tiny = None
+    flush = tiny is not None
+    if wave or steps < 2:
+        for _ in range(steps):
+            if flush:
+                _zero_tiny(cos, sin, tiny)
+                tiny = None
+            if wave:
+                square = alg.mul(cos, cos)
+                square *= 2.0
+                square.ravel()[:: n + 1] -= 1.0
+            else:
+                square = alg.mul(sin, sin)
+                square *= -2.0
+                square.ravel()[:: n + 1] += 1.0
+            sin = alg.mul(sin, cos)
+            sin *= 2.0
+            cos = square
+        return cos, sin
+    pairs = np.empty((2, 2, n, n))
+    # each buffer, its sine and cosine slabs, and its cosine's diagonal
+    buffers = pairs[0], pairs[1]
+    sines, cosines = (pairs[0, 0], pairs[1, 1]), (pairs[0, 1], pairs[1, 0])
+    flat = pairs.reshape(2, 2 * n * n)
+    diagonals = flat[0, n * n :: n + 1], flat[1, : n * n : n + 1]
+    i = 0
     for step in range(steps):
         if flush:
-            if step:
-                tiny = _tiny_mask(cos), _tiny_mask(sin)
-            for m, t in zip((cos, sin), tiny):
-                if t is not None:
-                    # each tiny entry times +0.0: a zero keeps its sign
-                    np.multiply(m, 0.0, out=m, where=t[0])
-        if wave:
-            square = alg.mul(cos, cos)
-            square *= 2.0
-            square.ravel()[:: n + 1] -= 1.0
+            _zero_tiny(cos, sin, tiny)
+            tiny = None
+        j = 1 - i
+        if step:
+            alg.mul(sin, buffers[i], out=buffers[j])
         else:
-            square = alg.mul(sin, sin)
-            square *= -2.0
-            square.ravel()[:: n + 1] += 1.0
-        sin = alg.mul(sin, cos)
-        sin *= 2.0
-        cos = square
-    return cos, sin
+            alg.mul(sin, sin, out=cosines[j])
+            alg.mul(sin, cos, out=sines[j])
+        np.multiply(buffers[j], _STEP_SCALES[j], out=buffers[j])
+        np.add(diagonals[j], 1.0, out=diagonals[j])
+        i = j
+        cos, sin = cosines[i], sines[i]
+    return cos.copy(), sin.copy()
+
+
+def _zero_tiny(cos: DenseMatrix, sin: DenseMatrix, tiny: tuple | None) -> None:
+    # each tiny entry of the pair times +0.0, so a zero keeps its sign;
+    # tiny holds the pair's _tiny_mask results where the entry test read
+    # them already
+    if tiny is None:
+        tiny = _tiny_mask(cos), _tiny_mask(sin)
+    for m, t in zip((cos, sin), tiny):
+        if t is not None:
+            np.multiply(m, 0.0, out=m, where=t[0])
 
 
 def _scale(m: DenseMatrix, bits: int) -> None:
@@ -390,10 +452,12 @@ def _basis(
 
     y^3 is written into its slab as y^2 y for the degree-12 chains and as
     y y^2 for the Pade pair: the operands and order each pair used when it
-    formed y^3 itself, so the product keeps its bits.  verify and the
-    scheme tests build a pair's basis here too.
+    formed y^3 itself, so the product keeps its bits.  The driver hands in
+    y and y^2 as slabs 1 and 2 of the call's workspace, which alg.basis
+    returns without a copy; verify and the scheme tests build a pair's
+    basis here too, from powers of their own.
     """
-    registered = SCHEMES[scheme.family, scheme.k_products]
+    registered = scheme._registered
     basis = alg.basis(registered.depth, y, y2)
     if registered.powers == 3:
         if scheme.family is SchemeFamily.PADE8:
@@ -419,25 +483,49 @@ def _cube_norms(
             float((columns @ magnitude).max()) ** (1.0 / e))
 
 
+# The largest ||A||_1 whose selection reads ||y||_1 and ||y^2||_1 in one
+# pass (_square_norms): ||y||_1 <= ||A||_1^2 <= 2^500, so y^2 is formed
+# before selection anyway.
+_PAIRED_NORMS_LIMIT = 2.0 ** (_SQUARE_LIMIT_BITS // 2)
+# Slabs of the call's workspace: the deepest basis stack any scheme starts
+# from, made before selection forms y and y^2 in slabs 1 and 2.
+_WORKSPACE_DEPTH = max(registered.depth for registered in SCHEMES.values())
+
+
+def _square_norms(stack: np.ndarray) -> tuple[float, float]:
+    # (||y||_1, ||y^2||_1) for y and y^2 in slabs 1 and 2 of stack, in one
+    # pass over both, |y| and |y^2| written into slabs 3 and 4 (free until
+    # the pair fills them): each slab's column sums are added row by row
+    # as norm1's are, so each norm is norm1's bit for bit
+    magnitude = np.abs(stack[1:3], out=stack[3:5])
+    tops = np.maximum.reduce(np.add.reduce(magnitude, axis=1), axis=1)
+    return float(tops[0]), float(tops[1])
+
+
 def _selection(
-    x: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, wave: bool
+    a: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, t: float | None
 ) -> tuple[SchemeId, int, np.ndarray, tuple[float, ...], tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
 
-    x is A, whose y = A^2 costs a product, or B = t^2 A, which is its own
-    y.  Above 2^500, x is first taken to x 2^-p (x 4^-p for B, which
-    quarters per step) so the squares stay finite, and s counts p on top;
-    a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and the
-    q steps count in p.  A B with an inf or NaN entry (t^2 A overflowed)
-    raises MatrixInputError.
+    t is None for the trigonometric pairs, whose x = A gives y = A^2 at a
+    product, and the wave pair's time step otherwise, whose x = B = t^2 A
+    is its own y.  Above 2^500, x is first taken to x 2^-p (x 4^-p for B,
+    which quarters per step) so the squares stay finite, and s counts p on
+    top; a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and
+    the q steps count in p.  A B with an inf or NaN entry (t^2 A
+    overflowed) raises MatrixInputError.
     Returns the scheme, s, the basis stack its pair starts from (_basis),
     its powers scaled to the chain's operand, the selection norms and the
     cube norms (empty where not read).  Every path forms the pair's
-    powers.  At the table's floor the cheapest scheme runs unscaled and no
-    power's norm is read; where ||y||_1 exceeds 2^500, y^2 is formed from
-    the scaled y once s is chosen.  Every product runs through alg, so a
-    structured one may round differently from the dense product, and the
-    norms with it (by an ulp in ||A^4||_1^(1/4) on a 512 x 512 triangle).
+    powers, straight into slabs 1 and 2 of the call's workspace
+    (MatrixAlgebra.workspace, _WORKSPACE_DEPTH slabs made first), which
+    becomes the basis with nothing copied.  At the table's floor the
+    cheapest scheme runs unscaled and no power's norm is read; where
+    ||y||_1 exceeds 2^500, y^2 is formed from the scaled y once s is
+    chosen; up to ||A||_1 = 2^250 both norms are read in one pass
+    (_square_norms).  Every product runs through alg, so a structured one
+    may round differently from the dense product, and the norms with it
+    (by an ulp in ||A^4||_1^(1/4) on a 512 x 512 triangle).
 
     From n = _CUBE_MIN_N, a scheme whose pair reads y^3 (the degree-12
     chains, the Pade pair) and needs s >= 1 has it formed at that s, from
@@ -455,11 +543,15 @@ def _selection(
     powers of two the lower s asks for; the ledger stays pair cost + 2s,
     and a call whose s does not move keeps every bit.
     """
+    wave = t is not None
+    stack = alg.workspace(_WORKSPACE_DEPTH, a.shape[0])
+    x = np.multiply(a, t * t, out=stack[1]) if wave else a
     norm = norm1(x)
     if norm <= table.floor:
         scheme = table.entries[0].scheme
-        y = x if wave else alg.mul(x, x)
-        return (scheme, 0, _basis(scheme, alg, y, alg.mul(y, y)),
+        y = x if wave else alg.mul(x, x, out=stack[1])
+        return (scheme, 0,
+                _basis(scheme, alg, y, alg.mul(y, y, out=stack[2])),
                 (norm,) * (2 if wave else 3), ())
     bits = table.step_bits
     # q steps taken first when the 1-norm itself overflows, though every
@@ -475,18 +567,25 @@ def _selection(
         norm_q = norm1(x * 2.0 ** (-bits * q))
     p = max(0, -(-(math.frexp(norm_q)[1] + bits * q - _SQUARE_LIMIT_BITS)
                  // bits))
-    base = x * 2.0 ** (-bits * p) if p else x
     base_norm = math.ldexp(norm_q, bits * (q - p))
+    y2 = None
     if wave:
-        y, y_norm = base, base_norm
+        # B 4^-p in its own slab, as exact as x 4^-p
+        y, y_norm = x, base_norm
+        _scale(y, -bits * p)
+    elif norm <= _PAIRED_NORMS_LIMIT:
+        y = alg.mul(x, x, out=stack[1])
+        y2 = alg.mul(y, y, out=stack[2])
+        y_norm, y2_norm = _square_norms(stack)
     else:
-        y = alg.mul(base, base)
+        base = x * 2.0 ** (-bits * p) if p else x
+        y = alg.mul(base, base, out=stack[1])
         y_norm = norm1(y)
+    if y2 is None and y_norm <= _SQUARE_LIMIT:
+        y2 = alg.mul(y, y, out=stack[2])
+        y2_norm = norm1(y2)
     # root is ||y^2||^(1/2), or ||y|| when y^2 waits for s
-    y2, root = None, y_norm
-    if y_norm <= _SQUARE_LIMIT:
-        y2 = alg.mul(y, y)
-        root = math.sqrt(norm1(y2))
+    root = y_norm if y2 is None else math.sqrt(y2_norm)
     if wave:
         beta, delta = None, root
         norms = (norm, _upscaled(delta, 2 * p))
@@ -494,16 +593,15 @@ def _selection(
         beta, delta = math.sqrt(y_norm), math.sqrt(root)
         norms = (norm, _upscaled(beta, p), _upscaled(delta, p))
     scheme, s = select_scheme(base_norm, table, beta, delta)
-    # y and y^2 are this call's own (B = t^2 A a fresh product too), so
-    # they are scaled in place
+    # y and y^2 are this call's own slabs, so they are scaled in place
     _scale(y, -2 * s)
     if y2 is None:
-        y2 = alg.mul(y, y)
+        y2 = alg.mul(y, y, out=stack[2])
     else:
         _scale(y2, -4 * s)
     basis = _basis(scheme, alg, y, y2)
     if not (s and x.shape[0] >= _CUBE_MIN_N
-            and SCHEMES[scheme.family, scheme.k_products].powers == 3):
+            and scheme._registered.powers == 3):
         return scheme, s + p, basis, norms, ()
     # the cube norms at s, in the base operand's units
     gamma, eps = (math.ldexp(c, bits * s)
@@ -558,12 +656,10 @@ def _evaluate(
             t = float(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
-            scheme, s, basis, norms, cubes = _selection(
-                t * t * a, table, alg, True)
+            scheme, s, basis, norms, cubes = _selection(a, table, alg, t)
             odd = t / 2.0 ** s
         else:
-            scheme, s, basis, norms, cubes = _selection(
-                a, table, alg, False)
+            scheme, s, basis, norms, cubes = _selection(a, table, alg, None)
             # at s = 0 the pair reads A itself (x 1.0 = x); no pair
             # writes into odd
             odd = a * 2.0 ** -s if s else a

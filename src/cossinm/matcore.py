@@ -8,7 +8,9 @@ an LU factorization 1/3, and each triangular solve against n right-hand
 sides 1 (so a full inverse comes to 4/3).  The free work is done in bulk:
 linear_combination forms all the combinations of one chain stage in one
 call over a (k, n, n) basis stack, and matmul can write a product straight
-into a slab of such a stack (out=).
+into a slab of such a stack (out=).  matmul also takes a (k, n, n) stack as
+its second operand, k products in one call (the driver's doubling step
+S [S, C]), and charges them k.
 
 From n = _GEMM_MIN_N that free work, and the dense Pade solves, run in
 level-3 BLAS: a stage's combinations are one GEMM (the r x k block against
@@ -63,6 +65,7 @@ again; numpy or LAPACK raises on a bug.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TypeAlias
@@ -72,6 +75,7 @@ import numpy as np
 DenseMatrix: TypeAlias = np.ndarray
 
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT64 = np.dtype(np.float64)
 
 # Smallest n whose upper-triangular input takes the triangular kernels.  On
 # a 2-core Xeon VM with one OpenBLAS thread (best of 21 interleaved runs),
@@ -194,23 +198,28 @@ def as_matrix(a) -> DenseMatrix:
     one rounds to single, so bool, integer and other float entries are
     converted.  It is C-ordered: numpy sums a Fortran-ordered column in
     another order, so norm1, and with it selection, would read another last
-    bit.  C-ordered float64 input is returned as it is, without a copy.
-    Finiteness is tested on the binary64 result.
+    bit.  C-ordered float64 input is returned itself, with no conversion
+    step.  Finiteness is tested on the binary64 result.
     """
-    try:
-        a = np.asarray(a)
-    except ValueError as exc:
-        raise MatrixInputError(f"ragged or non-numeric rows: {exc}") from None
+    ready = (type(a) is np.ndarray and a.dtype is _FLOAT64
+             and a.flags.c_contiguous)
+    if not ready:
+        try:
+            a = np.asarray(a)
+        except ValueError as exc:
+            raise MatrixInputError(
+                f"ragged or non-numeric rows: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixInputError(f"matrix must be square, got shape {a.shape}")
     if a.dtype.kind not in "biuf":
         raise MatrixInputError(f"matrix entries must be real, got {a.dtype}")
     if a.size == 0:
         raise MatrixInputError(f"matrix must not be empty, got {a.shape}")
-    # a wider float past binary64 casts to inf, which the finiteness test
-    # rejects; numpy's overflow warning would come first
-    with np.errstate(over="ignore"):
-        a = a.astype(np.float64, order="C", copy=False)
+    if not ready:
+        # a wider float past binary64 casts to inf, which the finiteness
+        # test rejects; numpy's overflow warning would come first
+        with np.errstate(over="ignore"):
+            a = a.astype(np.float64, order="C", copy=False)
     if not np.isfinite(a).all():
         raise MatrixInputError("matrix entries must be finite")
     return a
@@ -273,24 +282,48 @@ def matmul(
     structure: Structure,
     out: DenseMatrix | None = None,
 ) -> DenseMatrix:
-    """Matrix product, charged to the ledger as one product unit.
+    """Matrix product, charged to the ledger as one product unit per slab.
 
-    With out, the product is written there and out is returned.  DENSE is
-    np.matmul (with out, the same bits as a @ b).  Otherwise a and b have
-    the structure, and so does the product; it is charged 1 all the same.
-    UPPER is _upper_product and SYMMETRIC _symmetric_product, written
-    straight into an out that overlaps neither operand and copied into any
-    other.
+    b is one n x n matrix or a (k, n, n) stack, whose k products a @ b[i]
+    are charged k and returned as one stack.  With out, the product is
+    written there and out is returned.  DENSE is np.matmul: a stack is one
+    call whose every slab has the bits of its own a @ b[i] (and with out,
+    the same bits as without).  Otherwise a and b have the structure, and
+    so does the product; it is charged 1 per slab all the same.  UPPER is
+    _upper_product and SYMMETRIC _symmetric_product, written straight into
+    an out that overlaps neither operand and copied into any other; a
+    stack takes them slab by slab, a slab that is a itself as a square.
     """
-    ledger.products += 1
+    ledger.products += 1 if b.ndim == 2 else len(b)
     if structure is _DENSE:
         return np.matmul(a, b, out=out)
+    if b.ndim == 2:
+        return _structured(a, b, out, structure)
+    if out is None:
+        out = np.empty(b.shape)
+    for slab, into in zip(b, out):
+        _structured(a, a if _same_view(slab, a) else slab, into, structure)
+    return out
+
+
+def _structured(
+    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None,
+    structure: Structure,
+) -> DenseMatrix:
+    # one product through structure's kernel, into out as matmul says
     kernel = _upper_product if structure is _UPPER else _symmetric_product
     if out is not None and (np.shares_memory(out, a)
                             or np.shares_memory(out, b)):
         out[...] = kernel(a, b, None)
         return out
     return kernel(a, b, out)
+
+
+def _same_view(p: DenseMatrix, q: DenseMatrix) -> bool:
+    # whether p and q read the same entries in the same layout
+    return (p.__array_interface__["data"][0]
+            == q.__array_interface__["data"][0]
+            and p.strides == q.strides and p.shape == q.shape)
 
 
 def _upper_product(
@@ -334,10 +367,11 @@ def _upper_product(
 
 def _bandwidth(a: DenseMatrix) -> int:
     # The largest c - r over the nonzero entries a[r, c] of upper-triangular
-    # a, or n - 1 at once when the top-right _PANEL x _PANEL tile holds a
-    # nonzero (as a full triangle's does; below n = 2 _PANEL that tile
-    # reaches the diagonal) or a is not C-contiguous: a width past the true
-    # one only adds terms that hold a zero to the tiled kernels' GEMMs.
+    # a, or n - 1 at once when a is not C-contiguous or, from n = 2 _PANEL,
+    # the top-right _PANEL x _PANEL tile holds a nonzero, as a full
+    # triangle's does (below that n the tile reaches the diagonal, which
+    # every banded matrix fills): a width past the true one only adds terms
+    # that hold a zero to the tiled kernels' GEMMs.
     # The rest is read as one sheared view of row stride n + 1 whose column
     # j holds diagonal j: row r's entries from its diagonal on, followed by
     # row r + 1's zeros left of its diagonal, are n contiguous words.  It
@@ -347,7 +381,8 @@ def _bandwidth(a: DenseMatrix) -> int:
     # other than +0 and -0 keeps a bit past the sign bit, so an inf or a
     # NaN counts as nonzero and -0.0 as zero.
     n = a.shape[0]
-    if not a.flags.c_contiguous or a[:_PANEL, n - _PANEL:].any():
+    if not a.flags.c_contiguous or (
+            n >= 2 * _PANEL and a[:_PANEL, n - _PANEL:].any()):
         return n - 1
     step = (n + 1) * 8
     found = np.zeros(n, dtype=np.int64)
@@ -367,8 +402,9 @@ def _symmetric_product(
     C-contiguous array, or out when given (out overlaps neither operand).
 
     A square (a is b) is one dsyrk: a^T a on the transposed view, whose
-    lower triangle in Fortran order is the upper one in C order, copied
-    into out when given (no square of a chain is written into a slab).
+    lower triangle in Fortran order is the upper one in C order, written
+    straight into a C-contiguous out (as its Fortran-ordered transpose,
+    with beta = 0, so what out held is not read) and copied into any other.
     Any other product forms its upper triangle in four row panels,
     a[i:i+h] @ b[:, i:], straight into out.  Either way _mirror_upper then
     copies the upper triangle into the lower one.
@@ -376,10 +412,14 @@ def _symmetric_product(
     if a is b:
         from scipy.linalg.blas import dsyrk
 
-        c = dsyrk(1.0, a.T, lower=1).T
-        if out is not None:
-            out[...] = c
+        if out is not None and out.flags.c_contiguous:
+            dsyrk(1.0, a.T, beta=0.0, c=out.T, lower=1, overwrite_c=1)
             c = out
+        else:
+            c = dsyrk(1.0, a.T, lower=1).T
+            if out is not None:
+                out[...] = c
+                c = out
     else:
         n = a.shape[0]
         c = np.empty(a.shape) if out is None else out
@@ -471,8 +511,9 @@ def lu_solve_pair(
 
     LAPACK's dgetrf/dgetrs are called directly (the same routines, on the
     same arguments, as scipy.linalg.lu_factor/lu_solve, without their
-    wrapper overhead), and imported on first use so that importing the
-    package does not load scipy.linalg.  From n = _GEMM_MIN_N the factors
+    wrapper overhead), from scipy's LAPACK module as _lapack resolves it
+    once, on the first solve, so that importing the package does not load
+    scipy.linalg.  From n = _GEMM_MIN_N the factors
     are instead inverted in place by a blocked dgetri, given the optimal
     workspace (its default one runs unblocked), and each solve is one
     product with that inverse, charged as the solve it is.  The Pade
@@ -497,25 +538,22 @@ def lu_solve_pair(
     """
     n = denominator.shape[0]
     threshold = 1e3 * _EPS * norm1(denominator)
+    lapack = _lapack()
     if structure is _UPPER:
         small = np.abs(np.diagonal(denominator)).min()
     elif structure is _SYMMETRIC:
-        from scipy.linalg.lapack import dpotrf, dpotri
-
         # the Fortran-ordered lower factor of the transposed view is the
         # upper one of the C-ordered denominator
-        factor, info = dpotrf(denominator.T, lower=1, clean=0)
+        factor, info = lapack.dpotrf(denominator.T, lower=1, clean=0)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         small = (factor[info - 1, info - 1] if info
                  else np.diagonal(factor).min() ** 2)
     else:
-        from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
-
-        lu, piv, info = dgetrf(denominator)
+        lu, piv, info = lapack.dgetrf(denominator)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgetrf")
-        small = np.abs(np.diag(lu)).min()
+        small = np.abs(lu.diagonal()).min()
     if small <= threshold:
         raise SingularMatrixError(
             f"denominator singular to working precision (pivot {small:.3e}"
@@ -527,7 +565,7 @@ def lu_solve_pair(
         return (_upper_solve(denominator, rhs1, width),
                 _upper_solve(denominator, rhs2, width))
     if structure is _SYMMETRIC:
-        inverse, info = dpotri(factor, lower=1, overwrite_c=1)
+        inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
         if info:
             raise ValueError(f"dpotri failed (info {info})")
         inverse = inverse.T
@@ -535,16 +573,25 @@ def lu_solve_pair(
         return (_symmetric_product(inverse, rhs1, None),
                 _symmetric_product(inverse, rhs2, None))
     if n >= _GEMM_MIN_N:
-        work, _ = dgetri_lwork(n)
-        inverse, info = dgetri(lu, piv, lwork=int(work), overwrite_lu=1)
+        work, _ = lapack.dgetri_lwork(n)
+        inverse, info = lapack.dgetri(lu, piv, lwork=int(work),
+                                      overwrite_lu=1)
         if info:
             raise ValueError(f"dgetri failed (info {info})")
         return np.matmul(inverse, rhs1), np.matmul(inverse, rhs2)
-    x1, info1 = dgetrs(lu, piv, rhs1)
-    x2, info2 = dgetrs(lu, piv, rhs2)
+    x1, info1 = lapack.dgetrs(lu, piv, rhs1)
+    x2, info2 = lapack.dgetrs(lu, piv, rhs2)
     if info1 or info2:
         raise ValueError(f"illegal argument to dgetrs (info {info1 or info2})")
     return x1, x2
+
+
+@functools.cache
+def _lapack():
+    # scipy's LAPACK wrappers, imported on the first solve that needs them
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _upper_solve(d: DenseMatrix, r: DenseMatrix, width: int) -> DenseMatrix:

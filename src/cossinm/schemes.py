@@ -103,12 +103,17 @@ class SchemeId:
     k_products: int
 
     def __post_init__(self) -> None:
-        if (self.family, self.k_products) not in SCHEMES:
+        registered = SCHEMES.get((self.family, self.k_products))
+        if registered is None:
             valid = tuple(k for f, k in SCHEMES if f is self.family)
             raise ValueError(
                 f"k_products for {self.family.value} must be one of {valid},"
                 f" got {self.k_products}"
             )
+        # the registry entry, kept so that a call reads it without a lookup
+        # (hashing the family, a Python-level Enum hash, took about a third
+        # of a microsecond per lookup); not a field, so not compared
+        object.__setattr__(self, "_registered", registered)
 
 
 @dataclass
@@ -322,13 +327,26 @@ class OperandAlgebra(Protocol[T]):
     def own(self, p: T) -> T: ...
 
 
+def _identity_first(depth: int, n: int) -> np.ndarray:
+    # a (depth, n, n) stack with the identity in slab 0; the slabs past it
+    # are written before they are read
+    stack = np.empty((depth, n, n))
+    stack[0] = 0.0
+    stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
+    return stack
+
+
 class MatrixAlgebra:
     """One call's dense-matrix algebra; every mul is charged to its ledger.
 
     Chains read the float64 blocks.  A basis is one C-contiguous
     (depth, n, n) array, so a stage's combinations are one
     linear_combination over a prefix of it, and its rows (views into one
-    result array) are returned as they are.  structure is what every
+    result array) are returned as they are.  The driver makes the call's
+    basis stack before it forms any power (workspace) and forms y and y^2
+    in its slabs 1 and 2, so basis hands back a prefix of it and copies
+    nothing; operands from anywhere else are copied into a fresh stack.
+    structure is what every
     operand keeps from the call's input, as every rational function of an
     upper-triangular (symmetric) matrix is upper triangular (symmetric),
     and each product and solve takes the kernels for it; no other layer
@@ -338,16 +356,25 @@ class MatrixAlgebra:
     def __init__(self, ledger: CostLedger, structure: Structure) -> None:
         self.ledger = ledger
         self._structure = structure
+        self._workspace: np.ndarray | None = None
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.floats
 
+    def workspace(self, depth: int, n: int) -> np.ndarray:
+        """The call's basis stack, made before its powers are: (depth, n, n),
+        the identity in slab 0 and the rest unwritten.  The caller forms
+        the operands of basis straight into slabs 1, 2, ..., in order, and
+        basis then returns the first depth slabs of this stack."""
+        self._workspace = _identity_first(depth, n)
+        return self._workspace
+
     def basis(self, depth: int, *operands: DenseMatrix) -> np.ndarray:
-        n = operands[0].shape[0]
-        # the slabs past the operands are written before they are read
-        stack = np.empty((depth, n, n))
-        stack[0] = 0.0
-        stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
+        stack = self._workspace
+        if stack is not None and operands[0].base is stack:
+            # the operands are the workspace's slabs 1, 2, ... already
+            return stack[:depth]
+        stack = _identity_first(depth, operands[0].shape[0])
         for i, operand in enumerate(operands, start=1):
             stack[i] = operand
         return stack
@@ -501,8 +528,7 @@ def taylor_cos_sin(
     scheme.k_products: the chain's products past those and the leading
     sine factor.
     """
-    cos, sin_core = SCHEMES[scheme.family, scheme.k_products].chain(
-        alg, basis)
+    cos, sin_core = scheme._registered.chain(alg, basis)
     return CosSinResult(alg.own(cos), alg.mul(a, sin_core))
 
 
@@ -517,7 +543,7 @@ def wave_kernels(
     times the scalar t, so the pair charges scheme.k_products less the
     caller's products.
     """
-    c, s_core = SCHEMES[scheme.family, scheme.k_products].chain(alg, basis)
+    c, s_core = scheme._registered.chain(alg, basis)
     return CosSinResult(alg.own(c), t * s_core)
 
 

@@ -182,8 +182,9 @@ def test_refinement_keeps_the_scheme_and_the_bits_of_an_unmoved_s(
     ("pade_cos_sin", "dense", 16.0, True),
     ("pade_cos_sin", "jordan", 12.0, False)])
 def test_y3_is_formed_once(monkeypatch, entry, form, norm, drops):
-    # every product's result is kept; exactly one of them is the y^3 the
-    # pair's basis holds, up to the power of two a lowered s rescales it by
+    # every product's result is kept (each slab of a stacked doubling
+    # step's); exactly one of them is the y^3 the pair's basis holds, up to
+    # the power of two a lowered s rescales it by
     a = _input(form, driver._CUBE_MIN_N, norm)
     call = ENTRIES[entry]
     want = _unrefined(monkeypatch, call, a)
@@ -191,7 +192,7 @@ def test_y3_is_formed_once(monkeypatch, entry, form, norm, drops):
 
     def spied_matmul(*args, _matmul=schemes.matmul, **kwargs):
         product = _matmul(*args, **kwargs)
-        results.append(product.copy())
+        results.extend(product.copy().reshape(-1, *product.shape[-2:]))
         return product
 
     def spied_pair(scheme, odd, alg, basis, _pair=driver._pair):

@@ -241,13 +241,15 @@ def _blas_spy(monkeypatch):
 def _structured_kernel_spy(monkeypatch):
     """Count the structured products and solves the schemes layer asks of
     matcore (matmul and lu_solve_pair with a structure other than DENSE),
-    whatever BLAS calls each makes."""
+    whatever BLAS calls each makes; a stacked operand's products count one
+    per slab."""
     calls = {"matmul": 0, "lu_solve_pair": 0}
     for name in calls:
         kernel = getattr(schemes, name)
 
         def counted(*args, _name=name, _kernel=kernel, **kwargs):
-            calls[_name] += kwargs["structure"] is not Structure.DENSE
+            if kwargs["structure"] is not Structure.DENSE:
+                calls[_name] += len(args[1]) if args[1].ndim == 3 else 1
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(schemes, name, counted)
@@ -745,7 +747,7 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
         for table in (DOUBLE_TAYLOR, DOUBLE_PADE):
             alg = MatrixAlgebra(CostLedger(), Structure.DENSE)
             _scheme, _s, basis, norms, _ = driver._selection(
-                dense, table, alg, False)
+                dense, table, alg, None)
             # A^2 is formed from A 2^-11; its norm is too large to square
             # before selection, so y^2 is formed from y once s is chosen,
             # and y^3, which both pairs read, from those two
@@ -776,6 +778,75 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
             assert out.total_products == \
                 _pair_cost(table, out.scheme_used) + 2 * out.scaling_exponent
     assert out.scheme_used == PADE8
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("norm", [1e-6, 0.5, 40.0, 2.0 ** 400, 2.0 ** 600])
+def test_selection_forms_its_powers_in_the_pair_basis(monkeypatch, entry,
+                                                      norm):
+    # y and y^2 are formed straight into slabs 1 and 2 of the workspace
+    # made before selection, and the basis the pair starts from is that
+    # workspace: at the floor, unscaled, scaled, with y^2 formed once s is
+    # chosen, and prescaled by 2^-p
+    seen = []
+
+    def spied(scheme, alg, y, y2, _basis=driver._basis):
+        basis = _basis(scheme, alg, y, y2)
+        seen.append((y, y2, basis))
+        return basis
+
+    monkeypatch.setattr(driver, "_basis", spied)
+    a = np.random.default_rng(6).standard_normal((6, 6))
+    _ENTRY_POINTS[entry](a * (norm / norm1(a)))
+    ((y, y2, basis),) = seen
+    for power, slab in ((y, basis[1]), (y2, basis[2])):
+        assert power.base is basis.base
+        assert (power.__array_interface__["data"]
+                == slab.__array_interface__["data"])
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 512])
+def test_square_norms_are_norm1_bit_for_bit(n):
+    # one pass over slabs 1 and 2, their magnitudes in slabs 3 and 4, reads
+    # the norms two norm1 calls read, and leaves y and y^2 as they were
+    rng = np.random.default_rng(n)
+    stack = np.full((5, n, n), np.nan)
+    stack[1] = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(
+        -8, 8, (n, n))
+    np.matmul(stack[1], stack[1], out=stack[2])
+    y, y2 = stack[1].copy(), stack[2].copy()
+    assert driver._square_norms(stack) == (norm1(y), norm1(y2))
+    assert stack[1].tobytes() == y.tobytes()
+    assert stack[2].tobytes() == y2.tobytes()
+
+
+@pytest.mark.parametrize("entry", ["cos_sin", "pade_cos_sin"])
+def test_square_norms_are_read_together_up_to_two_to_the_250(
+        monkeypatch, entry):
+    # up to ||A||_1 = 2^250 both norms come from one pass, and above it
+    # from two norm1 calls, ||y^2|| only where ||y|| <= 2^500; either way
+    # selection reads ||y||_1 and ||y^2||_1 exactly
+    paired = []
+
+    def spied(stack, _square_norms=driver._square_norms):
+        paired.append(stack)
+        return _square_norms(stack)
+
+    monkeypatch.setattr(driver, "_square_norms", spied)
+    a = np.random.default_rng(7).standard_normal((6, 6))
+    a *= driver._PAIRED_NORMS_LIMIT / norm1(a)
+    for scale, one_pass in ((1.0 - 2.0 ** -30, True),
+                            (1.0 + 2.0 ** -30, False)):
+        b = a * scale
+        report = _ENTRY_POINTS[entry](b)
+        assert len(paired) == one_pass
+        paired.clear()
+        y = b @ b
+        beta = math.sqrt(norm1(y))
+        assert report.selection_norms[:2] == (norm1(b), beta)
+        if norm1(y) <= 2.0 ** 500:
+            assert report.selection_norms[2] == math.sqrt(math.sqrt(
+                norm1(y @ y)))
 
 
 def test_wave_huge_norm_is_prescaled_like_cos_sin():

@@ -244,6 +244,57 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         assert _same_bits(sin0, kept_sin)
 
 
+def _per_product_double_angle(cos, sin, steps, ledger):
+    # the trigonometric step as two products of the old pair, each a fresh
+    # array scaled in place: C <- I - 2 (S S), S <- 2 (S C)
+    n = cos.shape[0]
+    for _ in range(steps):
+        square = _dense(sin, sin, ledger)
+        square *= -2.0
+        square.ravel()[:: n + 1] += 1.0
+        sin = _dense(sin, cos, ledger)
+        sin *= 2.0
+        cos = square
+    return cos, sin
+
+
+def _entering_pair(n, order):
+    # a degree-8 Taylor pair at n (C-ordered, as the chains return it), or
+    # the same pair Fortran-ordered, as the Pade pair's dgetrs solves below
+    # the GEMM crossover return theirs
+    a = np.random.default_rng(n).standard_normal((n, n))
+    a *= 0.9 / matcore.norm1(a)
+    part = run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
+                    CostLedger())
+    if order == "F":
+        return (np.asfortranarray(part.cos_part),
+                np.asfortranarray(part.sin_part))
+    return part.cos_part, part.sin_part
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 63])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
+    # from s = 2, the first step's two products of the entering pair
+    # itself, then one stacked product S [S, C] per step, its pairs
+    # alternating between [S, C] and [C, S] (so s = 2 and 3 end in either
+    # layout), against two products per step: the same bits, C- or
+    # Fortran-ordered, 2 charged per step, and a returned pair that owns
+    # its memory (s = 1 is two products into fresh arrays)
+    cos0, sin0 = _entering_pair(n, order)
+    assert cos0.flags.c_contiguous is (order == "C" or n == 1)
+    fast_ledger, want_ledger = CostLedger(), CostLedger()
+    got = driver._double_angle(
+        cos0, sin0, steps, MatrixAlgebra(fast_ledger, Structure.DENSE),
+        False)
+    want = _per_product_double_angle(cos0, sin0, steps, want_ledger)
+    for m, ref in zip(got, want):
+        assert m.flags.c_contiguous and _same_bits(m, ref)
+        assert m.base is None
+    assert fast_ledger.products == want_ledger.products == 2 * steps
+
+
 def _large_input(n, form, norm):
     # the benchmark's large inputs, at smaller n
     rng = np.random.default_rng(64)
@@ -342,15 +393,17 @@ def _driver_call(entry, a, t):
 
 @pytest.mark.parametrize("entry", sorted(TABLES))
 @pytest.mark.parametrize("kind", sorted(LARGE_KINDS))
-@pytest.mark.parametrize("n", [matcore._GEMM_MIN_N - 1, matcore._GEMM_MIN_N,
-                               2 * matcore._GEMM_MIN_N])
+@pytest.mark.parametrize("n", [17, 33, matcore._GEMM_MIN_N - 1,
+                               matcore._GEMM_MIN_N, 2 * matcore._GEMM_MIN_N])
 def test_large_calls_match_the_naive_replay(entry, kind, n):
     # from the GEMM crossover the combinations and the Pade solves round
     # differently: the choice and the ledger stay the replay's exactly and
     # the outputs stay within 10^3 n 4^s u of it.  Below it every value is
     # the replay's bit for bit; only a zero may differ in sign, as the
     # in-place C <- I - 2 S^2 scales a +0 by -2 where the replay's
-    # zero-started sum keeps +0 (the doubling test compares values too)
+    # zero-started sum keeps +0 (the doubling test compares values too).
+    # At n = 17 and 33 the Pade pair's Fortran-ordered solves enter the
+    # doubling, whose rounding depends on the operands' layout
     form, norm, t = LARGE_KINDS[kind]
     a = _large_input(n, form, norm)
     report = _driver_call(entry, a, t)
@@ -645,14 +698,21 @@ def _stages(scheme):
 
 def test_tracer_sees_linear_combination_terms(monkeypatch):
     tracing = _load_perfbench("tracing")
-    seen = []
+    seen, slabs = [], []
     original = schemes.linear_combination
+    original_matmul = schemes.matmul
 
     def recording(basis, block):
         seen.append((basis, block))
         return original(basis, block)
 
+    def counting(a, b, *args, **kwargs):
+        # a stacked operand's products are charged one per slab
+        slabs.append(b.shape[0] if b.ndim == 3 else 1)
+        return original_matmul(a, b, *args, **kwargs)
+
     monkeypatch.setattr(schemes, "linear_combination", recording)
+    monkeypatch.setattr(schemes, "matmul", counting)
     a = INPUTS["random"] * 40.0
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -671,8 +731,12 @@ def test_tracer_sees_linear_combination_terms(monkeypatch):
     names = np.array(tracing.NAMES)[spans["name"]]
     combos = names == "matcore.linear_combination"
     assert combos.sum() == len(seen)
-    # the Pade LU is one factorization (1/3) and two solves (2)
-    charged = ((names == "matcore.matmul").sum()
+    # every product is inside a matcore.matmul span, a stacked doubling
+    # step's two in one span counted once per slab; the Pade LU is one
+    # factorization (1/3) and two solves (2)
+    assert (names == "matcore.matmul").sum() == len(slabs)
+    assert any(count == 2 for count in slabs)
+    charged = (sum(slabs)
                + Fraction(7, 3) * (names == "matcore.lu_solve_pair").sum())
     assert charged == sum(r.total_products for r in reports)
     # every input is above every floor, so each entry call selects once and

@@ -60,6 +60,62 @@ def test_matmul_charges_one_product_each():
     assert ledger.total_cost == Fraction(2)
 
 
+def test_as_matrix_returns_c_ordered_float64_input_itself(rng):
+    a = rng.standard_normal((5, 5))
+    assert matcore.as_matrix(a) is a
+    square = np.array([[1.0]])
+    assert matcore.as_matrix(square) is square
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "entries must be finite"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "entries must be finite"),
+    (np.ones((2, 3)), r"must be square, got shape \(2, 3\)"),
+    (np.ones(4), r"must be square, got shape \(4,\)"),
+    (np.ones((0, 0)), r"must not be empty, got \(0, 0\)"),
+])
+def test_as_matrix_rejects_float64_input_as_any_other(a, message):
+    # the C-ordered float64 input that skips the conversion takes the same
+    # tests, with the same messages, as the converted copy of other input
+    for form in (a, a.astype(np.float32)):
+        with pytest.raises(MatrixInputError, match=message):
+            matcore.as_matrix(form)
+
+
+@pytest.mark.parametrize("convert", [
+    np.asfortranarray, lambda a: a.astype(np.float32),
+    lambda a: np.rint(a * 4).astype(np.int64), lambda a: a > 0,
+    lambda a: a.tolist(), lambda a: np.vstack([a, a])[::2],
+], ids=["fortran", "float32", "int", "bool", "list", "strided"])
+def test_as_matrix_converts_other_input(rng, convert):
+    a = convert(rng.standard_normal((4, 4)))
+    got = matcore.as_matrix(a)
+    assert got is not a
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, np.asarray(a, dtype=np.float64))
+
+
+@pytest.mark.parametrize("structure", list(Structure))
+def test_matmul_charges_one_product_per_slab_of_a_stack(rng, structure):
+    # a @ [p, a, q] is one call: each slab the bits of its own product (a
+    # slab that is a itself a square, dsyrk for SYMMETRIC), 3 charged
+    n = {Structure.DENSE: 9, Structure.UPPER: matcore._TRIANGULAR_MIN_N,
+         Structure.SYMMETRIC: matcore._SYMMETRIC_MIN_N}[structure]
+    pair = (_upper_pair(rng, n) if structure is Structure.UPPER
+            else _symmetric_pair(rng, n) if structure is Structure.SYMMETRIC
+            else (rng.standard_normal((n, n)), rng.standard_normal((n, n))))
+    stack = np.stack([pair[1], pair[0], pair[1] * 0.5])
+    a = stack[1]
+    for out in (None, np.full((3, n, n), np.nan)):
+        ledger = CostLedger()
+        got = matmul(a, stack, ledger, structure=structure, out=out)
+        assert out is None or got is out
+        assert ledger.products == 3
+        for slab, b in zip(got, (stack[0], a, stack[2])):
+            want = matmul(a, b, CostLedger(), structure=structure)
+            assert slab.tobytes() == want.tobytes()
+
+
 def _upper_pair(rng, n):
     """A full upper triangle and an upper bidiagonal (Jordan-like) matrix."""
     jordan = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
@@ -166,17 +222,23 @@ def test_bandwidth_reads_the_widest_diagonal(rng):
     c[matcore._PANEL - 1, n - matcore._PANEL] = 1.0
     assert matcore._bandwidth(c) == n - 1
     assert matcore._bandwidth(np.asfortranarray(b)) == n - 1
+    # below n = 2 _PANEL the top-right tile reaches the diagonal: a
+    # Jordan-type matrix at the triangular crossover keeps its width 1
+    jordan = _upper_pair(rng, matcore._TRIANGULAR_MIN_N)[1]
+    assert matcore._TRIANGULAR_MIN_N < 2 * matcore._PANEL
+    assert matcore._bandwidth(jordan) == 1
 
 
 @pytest.mark.parametrize("n", _TILE_SIZES)
 def test_banded_upper_matmul_matches_the_dense_product(rng, n):
     # every pair of widths on both sides of a tile's edge, each product in
-    # both orders, and each width's square; a width that reaches the
-    # top-right tile reads as the full one
+    # both orders, and each width's square; from n = 2 _PANEL a width that
+    # reaches the top-right tile reads as the full one (below it that tile
+    # reaches the diagonal, and every width is read as it is)
     widths = _tile_widths(n)
     for wa in widths:
         a = _band(rng, n, wa)
-        full = wa > n - 2 * matcore._PANEL
+        full = n >= 2 * matcore._PANEL and wa > n - 2 * matcore._PANEL
         assert matcore._bandwidth(a) == (n - 1 if full else wa)
         for wb in widths:
             b = _band(rng, n, wb)
