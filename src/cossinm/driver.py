@@ -18,21 +18,20 @@ pair (_basis).  The input is scaled by an exact power of two, the chain is
 evaluated there with the powers scaled to match (2^-s per factor of A,
 also exact, so the chain forms none of them again and the cost law stays
 pair cost + 2s), and the result is pushed back up with double-angle steps,
-each costing two products formed from the old pair and scaled in place:
-S <- 2 S C and C <- I - 2 S^2.  From s = 2 every step after the first
-is one stacked product, S [S, C] = [S^2, S C], which matcore.matmul
-charges 2, into one of two alternating (2, n, n) buffers
-(_double_angle); the first writes the entering pair's two products into
-a buffer, so that pair is never copied (a C-ordered copy of a
-Fortran-ordered pair, as the Pade pair's dgetrs solves return below
-matcore._GEMM_MIN_N, would round differently).  Every bit is that of two
-products per step.  The sine form keeps I - C, all the information a
-cosine near the identity carries, to full relative accuracy; 2 C^2 - I
-would rebuild it by cancellation and lose about a factor 4 per step.  The
-wave pair scales the time step instead (halving t quarters the even
-variable) and doubles with c <- 2 c^2 - I, two products per step: its s
-kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
-third product per step.
+each costing two products formed from the old pair: S <- 2 S C and
+C <- I - 2 S^2.  One loop runs every pair and every s (_double_angle),
+over two alternating (2, n, n) buffers; after the first step each
+trigonometric step is one stacked product S [S, C], which matcore.matmul
+charges 2, and every bit is that of two products per step.  The returned
+pair is the last buffer's two slabs; at s = 0 the driver copies a matrix
+that is a slab of a larger stack, so no returned matrix keeps a stack
+alive.  The sine form keeps I - C, all the information a cosine near the
+identity carries, to full relative accuracy; 2 C^2 - I would rebuild it by
+cancellation and lose about a factor 4 per step.  The wave pair scales the
+time step instead (halving t quarters the even variable) and doubles with
+c <- 2 c^2 - I, two products per step: its s kernel is
+sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a third product
+per step.
 
 A large pair (n >= _FLUSH_MIN_N) is tested once as it enters the doubling.
 If it is finite and one of its matrices holds a nonzero entry below 2^-511
@@ -320,87 +319,76 @@ def _tiny_mask(m: DenseMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return magnitude < math.ldexp(top, -_FLUSH_BITS), magnitude
 
 
-# The scale of a step into each buffer of _double_angle: [S C, S^2] into
-# pairs[0], [S^2, S C] into pairs[1]
-_STEP_SCALES = (np.array([2.0, -2.0]).reshape(2, 1, 1),
-                np.array([-2.0, 2.0]).reshape(2, 1, 1))
+# Per family (wave or not): the scale of a step into buffer j of
+# _double_angle for j = 0, 1, and the term the new cosine's diagonal gets:
+# C <- I - 2 (S S) and S <- 2 (S C), or the wave pair's C <- 2 (C C) - I
+# and S <- 2 (S C), whose (2, 2) is the scalar 2 (a broadcast array took
+# 0.6 us more per step at n <= 16, one OpenBLAS thread on a Xeon VM)
+_STEP_SCALES = {
+    False: ((np.array([2.0, -2.0]).reshape(2, 1, 1),
+             np.array([-2.0, 2.0]).reshape(2, 1, 1)), 1.0),
+    True: ((2.0, 2.0), -1.0),
+}
 
 
 def _double_angle(
     cos: DenseMatrix, sin: DenseMatrix, steps: int, alg: MatrixAlgebra,
     wave: bool,
 ) -> tuple[DenseMatrix, DenseMatrix]:
-    # Both products of a step read the old pair, and each is then scaled in
-    # place and its identity term added on the diagonal: C <- I - 2 (S S),
-    # or C <- 2 (C C) - I for the wave pair, and S <- 2 (S C).  Scaling by
-    # -2 turns each +0 of S S into -0, so C's off-diagonal zeros are -0
-    # where a plain sum gives +0 (equal values; a fix costs a pass per
-    # step).  Tiny entries are zeroed as the module docstring says: the
-    # entering pair is tested once, and zeroing runs only when it is finite
-    # and a matrix of it holds a nonzero tiny entry.
-    #
-    # From s = 2 the trigonometric pairs alternate between two (2, n, n)
-    # buffers, pairs[0] holding [S, C] and pairs[1] [C, S], so S is slab i
-    # of pairs[i].  The first step writes the two products of the entering
-    # pair into pairs[1]: that pair is not copied into a stack, whose
-    # C-ordered copy of a Fortran-ordered pair (the Pade pair's dgetrs
-    # solves below matcore._GEMM_MIN_N) would round differently.  Every
-    # later step is one stacked product, S [S, C] = [S^2, S C] or
-    # S [C, S] = [S C, S^2], one broadcast scale and one diagonal update,
-    # and copies no slab.  The returned pair is copied out of its buffer,
-    # so it holds nothing else alive.  One step alone costs less as two
-    # products into fresh arrays than the buffers' set-up and copy.  The
-    # wave pair's step, [C, S] C = [C^2, S C] for the bits of S C, would
-    # put the stack first (perfbench's tracer reads n from the first
-    # operand), and keeps its two products.
+    # Both products of a step read the old pair and are written into the
+    # next of two (2, n, n) buffers, buffer j holding the sine in slab j and
+    # the cosine in slab 1 - j; one broadcast scale and one update of the
+    # new cosine's diagonal finish the step.  The first step, and every
+    # wave step, is two products of the old pair, so the entering pair is
+    # never copied into a stack (a C-ordered copy of a Fortran-ordered
+    # pair, as the Pade pair's dgetrs solves return below
+    # matcore._GEMM_MIN_N, would round differently).  Every later
+    # trigonometric step is one stacked product, S [S, C] = [S^2, S C] or
+    # S [C, S] = [S C, S^2]; the wave step [C, S] C = [C^2, S C] would put
+    # the stack first, where perfbench's tracer reads n.  Scaling by -2
+    # turns each +0 of S S into -0, so C's off-diagonal zeros are -0 where
+    # a plain sum gives +0 (equal values; a fix costs a pass per step).
+    # Tiny entries are zeroed as the module docstring says: the entering
+    # pair is tested once, and zeroing runs only when it is finite and a
+    # matrix of it holds a nonzero tiny entry.  The returned pair is the
+    # last buffer's two slabs; at s = 0 a slab of a larger stack (the
+    # pair's basis, a stage's rows) is copied, so it keeps no stack alive.
+    if not steps:
+        return tuple(m.copy() if m.base is not None
+                     and m.base.nbytes > m.nbytes else m for m in (cos, sin))
     n = cos.shape[0]
     tiny = None
-    if steps and n >= _FLUSH_MIN_N:
+    if n >= _FLUSH_MIN_N:
         tiny = _tiny_mask(cos), _tiny_mask(sin)
         if not (all(t is not None for t in tiny) and any(
                 np.max(magnitude, where=mask, initial=0.0)
                 for mask, magnitude in tiny)):
             tiny = None
     flush = tiny is not None
-    if wave or steps < 2:
-        for _ in range(steps):
-            if flush:
-                _zero_tiny(cos, sin, tiny)
-                tiny = None
-            if wave:
-                square = alg.mul(cos, cos)
-                square *= 2.0
-                square.ravel()[:: n + 1] -= 1.0
-            else:
-                square = alg.mul(sin, sin)
-                square *= -2.0
-                square.ravel()[:: n + 1] += 1.0
-            sin = alg.mul(sin, cos)
-            sin *= 2.0
-            cos = square
-        return cos, sin
-    pairs = np.empty((2, 2, n, n))
-    # each buffer, its sine and cosine slabs, and its cosine's diagonal
-    buffers = pairs[0], pairs[1]
-    sines, cosines = (pairs[0, 0], pairs[1, 1]), (pairs[0, 1], pairs[1, 0])
-    flat = pairs.reshape(2, 2 * n * n)
-    diagonals = flat[0, n * n :: n + 1], flat[1, : n * n : n + 1]
-    i = 0
+    scales, identity = _STEP_SCALES[wave]
+    # buffer j with its sine and cosine slabs and its cosine's diagonal
+    buffers = []
+    for j in range(min(steps, 2)):
+        buffer = np.empty((2, n, n))
+        cosine = buffer[1 - j]
+        buffers.append((buffer, buffer[j], cosine,
+                        cosine.reshape(n * n)[:: n + 1]))
     for step in range(steps):
         if flush:
             _zero_tiny(cos, sin, tiny)
             tiny = None
-        j = 1 - i
-        if step:
-            alg.mul(sin, buffers[i], out=buffers[j])
+        j = step % 2
+        buffer, sine, cosine, diagonal = buffers[j]
+        if step and not wave:
+            alg.mul(sin, buffers[1 - j][0], out=buffer)
         else:
-            alg.mul(sin, sin, out=cosines[j])
-            alg.mul(sin, cos, out=sines[j])
-        np.multiply(buffers[j], _STEP_SCALES[j], out=buffers[j])
-        np.add(diagonals[j], 1.0, out=diagonals[j])
-        i = j
-        cos, sin = cosines[i], sines[i]
-    return cos.copy(), sin.copy()
+            square = cos if wave else sin
+            alg.mul(square, square, out=cosine)
+            alg.mul(sin, cos, out=sine)
+        np.multiply(buffer, scales[j], out=buffer)
+        np.add(diagonal, identity, out=diagonal)
+        cos, sin = cosine, sine
+    return cos, sin
 
 
 def _zero_tiny(cos: DenseMatrix, sin: DenseMatrix, tiny: tuple | None) -> None:
@@ -454,8 +442,8 @@ def _basis(
     y y^2 for the Pade pair: the operands and order each pair used when it
     formed y^3 itself, so the product keeps its bits.  The driver hands in
     y and y^2 as slabs 1 and 2 of the call's workspace, which alg.basis
-    returns without a copy; verify and the scheme tests build a pair's
-    basis here too, from powers of their own.
+    returns without a copy (MatrixAlgebra takes its operands from there
+    alone); verify builds a polynomial pair's basis here too.
     """
     registered = scheme._registered
     basis = alg.basis(registered.depth, y, y2)

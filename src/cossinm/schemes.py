@@ -118,7 +118,11 @@ class SchemeId:
 
 @dataclass
 class CosSinResult:
-    """One computed pair: cos(A) and sin(A), or wave c(t^2 A) and s(t, A)."""
+    """One computed pair: cos(A) and sin(A), or wave c(t^2 A) and s(t, A).
+
+    A pair the driver returns holds nothing else alive: each matrix owns
+    its memory, or the two are the slabs of one (2, n, n) buffer.
+    """
 
     cos_part: DenseMatrix
     sin_part: DenseMatrix
@@ -308,8 +312,9 @@ class OperandAlgebra(Protocol[T]):
     operands, then slabs for the chain to fill, which mul and add write
     through out= (the slab itself, as numpy's out does).  lin(basis, block)
     returns one combination of the basis's slabs per row of block.
-    solve(den, rhs1, rhs2) is the pair den^-1 rhs1, den^-1 rhs2, and
-    own(p) is p in a form a pair may return, holding nothing else alive.
+    solve(den, rhs1, rhs2) is the pair den^-1 rhs1, den^-1 rhs2.  A pair
+    returns what it computed, a slab of its basis or a row of a stage
+    among them; the driver decides what a returned pair may hold alive.
     """
 
     def constants(self, table: Constants) -> SimpleNamespace: ...
@@ -324,17 +329,6 @@ class OperandAlgebra(Protocol[T]):
 
     def add(self, p: T, q: T, out: T | None = None) -> T: ...
 
-    def own(self, p: T) -> T: ...
-
-
-def _identity_first(depth: int, n: int) -> np.ndarray:
-    # a (depth, n, n) stack with the identity in slab 0; the slabs past it
-    # are written before they are read
-    stack = np.empty((depth, n, n))
-    stack[0] = 0.0
-    stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
-    return stack
-
 
 class MatrixAlgebra:
     """One call's dense-matrix algebra; every mul is charged to its ledger.
@@ -345,12 +339,10 @@ class MatrixAlgebra:
     result array) are returned as they are.  The driver makes the call's
     basis stack before it forms any power (workspace) and forms y and y^2
     in its slabs 1 and 2, so basis hands back a prefix of it and copies
-    nothing; operands from anywhere else are copied into a fresh stack.
-    structure is what every
-    operand keeps from the call's input, as every rational function of an
-    upper-triangular (symmetric) matrix is upper triangular (symmetric),
-    and each product and solve takes the kernels for it; no other layer
-    reads it.
+    nothing.  structure is what every operand keeps from the call's input,
+    as every rational function of an upper-triangular (symmetric) matrix
+    is upper triangular (symmetric), and each product and solve takes the
+    kernels for it; no other layer reads it.
     """
 
     def __init__(self, ledger: CostLedger, structure: Structure) -> None:
@@ -366,18 +358,14 @@ class MatrixAlgebra:
         the identity in slab 0 and the rest unwritten.  The caller forms
         the operands of basis straight into slabs 1, 2, ..., in order, and
         basis then returns the first depth slabs of this stack."""
-        self._workspace = _identity_first(depth, n)
-        return self._workspace
+        stack = self._workspace = np.empty((depth, n, n))
+        stack[0] = 0.0
+        stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
+        return stack
 
     def basis(self, depth: int, *operands: DenseMatrix) -> np.ndarray:
-        stack = self._workspace
-        if stack is not None and operands[0].base is stack:
-            # the operands are the workspace's slabs 1, 2, ... already
-            return stack[:depth]
-        stack = _identity_first(depth, operands[0].shape[0])
-        for i, operand in enumerate(operands, start=1):
-            stack[i] = operand
-        return stack
+        # the operands are the workspace's slabs 1, 2, ... already
+        return self._workspace[:depth]
 
     def mul(
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
@@ -398,12 +386,6 @@ class MatrixAlgebra:
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None
     ) -> DenseMatrix:
         return np.add(p, q, out=out)
-
-    def own(self, m: DenseMatrix) -> DenseMatrix:
-        """m, or a copy of it when it is a slab of a larger stack: a returned
-        slab would keep the whole stack alive, through doubling and after."""
-        base = m.base
-        return m.copy() if base is not None and base.nbytes > m.nbytes else m
 
 
 def chain_deg2(alg: OperandAlgebra[T], basis: Sequence[T]) -> tuple[T, T]:
@@ -529,7 +511,7 @@ def taylor_cos_sin(
     sine factor.
     """
     cos, sin_core = scheme._registered.chain(alg, basis)
-    return CosSinResult(alg.own(cos), alg.mul(a, sin_core))
+    return CosSinResult(cos, alg.mul(a, sin_core))
 
 
 def wave_kernels(
@@ -544,7 +526,7 @@ def wave_kernels(
     caller's products.
     """
     c, s_core = scheme._registered.chain(alg, basis)
-    return CosSinResult(alg.own(c), t * s_core)
+    return CosSinResult(c, t * s_core)
 
 
 def pade8_cos_sin(

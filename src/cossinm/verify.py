@@ -155,8 +155,11 @@ class PolyAlgebra:
 
     A basis is a list of polynomials, its unfilled slabs zero polynomials
     that out= overwrites in place; lin sums each row's exact coefficients
-    term by term.  solve divides power series through degree _SOLVE_DEGREE,
-    and own returns its operand: no polynomial is a slab of another.
+    term by term.  solve divides power series through degree _SOLVE_DEGREE.
+    A replayed pair returns the polynomials it computed, as a matrix pair
+    does; what a returned matrix may share (no stack but its partner's
+    (2, n, n) buffer) is the driver's rule alone, and no polynomial here
+    shares anything.
     """
 
     def constants(self, table: Constants) -> SimpleNamespace:
@@ -198,9 +201,6 @@ class PolyAlgebra:
         self, den: ScalarPoly, rhs1: ScalarPoly, rhs2: ScalarPoly
     ) -> tuple[ScalarPoly, ScalarPoly]:
         return _quotient(rhs1, den), _quotient(rhs2, den)
-
-    def own(self, p: ScalarPoly) -> ScalarPoly:
-        return p
 
 
 def _quotient(num: ScalarPoly, den: ScalarPoly) -> ScalarPoly:

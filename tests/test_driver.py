@@ -1059,22 +1059,23 @@ def test_zeroing_keeps_the_sign_symmetry_exact(monkeypatch):
 
 def test_a_pair_that_overflowed_doubles_as_before(monkeypatch):
     # the same entering pair is zeroed while it is finite, and left as it
-    # is once an inf is in it
+    # is once an inf is in it, through either step formula
     part = run_pair(_jordan(_FLUSH_N) * 2.0 ** -7, PADE8, CostLedger())
 
-    def doubled(min_n, cos):
+    def doubled(min_n, cos, wave):
         with monkeypatch.context() as m, np.errstate(invalid="ignore"):
             m.setattr(driver, "_FLUSH_MIN_N", min_n)
             return CosSinResult(*driver._double_angle(
                 cos.copy(), part.sin_part.copy(), 1,
-                MatrixAlgebra(CostLedger(), Structure.DENSE), False))
+                MatrixAlgebra(CostLedger(), Structure.DENSE), wave))
 
-    cos = part.cos_part.copy()
-    assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos),
-                          doubled(math.inf, cos))
-    cos[0, -1] = math.inf
-    assert _same_bits(doubled(driver._FLUSH_MIN_N, cos),
-                      doubled(math.inf, cos))
+    for wave in (False, True):
+        cos = part.cos_part.copy()
+        assert not _same_bits(doubled(driver._FLUSH_MIN_N, cos, wave),
+                              doubled(math.inf, cos, wave))
+        cos[0, -1] = math.inf
+        assert _same_bits(doubled(driver._FLUSH_MIN_N, cos, wave),
+                          doubled(math.inf, cos, wave))
 
 
 @pytest.mark.parametrize("w", [800.0, 1500.0])

@@ -244,55 +244,81 @@ def test_in_place_doubling_matches_naive_arithmetic(name, steps):
         assert _same_bits(sin0, kept_sin)
 
 
-def _per_product_double_angle(cos, sin, steps, ledger):
-    # the trigonometric step as two products of the old pair, each a fresh
-    # array scaled in place: C <- I - 2 (S S), S <- 2 (S C)
+def _per_product_double_angle(cos, sin, steps, ledger, wave):
+    # the step as two products of the old pair, each a fresh array scaled
+    # in place: C <- I - 2 (S S), or C <- 2 (C C) - I for the wave pair,
+    # and S <- 2 (S C)
     n = cos.shape[0]
     for _ in range(steps):
-        square = _dense(sin, sin, ledger)
-        square *= -2.0
-        square.ravel()[:: n + 1] += 1.0
+        if wave:
+            square = _dense(cos, cos, ledger)
+            square *= 2.0
+            square.ravel()[:: n + 1] -= 1.0
+        else:
+            square = _dense(sin, sin, ledger)
+            square *= -2.0
+            square.ravel()[:: n + 1] += 1.0
         sin = _dense(sin, cos, ledger)
         sin *= 2.0
         cos = square
     return cos, sin
 
 
-def _entering_pair(n, order):
-    # a degree-8 Taylor pair at n (C-ordered, as the chains return it), or
-    # the same pair Fortran-ordered, as the Pade pair's dgetrs solves below
-    # the GEMM crossover return theirs
+def _entering_pair(n, order, wave):
+    # a degree-8 Taylor (wave) pair at n, C-ordered as the chains return
+    # it, its cosine a slab of the pair's basis; or the same pair
+    # Fortran-ordered, as the Pade pair's dgetrs solves below the GEMM
+    # crossover return theirs
     a = np.random.default_rng(n).standard_normal((n, n))
     a *= 0.9 / matcore.norm1(a)
-    part = run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, 6),
-                    CostLedger())
+    part = _scheme_pair(a, wave)
     if order == "F":
-        return (np.asfortranarray(part.cos_part),
-                np.asfortranarray(part.sin_part))
-    return part.cos_part, part.sin_part
+        return tuple(map(np.asfortranarray, part))
+    return part
+
+
+def _holds_only_its_pair(cos, sin):
+    """Whether each matrix owns its memory, or is a slab of one (2, n, n)
+    array whose other slab is its partner: a returned pair keeps nothing
+    else alive."""
+    for m, partner in ((cos, sin), (sin, cos)):
+        base = m.base
+        if base is None:
+            continue
+        slabs = {base[0].ctypes.data, base[1].ctypes.data}
+        if not (base.shape == (2, *m.shape) and partner.base is base
+                and {m.ctypes.data, partner.ctypes.data} == slabs):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 63])
-@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
 def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
-    # from s = 2, the first step's two products of the entering pair
-    # itself, then one stacked product S [S, C] per step, its pairs
-    # alternating between [S, C] and [C, S] (so s = 2 and 3 end in either
-    # layout), against two products per step: the same bits, C- or
-    # Fortran-ordered, 2 charged per step, and a returned pair that owns
-    # its memory (s = 1 is two products into fresh arrays)
-    cos0, sin0 = _entering_pair(n, order)
-    assert cos0.flags.c_contiguous is (order == "C" or n == 1)
-    fast_ledger, want_ledger = CostLedger(), CostLedger()
-    got = driver._double_angle(
-        cos0, sin0, steps, MatrixAlgebra(fast_ledger, Structure.DENSE),
-        False)
-    want = _per_product_double_angle(cos0, sin0, steps, want_ledger)
-    for m, ref in zip(got, want):
-        assert m.flags.c_contiguous and _same_bits(m, ref)
-        assert m.base is None
-    assert fast_ledger.products == want_ledger.products == 2 * steps
+    # the one doubling loop, two (2, n, n) buffers: the first step (and
+    # every wave step) writes the old pair's two products into a buffer,
+    # every later trigonometric step is one stacked product S [S, C], the
+    # buffers alternating between [S, C] and [C, S] (so s = 2 and 3 end in
+    # either layout), against two products per step, for the
+    # trigonometric and the wave step: the same bits, C- or
+    # Fortran-ordered, 2 charged per step, and a returned pair that holds
+    # nothing else alive (at s = 0 the entering cosine, a basis slab, is
+    # copied)
+    for wave in (False, True):
+        cos0, sin0 = _entering_pair(n, order, wave)
+        assert cos0.flags.c_contiguous is (order == "C" or n == 1)
+        fast_ledger, want_ledger = CostLedger(), CostLedger()
+        got = driver._double_angle(
+            cos0, sin0, steps, MatrixAlgebra(fast_ledger, Structure.DENSE),
+            wave)
+        want = _per_product_double_angle(cos0, sin0, steps, want_ledger,
+                                         wave)
+        for m, ref in zip(got, want):
+            assert _same_bits(m, ref)
+            assert m.flags.c_contiguous or not steps
+        assert _holds_only_its_pair(*got)
+        assert fast_ledger.products == want_ledger.products == 2 * steps
 
 
 def _large_input(n, form, norm):
@@ -435,21 +461,16 @@ def _triangular():
 @pytest.mark.parametrize("name", sorted(INPUTS) + ["triangular"])
 def test_returned_pairs_are_not_views_into_a_stack(name):
     # a slab of a chain's basis stack, or a row of a stage's combinations,
-    # would keep the whole stack alive as long as the result lives
+    # would keep the whole stack alive as long as the result lives; the
+    # doubling's last buffer holds the pair alone
     a = _triangular() if name == "triangular" else INPUTS[name]
-    parts = [run_pair(a, SchemeId(SchemeFamily.COS_SIN_TAYLOR, k),
-                      CostLedger()) for k in TAYLOR_CHAINS]
-    parts += [run_pair(a, SchemeId(SchemeFamily.WAVE_KERNEL, k),
-                       CostLedger(), t=1.3) for k in WAVE_CHAINS]
-    parts.append(run_pair(a, schemes.PADE8, CostLedger()))
-    for scale in (1.0, 40.0):
-        parts += [report.result for report in (
-            cossinm.cos_sin(a * scale), cossinm.wave_cos_sin(a * scale, 1.3),
-            cossinm.pade_cos_sin(a * scale))]
-    for part in parts:
-        for m in (part.cos_part, part.sin_part):
-            assert m.shape == a.shape
-            assert m.base is None or m.base.nbytes == m.nbytes
+    for scale in (0.1, 1.0, 40.0):
+        for report in (cossinm.cos_sin(a * scale),
+                       cossinm.wave_cos_sin(a * scale, 1.3),
+                       cossinm.pade_cos_sin(a * scale)):
+            part = report.result
+            assert part.cos_part.shape == part.sin_part.shape == a.shape
+            assert _holds_only_its_pair(part.cos_part, part.sin_part)
 
 
 def test_no_exact_constant_is_converted_at_call_time(monkeypatch):
@@ -629,6 +650,31 @@ def test_no_library_default_that_every_library_call_overrides():
                    if sites and all(_overrides(call, index, name)
                                     for call in sites)]
     assert unused == []
+
+
+def _methods(tree, cls):
+    """The names of the methods class cls of a module defines."""
+    (node,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls]
+    return {item.name for item in node.body
+            if isinstance(item, ast.FunctionDef)}
+
+
+def test_every_algebra_operation_is_implemented_and_called():
+    # an OperandAlgebra method that either algebra lacks, or that no
+    # chain, pair or driver step calls, is a dead part of the protocol
+    trees = {stem: ast.parse((ROOT / "src" / "cossinm" / f"{stem}.py")
+                             .read_text())
+             for stem in ("schemes", "driver", "verify")}
+    declared = _methods(trees["schemes"], "OperandAlgebra")
+    called = {node.func.attr for stem in ("schemes", "driver")
+              for node in ast.walk(trees[stem])
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert declared
+    assert declared - _methods(trees["schemes"], "MatrixAlgebra") == set()
+    assert declared - _methods(trees["verify"], "PolyAlgebra") == set()
+    assert declared - called == set()
 
 
 def test_only_the_algebra_is_handed_the_structure_flag():
