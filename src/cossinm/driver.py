@@ -22,16 +22,18 @@ each costing two products formed from the old pair: S <- 2 S C and
 C <- I - 2 S^2.  One loop runs every pair and every s (_double_angle),
 over two alternating (2, n, n) buffers; after the first step each
 trigonometric step is one stacked product S [S, C], which matcore.matmul
-charges 2, and every bit is that of two products per step.  The returned
-pair is the last buffer's two slabs; at s = 0 the driver copies a matrix
-that is a slab of a larger stack, so no returned matrix keeps a stack
-alive.  The sine form keeps I - C, all the information a cosine near the
-identity carries, to full relative accuracy; 2 C^2 - I would rebuild it by
-cancellation and lose about a factor 4 per step.  The wave pair scales the
-time step instead (halving t quarters the even variable) and doubles with
-c <- 2 c^2 - I, two products per step: its s kernel is
-sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a third product
-per step.
+charges 2, and every bit is that of two products per step.  Below
+_BROADCAST_STEP_MIN_N a step's scale and diagonal shift are two contiguous
+passes against operands cached per size, so a small step costs little more
+than its products.  The returned pair is the last buffer's two slabs; at
+s = 0 the driver copies a matrix that is a slab of a larger stack, so no
+returned matrix keeps a stack alive.  The sine form keeps I - C, all the
+information a cosine near the identity carries, to full relative accuracy;
+2 C^2 - I would rebuild it by cancellation and lose about a factor 4 per
+step.  The wave pair scales the time step instead (halving t quarters the
+even variable) and doubles with c <- 2 c^2 - I, two products per step: its
+s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
+third product per step.
 
 A large pair (n >= _FLUSH_MIN_N) is tested once as it enters the doubling.
 If it is finite and one of its matrices holds a nonzero entry below 2^-511
@@ -68,6 +70,7 @@ leaving the far corner at exact zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,16 +322,61 @@ def _tiny_mask(m: DenseMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return magnitude < math.ldexp(top, -_FLUSH_BITS), magnitude
 
 
-# Per family (wave or not): the scale of a step into buffer j of
-# _double_angle for j = 0, 1, and the term the new cosine's diagonal gets:
-# C <- I - 2 (S S) and S <- 2 (S C), or the wave pair's C <- 2 (C C) - I
-# and S <- 2 (S C), whose (2, 2) is the scalar 2 (a broadcast array took
-# 0.6 us more per step at n <= 16, one OpenBLAS thread on a Xeon VM)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Per family (wave or not), how a step from n = _BROADCAST_STEP_MIN_N
+# finishes: the scale of a step into buffer j of _double_angle for j = 0, 1,
+# and the term the new cosine's diagonal gets: C <- I - 2 (S S) and
+# S <- 2 (S C), or the wave pair's C <- 2 (C C) - I and S <- 2 (S C), whose
+# (2, 2) is 2 as a 0-d array (a (2, 1, 1) array took 0.6 us more per step
+# at n <= 16, and a Python float, which numpy converts on every call,
+# 0.2 us more; one OpenBLAS thread on a Xeon VM)
+_TWO = _readonly(np.array(2.0))
 _STEP_SCALES = {
-    False: ((np.array([2.0, -2.0]).reshape(2, 1, 1),
-             np.array([-2.0, 2.0]).reshape(2, 1, 1)), 1.0),
-    True: ((2.0, 2.0), -1.0),
+    False: ((_readonly(np.array([2.0, -2.0]).reshape(2, 1, 1)),
+             _readonly(np.array([-2.0, 2.0]).reshape(2, 1, 1))), 1.0),
+    True: ((_TWO, _TWO), -1.0),
 }
+
+# Smallest n whose doubling step finishes with _STEP_SCALES's broadcast
+# scale and an update of the new cosine's diagonal view; below it the step
+# finishes with two contiguous passes, over its buffer and over its new
+# cosine, against the size's cached operands (_step_stacks), with the same
+# bits.  One step (a doubling at s = 5 less one at s = 1, over 4) on a
+# 2-core Xeon VM with one OpenBLAS thread (the least of 200 alternating
+# rounds, us; "broadcast" is the finish from the crossover on, whose wave
+# scale is the same 0-d 2):
+#   n                  2     4     8    12    16    24    32    40    48    64
+#   trig.  broadcast 3.24  3.29  3.34  3.58  4.12  4.82  6.34  8.67 11.86 21.41
+#          cached    2.25  2.26  2.31  2.48  2.88  3.59  4.89  7.17  9.55 18.66
+#   wave   broadcast 3.65  3.70  3.78  3.94  4.10  4.99  5.95  7.94 10.53 19.05
+#          cached    3.31  3.33  3.39  3.56  3.74  4.74  5.74  7.81 10.64 20.03
+# The wave step loses from 48.  The cache holds at most 40 n^2 bytes of
+# array data per size (the trigonometric scale stack and both shifts),
+# 821 600 bytes (0.78 MiB) over every n below 40.
+_BROADCAST_STEP_MIN_N = 40
+
+
+@functools.cache
+def _step_stacks(
+    n: int, wave: bool
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    # (scales, shift) below _BROADCAST_STEP_MIN_N, both read-only: the
+    # scale of a step into buffer j = 0, 1 is the view [j : j + 2] of the
+    # (3, n, n) stack [2, -2, 2] (the wave pair keeps its 0-d 2), and the
+    # shift, added to the new cosine's slab, is -0.0 but for _STEP_SCALES's
+    # diagonal term on its diagonal.  x + -0.0 is x for every x, +0, -0,
+    # inf and NaN included, so the shift changes no entry off the diagonal
+    scales, identity = _STEP_SCALES[wave]
+    shift = np.full((n, n), -0.0)
+    shift.reshape(n * n)[:: n + 1] = identity
+    if not wave:
+        scale = _readonly(np.repeat([2.0, -2.0, 2.0], n * n).reshape(3, n, n))
+        scales = scale[:2], scale[1:]
+    return scales, _readonly(shift)
 
 
 def _double_angle(
@@ -337,11 +385,16 @@ def _double_angle(
 ) -> tuple[DenseMatrix, DenseMatrix]:
     # Both products of a step read the old pair and are written into the
     # next of two (2, n, n) buffers, buffer j holding the sine in slab j and
-    # the cosine in slab 1 - j; one broadcast scale and one update of the
-    # new cosine's diagonal finish the step.  The first step, and every
-    # wave step, is two products of the old pair, so the entering pair is
-    # never copied into a stack (a C-ordered copy of a Fortran-ordered
-    # pair, as the Pade pair's dgetrs solves return below
+    # the cosine in slab 1 - j.  Two passes finish the step, each against
+    # operands made before the loop: below _BROADCAST_STEP_MIN_N the buffer
+    # times its view of the size's scale stack, then the new cosine plus
+    # the size's shift (-0.0 off the diagonal, which keeps every bit); from
+    # there the buffer times a broadcast scale, then the new cosine's
+    # diagonal view plus +-1.  Either way each entry is rounded as in two
+    # products per step, each scaled and its diagonal shifted.  The first
+    # step, and every wave step, is two products of the old pair, so the
+    # entering pair is never copied into a stack (a C-ordered copy of a
+    # Fortran-ordered pair, as the Pade pair's dgetrs solves return below
     # matcore._GEMM_MIN_N, would round differently).  Every later
     # trigonometric step is one stacked product, S [S, C] = [S^2, S C] or
     # S [C, S] = [S C, S^2]; the wave step [C, S] C = [C^2, S C] would put
@@ -354,8 +407,11 @@ def _double_angle(
     # last buffer's two slabs; at s = 0 a slab of a larger stack (the
     # pair's basis, a stage's rows) is copied, so it keeps no stack alive.
     if not steps:
-        return tuple(m.copy() if m.base is not None
-                     and m.base.nbytes > m.nbytes else m for m in (cos, sin))
+        if cos.base is not None and cos.base.nbytes > cos.nbytes:
+            cos = cos.copy()
+        if sin.base is not None and sin.base.nbytes > sin.nbytes:
+            sin = sin.copy()
+        return cos, sin
     n = cos.shape[0]
     tiny = None
     if n >= _FLUSH_MIN_N:
@@ -365,28 +421,31 @@ def _double_angle(
                 for mask, magnitude in tiny)):
             tiny = None
     flush = tiny is not None
-    scales, identity = _STEP_SCALES[wave]
-    # buffer j with its sine and cosine slabs and its cosine's diagonal
+    small = n < _BROADCAST_STEP_MIN_N
+    scales, shift = _step_stacks(n, wave) if small else _STEP_SCALES[wave]
+    # buffer j with its sine and cosine slabs, its scale and what the
+    # shift is added to
     buffers = []
     for j in range(min(steps, 2)):
         buffer = np.empty((2, n, n))
         cosine = buffer[1 - j]
-        buffers.append((buffer, buffer[j], cosine,
-                        cosine.reshape(n * n)[:: n + 1]))
+        target = cosine if small else cosine.reshape(n * n)[:: n + 1]
+        buffers.append((buffer, buffer[j], cosine, scales[j], target))
+    mul, multiply, add = alg.mul, np.multiply, np.add
     for step in range(steps):
         if flush:
             _zero_tiny(cos, sin, tiny)
             tiny = None
-        j = step % 2
-        buffer, sine, cosine, diagonal = buffers[j]
+        j = step & 1
+        buffer, sine, cosine, scale, target = buffers[j]
         if step and not wave:
-            alg.mul(sin, buffers[1 - j][0], out=buffer)
+            mul(sin, buffers[1 - j][0], buffer)
         else:
             square = cos if wave else sin
-            alg.mul(square, square, out=cosine)
-            alg.mul(sin, cos, out=sine)
-        np.multiply(buffer, scales[j], out=buffer)
-        np.add(diagonal, identity, out=diagonal)
+            mul(square, square, cosine)
+            mul(sin, cos, sine)
+        multiply(buffer, scale, buffer)
+        add(target, shift, target)
         cos, sin = cosine, sine
     return cos, sin
 

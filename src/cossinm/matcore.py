@@ -432,6 +432,7 @@ def _symmetric_product(
 
 _MIRROR_LEAF = 64
 _STRICT_LOWER = np.tri(_MIRROR_LEAF, k=-1, dtype=bool)
+_STRICT_LOWER.flags.writeable = False
 
 
 def _mirror_upper(m: DenseMatrix) -> None:

@@ -14,11 +14,13 @@ import ast
 import importlib.util
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,7 +295,9 @@ def _holds_only_its_pair(cos, sin):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 63])
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 63,
+                               driver._BROADCAST_STEP_MIN_N - 1,
+                               driver._BROADCAST_STEP_MIN_N])
 @pytest.mark.parametrize("steps", [0, 1, 2, 3])
 def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
     # the one doubling loop, two (2, n, n) buffers: the first step (and
@@ -302,9 +306,10 @@ def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
     # buffers alternating between [S, C] and [C, S] (so s = 2 and 3 end in
     # either layout), against two products per step, for the
     # trigonometric and the wave step: the same bits, C- or
-    # Fortran-ordered, 2 charged per step, and a returned pair that holds
-    # nothing else alive (at s = 0 the entering cosine, a basis slab, is
-    # copied)
+    # Fortran-ordered, on either side of the step's crossover (the cached
+    # scale and shift below it, the broadcast scale and the diagonal update
+    # from it), 2 charged per step, and a returned pair that holds nothing
+    # else alive (at s = 0 the entering cosine, a basis slab, is copied)
     for wave in (False, True):
         cos0, sin0 = _entering_pair(n, order, wave)
         assert cos0.flags.c_contiguous is (order == "C" or n == 1)
@@ -319,6 +324,105 @@ def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
             assert m.flags.c_contiguous or not steps
         assert _holds_only_its_pair(*got)
         assert fast_ledger.products == want_ledger.products == 2 * steps
+
+
+def _special_pair(n, wave, kind):
+    # the entering pair at n, owned and C-ordered, with entries the shift's
+    # -0.0 must pass through unchanged: exact zeros of either sign, a
+    # subnormal, an inf or a NaN
+    cos, sin = (np.array(m) for m in _entering_pair(n, "C", wave))
+    if kind == "zeros":
+        lower = np.tril_indices(n, -1)
+        cos[lower], sin[lower] = -0.0, 0.0
+        sin[0, -1], cos[0, -1] = -0.0, 0.0
+    elif kind == "subnormal":
+        sin[0, 0], cos[-1, 0] = 5e-324, -2.5e-320
+    elif kind == "inf":
+        sin[0, -1] = math.inf
+    else:
+        cos[-1, 0] = math.nan
+    return cos, sin
+
+
+@pytest.mark.parametrize("kind", ["zeros", "subnormal", "inf", "nan"])
+@pytest.mark.parametrize("n", [1, 4, driver._BROADCAST_STEP_MIN_N - 1,
+                               driver._BROADCAST_STEP_MIN_N])
+def test_doubling_keeps_the_bits_of_signed_zeros_and_special_entries(kind, n):
+    # x + -0.0 is x for every x, so the cached shift's pass over the whole
+    # new cosine keeps what the diagonal update alone kept: each entry's
+    # bits against two products per step, for both families and s = 1-3
+    for wave in (False, True):
+        cos0, sin0 = _special_pair(n, wave, kind)
+        for steps in (1, 2, 3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = driver._double_angle(
+                    cos0, sin0, steps,
+                    MatrixAlgebra(CostLedger(), Structure.DENSE), wave)
+                want = _per_product_double_angle(cos0, sin0, steps,
+                                                 CostLedger(), wave)
+            for m, ref in zip(got, want):
+                assert _same_bits(m, ref), (wave, steps)
+
+
+def test_step_stacks_are_cached_read_only_and_only_below_the_crossover():
+    crossover = driver._BROADCAST_STEP_MIN_N
+    driver._step_stacks.cache_clear()
+    for n in (crossover, crossover + 1):
+        for wave in (False, True):
+            cos0, sin0 = _entering_pair(n, "C", wave)
+            driver._double_angle(cos0, sin0, 3,
+                                 MatrixAlgebra(CostLedger(), Structure.DENSE),
+                                 wave)
+    assert driver._step_stacks.cache_info().currsize == 0
+    for wave in (False, True):
+        first = driver._step_stacks(crossover - 1, wave)
+        assert driver._step_stacks(crossover - 1, wave) is first
+        (scale0, scale1), shift = first
+        assert shift.shape == (crossover - 1,) * 2
+        assert scale0.shape == scale1.shape == (
+            () if wave else (2, *shift.shape))
+        assert not any(a.flags.writeable for a in (scale0, scale1, shift))
+    assert driver._step_stacks.cache_info().currsize == 2
+
+
+def _held_arrays(value, path, seen):
+    """(path, array) for each ndarray value holds, looking through tuples,
+    lists, dicts, SimpleNamespaces and the attributes of instances of
+    cossinm's own classes."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield path, value
+        return
+    if isinstance(value, (tuple, list)):
+        items = enumerate(value)
+    elif isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, SimpleNamespace) or (
+            type(value).__module__.startswith("cossinm.")
+            and hasattr(value, "__dict__")):
+        items = vars(value).items()
+    else:
+        return
+    for key, item in items:
+        yield from _held_arrays(item, f"{path}[{key!r}]", seen)
+
+
+def test_no_module_holds_a_writeable_array():
+    # every call reads the library's module-level arrays; a stray in-place
+    # write into one would change every later call
+    held = {}
+    for info in pkgutil.iter_modules(cossinm.__path__):
+        module = importlib.import_module(f"cossinm.{info.name}")
+        seen = set()
+        for name, value in vars(module).items():
+            if not (isinstance(value, ModuleType) or callable(value)):
+                held.update(_held_arrays(value, f"{info.name}.{name}", seen))
+    assert "matcore._STRICT_LOWER" in held
+    assert any(path.startswith("driver._STEP_SCALES") for path in held)
+    assert any(path.startswith("schemes.TAYLOR_CONSTANTS") for path in held)
+    assert [path for path, a in held.items() if a.flags.writeable] == []
 
 
 def _large_input(n, form, norm):
