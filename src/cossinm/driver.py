@@ -22,10 +22,11 @@ each costing two products formed from the old pair: S <- 2 S C and
 C <- I - 2 S^2.  One loop runs every pair and every s (_double_angle),
 over two alternating (2, n, n) buffers; after the first step each
 trigonometric step is one stacked product S [S, C], which matcore.matmul
-charges 2, and every bit is that of two products per step.  Below
-_BROADCAST_STEP_MIN_N a step's scale and diagonal shift are two contiguous
-passes against operands cached per size, so a small step costs little more
-than its products.  The returned pair is the last buffer's two slabs; at
+charges 2, and every bit is that of two products per step.  Every step
+finishes against read-only arrays made at import; below
+_BROADCAST_STEP_MIN_N the trigonometric scale is one contiguous pass
+against a slice of one row, so a small step costs little more than its
+products.  The returned pair is the last buffer's two slabs; at
 s = 0 the driver copies a matrix that is a slab of a larger stack, so no
 returned matrix keeps a stack alive.  The sine form keeps I - C, all the
 information a cosine near the identity carries, to full relative accuracy;
@@ -70,7 +71,6 @@ leaving the far corner at exact zeros.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,8 +204,9 @@ def select_scheme(
     ||A^6||_1^(1/6) and eps^8 >= ||A^8||_1 (wave: ||B^3||_1^(1/3) and
     eps^4 >= ||B^4||_1), and are given once the scheme is fixed; left out
     (or empty, as a report holds them where none were read), the rule
-    above stands.  They recompute s for the scheme that rule chose, and
-    never change it (_refined_steps): each side's x can only fall.
+    above stands; any other length raises ValueError.  They recompute s
+    for the scheme that rule chose, and never change it (_refined_steps):
+    each side's x can only fall.
 
     Why the refined x is safe: with y the even variable (A^2, or B), every
     j >= p (p - 1) is a sum of p's and (p + 1)'s, so ||y^j|| <= alpha_p^j
@@ -235,7 +236,10 @@ def select_scheme(
     delta = norm if delta is None else delta
     named = (("norm", norm), ("beta", beta), ("delta", delta))
     if cube_norms:
-        named += tuple(zip(("gamma", "eps"), cube_norms, strict=True))
+        if len(cube_norms) != 2:
+            raise ValueError(f"cube_norms must hold 0 or 2 values, got "
+                             f"{len(cube_norms)}")
+        named += tuple(zip(("gamma", "eps"), cube_norms))
     for name, value in named:
         if not (value >= 0.0 and math.isfinite(value)):
             raise ValueError(
@@ -327,56 +331,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Per family (wave or not), how a step from n = _BROADCAST_STEP_MIN_N
-# finishes: the scale of a step into buffer j of _double_angle for j = 0, 1,
-# and the term the new cosine's diagonal gets: C <- I - 2 (S S) and
-# S <- 2 (S C), or the wave pair's C <- 2 (C C) - I and S <- 2 (S C), whose
-# (2, 2) is 2 as a 0-d array (a (2, 1, 1) array took 0.6 us more per step
-# at n <= 16, and a Python float, which numpy converts on every call,
-# 0.2 us more; one OpenBLAS thread on a Xeon VM)
+# The arrays every doubling step finishes against, read-only and made here,
+# so a call makes none: the wave pair's scale, 2 as a 0-d array at every n
+# (a (2, 1, 1) array took 0.6 us more per step at n <= 16, and a Python
+# float, which numpy converts on every call, 0.2 us more; one OpenBLAS
+# thread on a Xeon VM), and the term added to the new cosine's diagonal,
+# +1 for C <- I - 2 (S S) and -1 for the wave pair's C <- 2 (C C) - I
 _TWO = _readonly(np.array(2.0))
-_STEP_SCALES = {
-    False: ((_readonly(np.array([2.0, -2.0]).reshape(2, 1, 1)),
-             _readonly(np.array([-2.0, 2.0]).reshape(2, 1, 1))), 1.0),
-    True: ((_TWO, _TWO), -1.0),
-}
+_ONE = _readonly(np.array(1.0))
+_MINUS_ONE = _readonly(np.array(-1.0))
+# the trigonometric scale of a step into buffer j = 0, 1 of _double_angle
+# from n = _BROADCAST_STEP_MIN_N: 2 for the new sine, -2 for the new cosine
+_BROADCAST_SCALES = (_readonly(np.array([2.0, -2.0]).reshape(2, 1, 1)),
+                     _readonly(np.array([-2.0, 2.0]).reshape(2, 1, 1)))
 
-# Smallest n whose doubling step finishes with _STEP_SCALES's broadcast
-# scale and an update of the new cosine's diagonal view; below it the step
-# finishes with two contiguous passes, over its buffer and over its new
-# cosine, against the size's cached operands (_step_stacks), with the same
-# bits.  One step (a doubling at s = 5 less one at s = 1, over 4) on a
-# 2-core Xeon VM with one OpenBLAS thread (the least of 200 alternating
-# rounds, us; "broadcast" is the finish from the crossover on, whose wave
-# scale is the same 0-d 2):
+# Smallest n whose trigonometric step scales its buffer by a broadcast
+# _BROADCAST_SCALES array.  Below it the buffer, read flat, is scaled in one
+# contiguous pass by the slice [(j + 1) m - n^2, (j + 1) m + n^2) of
+# _SCALE_ROW, the row [2] m, [-2] m, [2] m with m = (_BROADCAST_STEP_MIN_N
+# - 1)^2 (36.5 KB at 40): n^2 of 2 and then n^2 of -2 for buffer 0, the
+# reverse for buffer 1, with the same bits.  One step (a doubling at s = 5
+# less one at s = 1, over 4) on a 2-core Xeon VM with one OpenBLAS thread
+# (the least of 200 alternating rounds, us; from 40 on the row was sized to
+# 64; the wave step, the same at every n, for comparison):
 #   n                  2     4     8    12    16    24    32    40    48    64
-#   trig.  broadcast 3.24  3.29  3.34  3.58  4.12  4.82  6.34  8.67 11.86 21.41
-#          cached    2.25  2.26  2.31  2.48  2.88  3.59  4.89  7.17  9.55 18.66
-#   wave   broadcast 3.65  3.70  3.78  3.94  4.10  4.99  5.95  7.94 10.53 19.05
-#          cached    3.31  3.33  3.39  3.56  3.74  4.74  5.74  7.81 10.64 20.03
-# The wave step loses from 48.  The cache holds at most 40 n^2 bytes of
-# array data per size (the trigonometric scale stack and both shifts),
-# 821 600 bytes (0.78 MiB) over every n below 40.
+#   trig.  broadcast 2.71  2.75  2.78  2.83  3.39  4.33  5.71  8.27 11.50 20.63
+#          row       2.23  2.24  2.31  2.44  2.80  3.63  4.78  7.03  9.61 17.43
+#   wave             3.12  3.19  3.25  3.25  3.47  4.46  5.58  7.64 10.27 17.88
+# The row wins at every n measured, but a row for n past 40 holds
+# 24 (n - 1)^2 bytes, for sizes no benchmark workload covers.
 _BROADCAST_STEP_MIN_N = 40
-
-
-@functools.cache
-def _step_stacks(
-    n: int, wave: bool
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    # (scales, shift) below _BROADCAST_STEP_MIN_N, both read-only: the
-    # scale of a step into buffer j = 0, 1 is the view [j : j + 2] of the
-    # (3, n, n) stack [2, -2, 2] (the wave pair keeps its 0-d 2), and the
-    # shift, added to the new cosine's slab, is -0.0 but for _STEP_SCALES's
-    # diagonal term on its diagonal.  x + -0.0 is x for every x, +0, -0,
-    # inf and NaN included, so the shift changes no entry off the diagonal
-    scales, identity = _STEP_SCALES[wave]
-    shift = np.full((n, n), -0.0)
-    shift.reshape(n * n)[:: n + 1] = identity
-    if not wave:
-        scale = _readonly(np.repeat([2.0, -2.0, 2.0], n * n).reshape(3, n, n))
-        scales = scale[:2], scale[1:]
-    return scales, _readonly(shift)
+_ROW_SLAB = (_BROADCAST_STEP_MIN_N - 1) ** 2
+_SCALE_ROW = _readonly(np.repeat([2.0, -2.0, 2.0], _ROW_SLAB))
 
 
 def _double_angle(
@@ -385,27 +371,25 @@ def _double_angle(
 ) -> tuple[DenseMatrix, DenseMatrix]:
     # Both products of a step read the old pair and are written into the
     # next of two (2, n, n) buffers, buffer j holding the sine in slab j and
-    # the cosine in slab 1 - j.  Two passes finish the step, each against
-    # operands made before the loop: below _BROADCAST_STEP_MIN_N the buffer
-    # times its view of the size's scale stack, then the new cosine plus
-    # the size's shift (-0.0 off the diagonal, which keeps every bit); from
-    # there the buffer times a broadcast scale, then the new cosine's
-    # diagonal view plus +-1.  Either way each entry is rounded as in two
-    # products per step, each scaled and its diagonal shifted.  The first
-    # step, and every wave step, is two products of the old pair, so the
-    # entering pair is never copied into a stack (a C-ordered copy of a
-    # Fortran-ordered pair, as the Pade pair's dgetrs solves return below
-    # matcore._GEMM_MIN_N, would round differently).  Every later
-    # trigonometric step is one stacked product, S [S, C] = [S^2, S C] or
-    # S [C, S] = [S C, S^2]; the wave step [C, S] C = [C^2, S C] would put
-    # the stack first, where perfbench's tracer reads n.  Scaling by -2
-    # turns each +0 of S S into -0, so C's off-diagonal zeros are -0 where
-    # a plain sum gives +0 (equal values; a fix costs a pass per step).
-    # Tiny entries are zeroed as the module docstring says: the entering
-    # pair is tested once, and zeroing runs only when it is finite and a
-    # matrix of it holds a nonzero tiny entry.  The returned pair is the
-    # last buffer's two slabs; at s = 0 a slab of a larger stack (the
-    # pair's basis, a stage's rows) is copied, so it keeps no stack alive.
+    # the cosine in slab 1 - j.  Two passes finish the step against arrays
+    # made at import (_BROADCAST_STEP_MIN_N): the buffer times its scale,
+    # then the new cosine's diagonal view plus a 0-d +-1, so each entry is
+    # rounded as in two products per step, each scaled and its diagonal
+    # shifted.  The first step, and every wave step, is two products of the
+    # old pair, so the entering pair is never copied into a stack (a
+    # C-ordered copy of a Fortran-ordered pair, as the Pade pair's dgetrs
+    # solves return below matcore._GEMM_MIN_N, would round differently).
+    # Every later trigonometric step is one stacked product, S [S, C] =
+    # [S^2, S C] or S [C, S] = [S C, S^2]; the wave step
+    # [C, S] C = [C^2, S C] would put the stack first, where perfbench's
+    # tracer reads n.  Scaling by -2 turns each +0 of S S into -0, so C's
+    # off-diagonal zeros are -0 where a plain sum gives +0 (equal values; a
+    # fix costs a pass per step).  Tiny entries are zeroed as the module
+    # docstring says: the entering pair is tested once, and zeroing runs
+    # only when it is finite and a matrix of it holds a nonzero tiny entry.
+    # The returned pair is the last buffer's two slabs; at s = 0 a slab of
+    # a larger stack (the pair's basis, a stage's rows) is copied, so it
+    # keeps no stack alive.
     if not steps:
         if cos.base is not None and cos.base.nbytes > cos.nbytes:
             cos = cos.copy()
@@ -421,31 +405,39 @@ def _double_angle(
                 for mask, magnitude in tiny)):
             tiny = None
     flush = tiny is not None
-    small = n < _BROADCAST_STEP_MIN_N
-    scales, shift = _step_stacks(n, wave) if small else _STEP_SCALES[wave]
-    # buffer j with its sine and cosine slabs, its scale and what the
-    # shift is added to
+    # buffer j with its sine and cosine slabs, what its scale multiplies,
+    # that scale, and the diagonal of its cosine (slab 1 - j) as a view of
+    # the buffer read flat
     buffers = []
+    area = n * n
     for j in range(min(steps, 2)):
         buffer = np.empty((2, n, n))
-        cosine = buffer[1 - j]
-        target = cosine if small else cosine.reshape(n * n)[:: n + 1]
-        buffers.append((buffer, buffer[j], cosine, scales[j], target))
+        flat = buffer.reshape(2 * area)
+        if wave:
+            scaled, scale = buffer, _TWO
+        elif n < _BROADCAST_STEP_MIN_N:
+            middle = (j + 1) * _ROW_SLAB
+            scaled, scale = flat, _SCALE_ROW[middle - area:middle + area]
+        else:
+            scaled, scale = buffer, _BROADCAST_SCALES[j]
+        buffers.append((buffer, buffer[j], buffer[1 - j], scaled, scale,
+                        flat[:area:n + 1] if j else flat[area::n + 1]))
+    term = _MINUS_ONE if wave else _ONE
     mul, multiply, add = alg.mul, np.multiply, np.add
     for step in range(steps):
         if flush:
             _zero_tiny(cos, sin, tiny)
             tiny = None
         j = step & 1
-        buffer, sine, cosine, scale, target = buffers[j]
+        buffer, sine, cosine, scaled, scale, diagonal = buffers[j]
         if step and not wave:
             mul(sin, buffers[1 - j][0], buffer)
         else:
             square = cos if wave else sin
             mul(square, square, cosine)
             mul(sin, cos, sine)
-        multiply(buffer, scale, buffer)
-        add(target, shift, target)
+        multiply(scaled, scale, scaled)
+        add(diagonal, term, diagonal)
         cos, sin = cosine, sine
     return cos, sin
 
@@ -685,9 +677,10 @@ def _evaluate(
     """The one evaluation body: check, select, scale, evaluate, double.
 
     The family comes from the table; t is read for the wave pair only, and
-    must be finite.  An upper-triangular (symmetric) A keeps every matrix
-    formed from it upper triangular (symmetric), so its structure is tested
-    once (matcore.structure_of) into the call's one MatrixAlgebra, with the
+    must be a finite real number (a str, bytes or complex t raises).  An
+    upper-triangular (symmetric) A keeps every matrix formed from it upper
+    triangular (symmetric), so its structure is tested once
+    (matcore.structure_of) into the call's one MatrixAlgebra, with the
     ledger; selection, the pair and the doubling steps run their products
     through it.  Selection's norms may then move by ulps from the dense
     path's, so a choice near a threshold could differ.  The arithmetic
@@ -700,6 +693,11 @@ def _evaluate(
     wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
+            # float() would parse a str or bytes, and drop (or refuse) the
+            # imaginary part of a complex t
+            if type(t) is not float and (isinstance(t, (str, bytes))
+                                         or np.iscomplexobj(t)):
+                raise MatrixInputError(f"t must be a real number, got {t!r}")
             t = float(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")

@@ -121,8 +121,9 @@ def test_bad_cube_norms_raise():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             select_scheme(40.0, table, 30.0, 20.0, cube_norms=(bad, 1.0))
-    with pytest.raises(ValueError):
-        select_scheme(40.0, table, 30.0, 20.0, cube_norms=(1.0,))
+    for wrong_length in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="cube_norms must hold 0 or 2"):
+            select_scheme(40.0, table, 30.0, 20.0, cube_norms=wrong_length)
 
 
 def _unrefined(monkeypatch, call, a):

@@ -921,6 +921,23 @@ def test_wave_rejects_a_nonfinite_time(t):
         wave_cos_sin(np.eye(2), t)
 
 
+@pytest.mark.parametrize("t", ["1.5", b"2", 1 + 0j, np.complex64(1)])
+def test_wave_rejects_a_time_that_is_not_a_real_number(t):
+    # float() parses a str or bytes, and refuses a complex t with a bare
+    # TypeError
+    with pytest.raises(MatrixInputError, match="t must be a real number"):
+        wave_cos_sin(np.eye(2), t)
+
+
+@pytest.mark.parametrize("t", [2, True, Fraction(3, 2), np.float32(1.5),
+                               np.int64(2), np.array(1.5)])
+def test_wave_reads_every_real_time_as_its_float(t):
+    a = np.array([[1.0, 2.0], [0.5, -1.0]])
+    got, want = wave_cos_sin(a, t).result, wave_cos_sin(a, float(t)).result
+    assert np.array_equal(got.cos_part, want.cos_part)
+    assert np.array_equal(got.sin_part, want.sin_part)
+
+
 @pytest.mark.parametrize("a, t", [
     (np.ones((2, 2)), 1e200),       # t^2 itself overflows
     (np.full((2, 2), 1e10), 1e154),  # t^2 is finite, t^2 A is not

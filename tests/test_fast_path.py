@@ -11,6 +11,7 @@ for bit.
 """
 
 import ast
+import gc
 import importlib.util
 import math
 import os
@@ -18,6 +19,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -297,7 +299,7 @@ def _holds_only_its_pair(cos, sin):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n", [1, 2, 16, 17, 33, 63,
                                driver._BROADCAST_STEP_MIN_N - 1,
-                               driver._BROADCAST_STEP_MIN_N])
+                               driver._BROADCAST_STEP_MIN_N, 48, 64])
 @pytest.mark.parametrize("steps", [0, 1, 2, 3])
 def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
     # the one doubling loop, two (2, n, n) buffers: the first step (and
@@ -306,10 +308,11 @@ def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
     # buffers alternating between [S, C] and [C, S] (so s = 2 and 3 end in
     # either layout), against two products per step, for the
     # trigonometric and the wave step: the same bits, C- or
-    # Fortran-ordered, on either side of the step's crossover (the cached
-    # scale and shift below it, the broadcast scale and the diagonal update
-    # from it), 2 charged per step, and a returned pair that holds nothing
-    # else alive (at s = 0 the entering cosine, a basis slab, is copied)
+    # Fortran-ordered, on either side of the step's crossover (a slice of
+    # the scale row below it, its shortest at n = 1 and its longest at the
+    # crossover less one; the broadcast scale from it), 2 charged per step,
+    # and a returned pair that holds nothing else alive (at s = 0 the
+    # entering cosine, a basis slab, is copied)
     for wave in (False, True):
         cos0, sin0 = _entering_pair(n, order, wave)
         assert cos0.flags.c_contiguous is (order == "C" or n == 1)
@@ -327,9 +330,9 @@ def test_stacked_doubling_step_matches_the_per_product_step(order, n, steps):
 
 
 def _special_pair(n, wave, kind):
-    # the entering pair at n, owned and C-ordered, with entries the shift's
-    # -0.0 must pass through unchanged: exact zeros of either sign, a
-    # subnormal, an inf or a NaN
+    # the entering pair at n, owned and C-ordered, with entries the step's
+    # scale and diagonal term must treat as two products per step do: exact
+    # zeros of either sign, a subnormal, an inf or a NaN
     cos, sin = (np.array(m) for m in _entering_pair(n, "C", wave))
     if kind == "zeros":
         lower = np.tril_indices(n, -1)
@@ -346,11 +349,11 @@ def _special_pair(n, wave, kind):
 
 @pytest.mark.parametrize("kind", ["zeros", "subnormal", "inf", "nan"])
 @pytest.mark.parametrize("n", [1, 4, driver._BROADCAST_STEP_MIN_N - 1,
-                               driver._BROADCAST_STEP_MIN_N])
+                               driver._BROADCAST_STEP_MIN_N, 48, 64])
 def test_doubling_keeps_the_bits_of_signed_zeros_and_special_entries(kind, n):
-    # x + -0.0 is x for every x, so the cached shift's pass over the whole
-    # new cosine keeps what the diagonal update alone kept: each entry's
-    # bits against two products per step, for both families and s = 1-3
+    # the row's slice or the broadcast scale, then a 0-d +-1 on the new
+    # cosine's diagonal: each entry's bits against two products per step,
+    # for both families and s = 1-3
     for wave in (False, True):
         cos0, sin0 = _special_pair(n, wave, kind)
         for steps in (1, 2, 3):
@@ -362,27 +365,6 @@ def test_doubling_keeps_the_bits_of_signed_zeros_and_special_entries(kind, n):
                                                  CostLedger(), wave)
             for m, ref in zip(got, want):
                 assert _same_bits(m, ref), (wave, steps)
-
-
-def test_step_stacks_are_cached_read_only_and_only_below_the_crossover():
-    crossover = driver._BROADCAST_STEP_MIN_N
-    driver._step_stacks.cache_clear()
-    for n in (crossover, crossover + 1):
-        for wave in (False, True):
-            cos0, sin0 = _entering_pair(n, "C", wave)
-            driver._double_angle(cos0, sin0, 3,
-                                 MatrixAlgebra(CostLedger(), Structure.DENSE),
-                                 wave)
-    assert driver._step_stacks.cache_info().currsize == 0
-    for wave in (False, True):
-        first = driver._step_stacks(crossover - 1, wave)
-        assert driver._step_stacks(crossover - 1, wave) is first
-        (scale0, scale1), shift = first
-        assert shift.shape == (crossover - 1,) * 2
-        assert scale0.shape == scale1.shape == (
-            () if wave else (2, *shift.shape))
-        assert not any(a.flags.writeable for a in (scale0, scale1, shift))
-    assert driver._step_stacks.cache_info().currsize == 2
 
 
 def _held_arrays(value, path, seen):
@@ -409,9 +391,8 @@ def _held_arrays(value, path, seen):
         yield from _held_arrays(item, f"{path}[{key!r}]", seen)
 
 
-def test_no_module_holds_a_writeable_array():
-    # every call reads the library's module-level arrays; a stray in-place
-    # write into one would change every later call
+def _module_arrays():
+    """{path: array} for every ndarray a cossinm module's globals hold."""
     held = {}
     for info in pkgutil.iter_modules(cossinm.__path__):
         module = importlib.import_module(f"cossinm.{info.name}")
@@ -419,10 +400,48 @@ def test_no_module_holds_a_writeable_array():
         for name, value in vars(module).items():
             if not (isinstance(value, ModuleType) or callable(value)):
                 held.update(_held_arrays(value, f"{info.name}.{name}", seen))
+    return held
+
+
+def test_no_module_holds_a_writeable_array():
+    # every call reads the library's module-level arrays; a stray in-place
+    # write into one would change every later call
+    held = _module_arrays()
     assert "matcore._STRICT_LOWER" in held
-    assert any(path.startswith("driver._STEP_SCALES") for path in held)
+    assert held["driver._SCALE_ROW"].size == (
+        3 * (driver._BROADCAST_STEP_MIN_N - 1) ** 2)
     assert any(path.startswith("schemes.TAYLOR_CONSTANTS") for path in held)
     assert [path for path, a in held.items() if a.flags.writeable] == []
+
+
+def _double_at_every_n():
+    # a doubling at every n from 1 to one past the step's crossover, for
+    # both families, its results dropped
+    for n in range(1, driver._BROADCAST_STEP_MIN_N + 2):
+        for wave in (False, True):
+            cos0, sin0 = _entering_pair(n, "C", wave)
+            driver._double_angle(cos0, sin0, 3,
+                                 MatrixAlgebra(CostLedger(), Structure.DENSE),
+                                 wave)
+
+
+def test_doubling_holds_no_array_it_made():
+    # doublings on both sides of the step's crossover leave the arrays the
+    # modules hold as they were (the same arrays, each of the same bytes),
+    # and keep nothing alive that the module walk cannot see, such as a
+    # function's cache: a per-size cache of the step's operands would keep
+    # about 0.8 MB here
+    before = {path: (id(a), a.nbytes) for path, a in _module_arrays().items()}
+    tracemalloc.start()
+    try:
+        _double_at_every_n()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    after = {path: (id(a), a.nbytes) for path, a in _module_arrays().items()}
+    assert after == before
+    assert retained < 2 ** 16
 
 
 def _large_input(n, form, norm):
