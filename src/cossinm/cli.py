@@ -58,6 +58,7 @@ class RunRecord:
     rel_err_sin: float
     products: float
     scaling_s: int
+    shift: int
     wall_time: float
 
 
@@ -74,6 +75,7 @@ def _report_line(report: ComputationReport) -> str:
     return (
         f"scheme={_scheme_label(report.scheme_used)}"
         f" s={report.scaling_exponent}"
+        f" shift={report.shift}"
         f" products={report.total_products}"
         f" structure={report.structure}"
         f" cube_norms={cubes}"
@@ -164,6 +166,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     report.result.sin_part, reference.sin_part),
                 products=float(report.total_products),
                 scaling_s=report.scaling_exponent,
+                shift=report.shift,
                 wall_time=wall,
             ))
     names = [f.name for f in fields(RunRecord)]

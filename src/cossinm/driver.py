@@ -11,7 +11,16 @@ s from their norms (select_scheme), which sees through nonnormal input
 whose 1-norm far exceeds what its powers do.  The degree-12 chains and the
 Pade pair read y^3 too; the driver forms it once the scheme is chosen,
 and from n = _CUBE_MIN_N reads its norm and a bound on ||y^4|| to lower s
-where they allow (_refined_steps).  The powers are formed straight into the
+where they allow (_refined_steps), and an estimate of ||y^4|| where only
+a value below the bound could lower it further (_power_norm_estimate).
+The trigonometric pairs first take a whole number of quarter periods off
+the diagonal where that lowers the 1-norm (_quarter_shift): B = A -
+q (pi/2) I, q = round(tr A / (n pi/2)), whose pair is A's up to a sign and
+a swap by q mod 4 (_quarter_turn), so every step after it, selection
+included, runs on B.  pi/2 and q (pi/2) are rounded, and each diagonal
+entry once more: a backward error of at most 2.5 u ||A||_1 in each
+diagonal entry (u = 2^-53), as |q| pi/2 <= ||A||_1 + pi/4 <= 2 ||A||_1.  The wave pair has no such identity and is never
+shifted.  The powers are formed straight into the
 first slabs of the pair's basis stack, one workspace per call made before
 selection (MatrixAlgebra.workspace), so none is copied on its way to the
 pair (_basis).  The input is scaled by an exact power of two, the chain is
@@ -125,19 +134,25 @@ __all__ = [
 class ComputationReport:
     """A result, the choice that produced it, and what the choice read.
 
-    selection_norms holds the norms selection was given: (||A||_1,
-    ||A^2||_1^(1/2), ||A^4||_1^(1/4)) for the trigonometric pairs and
-    (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.  Where
-    selection did not read a square's norm (an A^2 norm above 2^500, whose
-    square waits for s, or a norm the cheapest scheme covers unscaled), its
-    entry repeats the one before it.  cube_norms holds the norms selection
-    read beyond those, rooted alike: (||A^6||_1^(1/6), c^(1/8)) with c the
-    bound on ||A^8||_1 (_cube_norms), or (||B^3||_1^(1/3), c^(1/4)) with c
-    the bound on ||B^4||_1; it is empty where they were not read.  Given
-    both, as norm, beta, delta and cube_norms (beta None for the wave
-    pair), select_scheme returns the call's scheme and s again.  structure
-    names the kernels every product and solve took: "dense", "upper"
-    (triangular) or "symmetric".
+    shift is the q of the trigonometric pairs' quarter-period shift: the
+    driver evaluated A - q (pi/2) I and turned its pair by q mod 4 (0 where
+    it did not shift, and always for the wave pair).  selection_norms holds
+    the norms selection was given, of that shifted operand where q is not
+    0: (||A||_1, ||A^2||_1^(1/2), ||A^4||_1^(1/4)) for the trigonometric
+    pairs and (||B||_1, ||B^2||_1^(1/2)) with B = t^2 A for the wave pair.
+    Where selection did not read a square's norm (an A^2 norm above 2^500,
+    whose square waits for s, or a norm the cheapest scheme covers
+    unscaled), its entry repeats the one before it.  cube_norms holds the
+    norms selection read beyond those, rooted alike: (||A^6||_1^(1/6),
+    c^(1/8)) with c the bound on ||A^8||_1 (_cube_norms), or
+    (||B^3||_1^(1/3), c^(1/4)) with c the bound on ||B^4||_1; it is empty
+    where they were not read.  Where the estimate of ||A^8||_1 (||B^4||_1)
+    was read and fell below the bound, c is that estimate, a lower bound on
+    the norm rather than an upper one (select_scheme says what that gives
+    up).  Given both, as norm, beta, delta and cube_norms (beta None for
+    the wave pair), select_scheme returns the call's scheme and s again.
+    structure names the kernels every product and solve took: "dense",
+    "upper" (triangular) or "symmetric".
     """
 
     result: CosSinResult
@@ -147,6 +162,7 @@ class ComputationReport:
     selection_norms: tuple[float, ...] = ()
     structure: str = "dense"
     cube_norms: tuple[float, ...] = ()
+    shift: int = 0
 
     @property
     def nonfinite(self) -> bool:
@@ -201,8 +217,9 @@ def select_scheme(
     every entry, no entry needs more steps than on the norm alone.
 
     cube_norms = (gamma, eps), rooted as delta is, are gamma =
-    ||A^6||_1^(1/6) and eps^8 >= ||A^8||_1 (wave: ||B^3||_1^(1/3) and
-    eps^4 >= ||B^4||_1), and are given once the scheme is fixed; left out
+    ||A^6||_1^(1/6) and eps^8, a bound on ||A^8||_1 or an estimate of it
+    (wave: ||B^3||_1^(1/3) and eps^4 for ||B^4||_1), and are given once
+    the scheme is fixed; left out
     (or empty, as a report holds them where none were read), the rule
     above stands; any other length raises ValueError.  They recompute s
     for the scheme that rule chose, and never change it (_refined_steps):
@@ -231,6 +248,23 @@ def select_scheme(
     chain to sum large terms that cancel, and rounding, not truncation,
     then decides the error (on the acceptance corpus it took criterion 5
     to 448 of 500, under its gate of 450).
+
+    What an estimate gives up: the driver reads eps from an estimate of
+    ||y^4||_1 (_power_norm_estimate) only where some value below the bound
+    could lower s, that is where s at eps = 0 (alpha_3 = gamma) is below s
+    at the bound, and only where the estimate is the smaller.  It is a lower
+    bound on the norm, not an upper one, so then ||y^j|| <= alpha_3^j is
+    no longer proven for j >= 6, and a side whose x is alpha_3 is only as
+    safe as the estimate is sharp: an estimate low by a factor f leaves
+    that side's tail bound up to f^(ell/8) above u (f^(ell/4) for a wave
+    kernel, whose ell counts degrees of B), for ell 26 and 23 (13 and 11)
+    about f^3.  Higham and Tisseur's estimator is exact on most input and
+    rarely low by more than a factor 3; on dense, triangular and symmetric
+    input at n = 128-200 it read 0.77-1.0 of the norm, and every
+    large-dense benchmark call that read it (4 of 72 over seeds 0, 3 and
+    7) dropped a step and kept its benchmark check.  Al-Mohy and Higham
+    choose s for the exponential on such estimates (2009, above).  Where
+    eps is the bound, the argument above holds as stated.
     """
     beta = norm if beta is None else beta
     delta = norm if delta is None else delta
@@ -506,6 +540,65 @@ def _basis(
     return basis
 
 
+# The block 1-norm estimator's columns and its most iterations
+# (_power_norm_estimate): Higham and Tisseur's t = 2 and itmax = 5.
+_ESTIMATE_COLUMNS = 2
+_ESTIMATE_ITERATIONS = 5
+
+
+def _power_norm_estimate(y: DenseMatrix, y3: DenseMatrix) -> float:
+    """A lower bound on ||y^3 y||_1, read from n x 2 blocks alone.
+
+    Higham and Tisseur's block 1-norm estimator (SIAM J. Matrix Anal.
+    Appl. 21, 2000, Algorithm 2.4) with t = 2, on the operator y^3 y and
+    its transpose, so y^4 is never formed and nothing is charged.  The
+    first iteration multiplies a start block by y, then by y^3; each later
+    one multiplies y^3 by the two columns of y the last iteration's
+    transposed products point to, those products being y^T (y^3^T S) for
+    S the signs of the block.  The estimate is the largest 1-norm of a
+    column of y^3 y so formed, which never exceeds ||y^3 y||_1 but for
+    rounding (the first block's columns have 1-norm 1).  It is
+    deterministic: the start block is e/n and the alternating vector
+    (-1)^i (1 + i/(n - 1)) scaled to 1-norm 1 (Higham's dlacon vector), and
+    a column of signs parallel to another is kept rather than redrawn at
+    random, which may leave the estimate lower than a redraw would, never
+    above the norm.
+    """
+    n = y.shape[0]
+    start = np.empty((n, _ESTIMATE_COLUMNS))
+    start[:, 0] = 1.0
+    ramp = start[:, 1]
+    ramp[:] = np.linspace(1.0, 2.0, n)
+    ramp[1::2] *= -1.0
+    start /= np.add.reduce(np.abs(start), axis=0)
+    block = y3 @ (y @ start)
+    used = np.zeros(n, dtype=bool)
+    best, best_index, signs = 0.0, -1, None
+    for k in range(_ESTIMATE_ITERATIONS + 1):
+        sums = np.add.reduce(np.abs(block), axis=0)
+        column = int(sums.argmax())
+        if k and sums[column] <= best:
+            break
+        best = float(sums[column])
+        if k == _ESTIMATE_ITERATIONS:
+            break
+        if k:
+            best_index = int(columns[column])
+        old, signs = signs, np.where(block >= 0.0, 1.0, -1.0)
+        if old is not None and (np.abs(old.T @ signs).max(axis=0) == n).all():
+            break   # every column of signs repeats one of the last
+        rows = np.abs(y.T @ (y3.T @ signs)).max(axis=1)
+        if k and rows.max() == rows[best_index]:
+            break
+        order = np.argsort(-rows, kind="stable")
+        if used[order[:_ESTIMATE_COLUMNS]].all():
+            break
+        columns = order[~used[order]][:_ESTIMATE_COLUMNS]
+        used[columns] = True
+        block = y3 @ y[:, columns]
+    return best
+
+
 def _cube_norms(
     y: DenseMatrix, y3: DenseMatrix, scratch: DenseMatrix, wave: bool
 ) -> tuple[float, float]:
@@ -542,7 +635,8 @@ def _square_norms(stack: np.ndarray) -> tuple[float, float]:
 
 
 def _selection(
-    a: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, t: float | None
+    a: DenseMatrix, table: ThetaTable, alg: MatrixAlgebra, t: float | None,
+    norm: float | None = None,
 ) -> tuple[SchemeId, int, np.ndarray, tuple[float, ...], tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
 
@@ -580,12 +674,20 @@ def _selection(
     pair only, and a choice that moved after it would waste it.  Where s
     falls, the slabs y, y^2 and y^3 are multiplied in place by the exact
     powers of two the lower s asks for; the ledger stays pair cost + 2s,
-    and a call whose s does not move keeps every bit.
+    and a call whose s does not move keeps every bit.  Where even
+    alpha_3 = gamma (no ||y^4|| at all) would lower s below the bound's
+    choice, ||y^4||_1 is estimated from n x 2 blocks (_power_norm_estimate,
+    nothing charged) and the smaller of the two is read; elsewhere the
+    estimate is not formed and the call keeps the bound's every bit.
+
+    norm is ||a||_1 where the caller read it already (the trigonometric
+    pairs, after the shift); it is read here otherwise.
     """
     wave = t is not None
     stack = alg.workspace(_WORKSPACE_DEPTH, a.shape[0])
     x = np.multiply(a, t * t, out=stack[1]) if wave else a
-    norm = norm1(x)
+    if wave or norm is None:
+        norm = norm1(x)
     if norm <= table.floor:
         scheme = table.entries[0].scheme
         y = x if wave else alg.mul(x, x, out=stack[1])
@@ -647,6 +749,17 @@ def _selection(
                   for c in _cube_norms(basis[1], basis[3], basis[4], wave))
     refined = select_scheme(base_norm, table, beta, delta,
                             cube_norms=(gamma, eps))[1]
+    # no ||y^4|| can take s below its value at alpha_3 = gamma; short of
+    # it, an estimate of ||y^4|| may (select_scheme's "What an estimate
+    # gives up")
+    if refined > select_scheme(base_norm, table, beta, delta,
+                               cube_norms=(gamma, 0.0))[1]:
+        estimate = math.ldexp(_power_norm_estimate(basis[1], basis[3])
+                              ** (1.0 / (4 if wave else 8)), bits * s)
+        if estimate < eps:
+            eps = estimate
+            refined = select_scheme(base_norm, table, beta, delta,
+                                    cube_norms=(gamma, eps))[1]
     if refined < s:
         for degree in (1, 2, 3):
             _scale(basis[degree], 2 * degree * (s - refined))
@@ -671,18 +784,87 @@ def _pair(
     return taylor_cos_sin(odd, scheme, alg, basis)
 
 
+# pi/2 and pi/4 in binary64 (each pi rounded, then halved exactly)
+_HALF_PI = math.pi / 2
+_QUARTER_PI = math.pi / 4
+
+
+def _quarter_shift(
+    a: DenseMatrix, norm: float
+) -> tuple[DenseMatrix, float, int]:
+    """(B, ||B||_1, q) for B = A - q (pi/2) I, q = round(tr A / (n pi/2)),
+    where ||B||_1 < ||A||_1; (A, ||A||_1, 0) otherwise.
+
+    norm is ||A||_1.  Below pi/4, so is every |a_ii|: |tr A| / (n pi/2) is
+    below 1/2, q is 0 and the trace is not read.  A trace that overflows
+    keeps A.  B is a copy of A with q (pi/2), rounded once, taken from its
+    diagonal, so it keeps A's structure (triangular or symmetric).
+    """
+    if not norm >= _QUARTER_PI:
+        return a, norm, 0
+    n = a.shape[0]
+    # the diagonal summed as Python floats: 0.35 us at n = 8, where
+    # a.trace() took 1.25 (one OpenBLAS thread on a Xeon VM); a sum that
+    # overflows is +-inf, never NaN, as no partial sum meets the other inf
+    centre = sum(a.diagonal().tolist()) / (n * _HALF_PI)
+    if not math.isfinite(centre):
+        return a, norm, 0
+    q = round(centre)
+    if not q:
+        return a, norm, 0
+    b = a.copy()
+    diagonal = b.reshape(-1)[::n + 1]
+    diagonal -= q * _HALF_PI
+    b_norm = norm1(b)
+    if b_norm < norm:
+        return b, b_norm, q
+    return a, norm, 0
+
+
+def _quarter_turn(
+    cos: DenseMatrix, sin: DenseMatrix, q: int
+) -> tuple[DenseMatrix, DenseMatrix]:
+    # (cos A, sin A) from (cos B, sin B) with A = B + q (pi/2) I: by q mod
+    # 4, (C, S), (-S, C), (-C, -S) or (S, -C), each negation in place, so a
+    # pair that is one buffer's two slabs stays so
+    turn = q & 3
+    if turn & 1:
+        cos, sin = sin, cos
+    if turn in (1, 2):
+        np.negative(cos, out=cos)
+    if turn >= 2:
+        np.negative(sin, out=sin)
+    return cos, sin
+
+
+def _real_time(t) -> float:
+    # float(t), or MatrixInputError where float() would parse a str or
+    # bytes, drop (or refuse) the imaginary part of a complex t, or refuse
+    # t (None, a list, an array of one or more dimensions) with a bare
+    # TypeError
+    if not (isinstance(t, (str, bytes)) or np.iscomplexobj(t)):
+        try:
+            return float(t)
+        except TypeError:
+            pass
+    raise MatrixInputError(f"t must be a real number, got {t!r}")
+
+
 def _evaluate(
     a: DenseMatrix, table: ThetaTable, t: float | None = None
 ) -> ComputationReport:
-    """The one evaluation body: check, select, scale, evaluate, double.
+    """The one evaluation body: check, shift, select, scale, evaluate,
+    double, turn.
 
     The family comes from the table; t is read for the wave pair only, and
-    must be a finite real number (a str, bytes or complex t raises).  An
+    must be a finite real number (_real_time says what raises).  An
     upper-triangular (symmetric) A keeps every matrix formed from it upper
     triangular (symmetric), so its structure is tested once
     (matcore.structure_of) into the call's one MatrixAlgebra, with the
     ledger; selection, the pair and the doubling steps run their products
-    through it.  Selection's norms may then move by ulps from the dense
+    through it.  The quarter-period shift (_quarter_shift) moves only the
+    diagonal, so it keeps that structure, and ||A||_1, read once, serves
+    both it and selection.  Selection's norms may then move by ulps from the dense
     path's, so a choice near a threshold could differ.  The arithmetic
     runs with numpy's overflow and invalid-operation warnings off: a
     result that overflowed says so in the report's nonfinite.
@@ -693,24 +875,24 @@ def _evaluate(
     wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
-            # float() would parse a str or bytes, and drop (or refuse) the
-            # imaginary part of a complex t
-            if type(t) is not float and (isinstance(t, (str, bytes))
-                                         or np.iscomplexobj(t)):
-                raise MatrixInputError(f"t must be a real number, got {t!r}")
-            t = float(t)
+            if type(t) is not float:
+                t = _real_time(t)
             if not math.isfinite(t):
                 raise MatrixInputError(f"t must be finite, got {t}")
             scheme, s, basis, norms, cubes = _selection(a, table, alg, t)
-            odd = t / 2.0 ** s
+            odd, shift = t / 2.0 ** s, 0
         else:
-            scheme, s, basis, norms, cubes = _selection(a, table, alg, None)
-            # at s = 0 the pair reads A itself (x 1.0 = x); no pair
+            a, norm, shift = _quarter_shift(a, norm1(a))
+            scheme, s, basis, norms, cubes = _selection(a, table, alg, None,
+                                                        norm)
+            # at s = 0 the pair reads A (or B) itself (x 1.0 = x); no pair
             # writes into odd
             odd = a * 2.0 ** -s if s else a
         part = _pair(scheme, odd, alg, basis)
-        result = CosSinResult(*_double_angle(
-            part.cos_part, part.sin_part, s, alg, wave))
+        pair = _double_angle(part.cos_part, part.sin_part, s, alg, wave)
+        if shift:
+            pair = _quarter_turn(*pair, shift)
+        result = CosSinResult(*pair)
     return ComputationReport(
         result=result,
         scheme_used=scheme,
@@ -719,6 +901,7 @@ def _evaluate(
         selection_norms=norms,
         structure=structure.value,
         cube_norms=cubes,
+        shift=shift,
     )
 
 

@@ -1,4 +1,5 @@
-"""The pair functions as the driver calls them, for the scheme-level tests."""
+"""The pair functions as the driver calls them, for the scheme-level tests,
+and the quarter-period turn of a trigonometric pair."""
 
 import numpy as np
 
@@ -26,3 +27,8 @@ def run_pair(a, scheme, ledger, t=1.0):
          else alg.mul(a, a, out=stack[1]))
     return _pair(scheme, t if wave else a, alg,
                  _basis(scheme, alg, y, alg.mul(y, y, out=stack[2])))
+
+
+def quarter_turn(cos, sin, q):
+    """(cos, sin) of A + q (pi/2) I from (cos, sin) of A, by q mod 4."""
+    return ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[q % 4]

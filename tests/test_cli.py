@@ -121,6 +121,25 @@ def test_report_line_prints_the_cube_norms(tmp_path, capsys):
         f" structure=upper cube_norms={gamma:.5g},{eps:.5g}\n")
 
 
+def test_report_line_and_bench_rows_print_the_shift(tmp_path, capsys):
+    # diag(pi, pi) + 0.1 I: q = round(2 (pi + 0.1) / pi) = 2, taken off the
+    # diagonal; the wave pair is never shifted
+    path = _write(tmp_path, "q.mat", np.diag([math.pi + 0.1] * 2))
+    assert main(["cossin", str(path)]) == 0
+    assert " s=0 shift=2 products=" in capsys.readouterr().out
+    assert read_matrix(str(path) + ".cos")[0, 0] == pytest.approx(
+        math.cos(math.pi + 0.1), abs=1e-15)
+    assert main(["wave", str(path), "--t", "1.0"]) == 0
+    assert " shift=0 " in capsys.readouterr().out
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--count", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {int(row["shift"]) for row in rows} > {0}
+
+
 def test_theta_single_prints_known_thresholds(capsys):
     assert main(["theta", "--precision", "single"]) == 0
     out = capsys.readouterr().out
@@ -144,7 +163,7 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
         rows = list(csv.reader(handle))
     assert rows[0] == ["matrix_id", "class_tag", "norm", "method",
                        "rel_err_cos", "rel_err_sin", "products",
-                       "scaling_s", "wall_time"]
+                       "scaling_s", "shift", "wall_time"]
     assert len(rows) == 1 + 2 * 20
     methods = {row[3] for row in rows[1:]}
     assert methods == {"taylor", "pade"}

@@ -5,8 +5,11 @@ s >= 1 has y^3 formed by the driver at that s; its 1-norm and the bound
 max((e^T |y^3|) |y|) >= ||y^4||_1 are read (driver._cube_norms), and s is
 recomputed for that scheme alone from alpha_2 = max(||y^2||^(1/2),
 ||y^3||^(1/3)) and alpha_3 = max(||y^3||^(1/3), ||y^4||^(1/4)), which
-bound ||y^j||^(1/j) from j = 2 and j = 6 on.  The scheme never moves, s
-never rises, and a call whose s stays keeps every output bit.
+bound ||y^j||^(1/j) from j = 2 and j = 6 on.  Where no value of ||y^4||
+at or below the bound could lower s further the bound stands; otherwise
+the smaller of it and a block 1-norm estimate of ||y^4||_1
+(driver._power_norm_estimate) is read.  The scheme never moves, s never
+rises, and a call whose s stays keeps every output bit.
 """
 
 import math
@@ -80,6 +83,28 @@ def test_the_bound_and_each_alpha_cover_their_powers(form, n, seed, wave):
     for p, alpha in alphas:
         for j in range(p * (p - 1), 13):
             assert root[j] <= alpha * (1.0 + 1e-12), (p, j)
+
+
+@pytest.mark.parametrize("form", ["dense", "upper", "symmetric"])
+@pytest.mark.parametrize("n", [driver._CUBE_MIN_N, 200])
+def test_the_estimate_is_a_repeatable_lower_bound(form, n):
+    # estimate <= ||y^3 y||_1 <= max((e^T |y^3|) |y|), each up to rounding:
+    # every computed entry of a column of y^3 y (the estimate's, or the
+    # exact norm's) is within n u (|y^3| |y|)_ij of its exact value, and
+    # the bound, a sum of nonnegative terms, within 2 n u of its own; so
+    # each side may pass the next by 3 n u times the bound
+    a = _input(form, n, 8.0)
+    y = a @ a
+    y3 = y @ y @ y
+    exact = norm1(y3 @ y)
+    bound = float((np.add.reduce(np.abs(y3), axis=0) @ np.abs(y)).max())
+    slack = 3 * n * U * bound
+    estimate = driver._power_norm_estimate(y, y3)
+    assert estimate <= exact + slack
+    assert exact <= bound + slack
+    # within the factor 3 Higham and Tisseur report, so not vacuous
+    assert estimate >= exact / 3
+    assert estimate.hex() == driver._power_norm_estimate(y, y3).hex()
 
 
 _TABLES = [t[p] for t in (TAYLOR_TABLE, WAVE_TABLE, PADE_TABLE) for p in t]

@@ -32,7 +32,7 @@ from cossinm.theta_tables import (
     Precision,
 )
 from cossinm.verify import reference_cos_sin, relative_error_2
-from pairs import run_pair
+from pairs import quarter_turn, run_pair
 
 DOUBLE_TAYLOR = TAYLOR_TABLE[Precision.DOUBLE]
 DOUBLE_PADE = PADE_TABLE[Precision.DOUBLE]
@@ -110,8 +110,12 @@ def test_cos_sin_zero_matrix():
 
 
 def test_cos_sin_pi_diagonal():
-    """diag(pi) lands on the top scheme with one squaring and hits -I."""
-    report = cos_sin(np.diag([math.pi, math.pi]))
+    """diag(pi, -pi) lands on the top scheme with one squaring and hits -I.
+
+    Its trace is 0, so no quarter-period shift takes it to 0 first (as it
+    takes diag(pi, pi))."""
+    report = cos_sin(np.diag([math.pi, -math.pi]))
+    assert report.shift == 0
     assert report.scheme_used.k_products == 7
     assert report.scaling_exponent == 1
     assert report.total_products == Fraction(9)
@@ -441,12 +445,20 @@ def _power_norms(a):
             math.sqrt(math.sqrt(norm1(y @ y))))
 
 
+def _shifted(a, q):
+    """A - q (pi/2) I, formed as the driver forms it."""
+    b = a.copy()
+    b[np.diag_indices(a.shape[0])] -= q * (math.pi / 2)
+    return b
+
+
 def test_cost_law_total_is_pi_plus_2s(rng):
     for target in (0.004, 0.07, 0.6, 2.0, 55.0, 900.0):
         a = rng.standard_normal((5, 5))
         a *= target / norm1(a)
         report = cos_sin(a)
-        norm, beta, delta = _power_norms(a)
+        # selection reads the shifted operand's norms
+        norm, beta, delta = _power_norms(_shifted(a, report.shift))
         if norm > DOUBLE_TAYLOR.floor:
             assert report.selection_norms == (norm, beta, delta)
         scheme, s = select_scheme(norm, DOUBLE_TAYLOR, beta, delta,
@@ -473,12 +485,14 @@ def test_double_angle_scalar_formulas():
 
 
 def test_driver_scalar_accuracy_through_doubling():
-    report = cos_sin(np.array([[2.7]]))
+    # traceless, so no quarter-period shift takes 2.7 to 2.7 - pi
+    report = cos_sin(np.diag([2.7, -2.7]))
+    assert report.shift == 0
     assert report.scaling_exponent >= 1
-    assert report.result.cos_part[0, 0] == pytest.approx(
-        math.cos(2.7), abs=1e-15)
-    assert report.result.sin_part[0, 0] == pytest.approx(
-        math.sin(2.7), abs=1e-15)
+    for x, c, s in zip((2.7, -2.7), np.diag(report.result.cos_part),
+                       np.diag(report.result.sin_part)):
+        assert c == pytest.approx(math.cos(x), abs=1e-15)
+        assert s == pytest.approx(math.sin(x), abs=1e-15)
 
 
 def test_pythagorean_identity(rng):
@@ -677,8 +691,11 @@ def test_power_selection_never_needs_more_steps(rng):
 
 
 def _signed_circulant(rng, n, norm):
-    # symmetric, every column sum of |entries| equal: ||A^k||_1 = ||A||_1^k
+    # symmetric, every column sum of |entries| equal: ||A^k||_1 = ||A||_1^k;
+    # its diagonal is 0, so no quarter-period shift moves it (a shifted one
+    # would mix the signs of the circulant's entries, and the rule fails)
     half = rng.uniform(0.1, 1.0, n // 2 + 1)
+    half[0] = 0.0
     row = np.concatenate([half, half[1:(n + 1) // 2][::-1]])
     c = np.array([np.roll(row, i) for i in range(n)])
     signs = np.diag(rng.choice([-1.0, 1.0], n))
@@ -694,6 +711,9 @@ def test_normal_inputs_select_as_on_the_norm(rng):
         for a in (diagonal, _signed_circulant(rng, n, norm)):
             assert a == pytest.approx(a.T, abs=0.0)
             for report, table, b in _three_calls(a, 1.3):
+                if report.shift:
+                    # a shifted diagonal is diagonal too
+                    b = norm1(_shifted(a, report.shift))
                 assert (report.scheme_used, report.scaling_exponent) == \
                     select_scheme(b, table)
 
@@ -892,8 +912,9 @@ def test_overflow_is_reported_in_the_report_not_warned(entry):
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_finite_input_whose_norm_overflows_is_prescaled(entry):
     # every entry is finite, but ||A||_1 = 2e308 is not: selection sizes
-    # A from A 2^-q and counts q among the prescale steps
-    a = np.full((2, 2), 1e308)
+    # A from A 2^-q and counts q among the prescale steps.  The trace is 0
+    # here, so no quarter-period shift moves either call below
+    a = np.array([[1e308, 1e308], [1e308, -1e308]])
     wave = entry == "wave_cos_sin"
     call = (lambda m: wave_cos_sin(m, 1.0)) if wave else _ENTRY_POINTS[entry]
     table = {"cos_sin": DOUBLE_TAYLOR, "pade_cos_sin": DOUBLE_PADE,
@@ -915,16 +936,71 @@ def test_finite_input_whose_norm_overflows_is_prescaled(entry):
     assert s == smaller.scaling_exponent + 1
 
 
+@pytest.mark.parametrize("entry", ["cos_sin", "pade_cos_sin"])
+@pytest.mark.parametrize("a", [np.diag([1e308, 1e308]),
+                               np.full((2, 2), 1e308)])
+def test_finite_input_whose_trace_overflows_is_not_shifted(entry, a):
+    # tr A = 2e308 is inf, though every entry is finite (and for the
+    # diagonal, ||A||_1 too): no q is read from it, and nothing raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _ENTRY_POINTS[entry](a)
+    assert report.shift == 0
+    with np.errstate(over="ignore"):
+        assert report.selection_norms[0] == norm1(a)
+
+
+@pytest.mark.parametrize("entry", ["cos_sin", "pade_cos_sin"])
+@pytest.mark.parametrize("q", range(-5, 6))
+def test_a_quarter_period_shift_is_taken_and_reported(entry, q):
+    # A = B + q (pi/2) I with ||B||_1 = 0.5 and tr B = 0: the driver takes
+    # q back off, selects on B's norms, and turns B's pair by q mod 4
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((4, 4))
+    b -= np.trace(b) / 4 * np.eye(4)
+    b *= 0.5 / norm1(b)
+    a = b + q * (math.pi / 2) * np.eye(4)
+    report = _ENTRY_POINTS[entry](a)
+    assert report.shift == q
+    shifted = _shifted(a, q)
+    assert report.selection_norms == _power_norms(shifted)
+    want = _ENTRY_POINTS[entry](shifted)
+    assert want.shift == 0
+    assert (report.scheme_used, report.scaling_exponent,
+            report.total_products) == (want.scheme_used,
+                                       want.scaling_exponent,
+                                       want.total_products)
+    for got, turned in zip(
+            (report.result.cos_part, report.result.sin_part),
+            quarter_turn(want.result.cos_part, want.result.sin_part, q)):
+        assert np.array_equal(got, turned)
+
+
+def test_a_shift_that_raises_the_norm_is_not_taken():
+    # q = round(4 / pi) = 1, but B = A - (pi/2) I has column 0 summing to
+    # 12.57 > ||A||_1 = 11: A is evaluated as it is
+    a = np.array([[-1.0, 0.0], [10.0, 5.0]])
+    report = cos_sin(a)
+    assert report.shift == 0
+    assert report.selection_norms == _power_norms(a)
+
+
+def test_the_wave_pair_is_never_shifted():
+    a = np.diag([math.pi, math.pi, 2.0])
+    assert wave_cos_sin(a, 1.0).shift == 0
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_wave_rejects_a_nonfinite_time(t):
     with pytest.raises(MatrixInputError, match="t must be finite"):
         wave_cos_sin(np.eye(2), t)
 
 
-@pytest.mark.parametrize("t", ["1.5", b"2", 1 + 0j, np.complex64(1)])
+@pytest.mark.parametrize("t", ["1.5", b"2", 1 + 0j, np.complex64(1), None,
+                               [1.0], np.array([1.5])])
 def test_wave_rejects_a_time_that_is_not_a_real_number(t):
-    # float() parses a str or bytes, and refuses a complex t with a bare
-    # TypeError
+    # float() parses a str or bytes, and refuses a complex t, None, a list
+    # or a 1-element 1-D array with a bare TypeError
     with pytest.raises(MatrixInputError, match="t must be a real number"):
         wave_cos_sin(np.eye(2), t)
 
@@ -963,6 +1039,9 @@ def test_structure_is_tested_once_per_call(monkeypatch, entry, kind):
         return original(m)
 
     monkeypatch.setattr(driver, "structure_of", counted)
+    # four times the norm, so that every call doubles: the estimate of
+    # ||A^8|| takes the triangular cos_sin call (n = 224, norm 24) to s = 0
+    a = 4.0 * a
     report = _ENTRY_POINTS[entry](a)
     assert report.scaling_exponent > 0
     assert report.structure == ("symmetric" if kind == "negdef" else "upper")
