@@ -19,31 +19,32 @@ q (pi/2) I, q = round(tr A / (n pi/2)), whose pair is A's up to a sign and
 a swap by q mod 4 (_quarter_turn), so every step after it, selection
 included, runs on B.  pi/2 and q (pi/2) are rounded, and each diagonal
 entry once more: a backward error of at most 2.5 u ||A||_1 in each
-diagonal entry (u = 2^-53), as |q| pi/2 <= ||A||_1 + pi/4 <= 2 ||A||_1.  The wave pair has no such identity and is never
-shifted.  The powers are formed straight into the
-first slabs of the pair's basis stack, one workspace per call made before
-selection (MatrixAlgebra.workspace), so none is copied on its way to the
-pair (_basis).  The input is scaled by an exact power of two, the chain is
-evaluated there with the powers scaled to match (2^-s per factor of A,
-also exact, so the chain forms none of them again and the cost law stays
-pair cost + 2s), and the result is pushed back up with double-angle steps,
-each costing two products formed from the old pair: S <- 2 S C and
-C <- I - 2 S^2.  One loop runs every pair and every s (_double_angle),
-over two alternating (2, n, n) buffers; after the first step each
-trigonometric step is one stacked product S [S, C], which matcore.matmul
-charges 2, and every bit is that of two products per step.  Every step
-finishes against read-only arrays made at import; below
-_BROADCAST_STEP_MIN_N the trigonometric scale is one contiguous pass
-against a slice of one row, so a small step costs little more than its
-products.  The returned pair is the last buffer's two slabs; at
-s = 0 the driver copies a matrix that is a slab of a larger stack, so no
-returned matrix keeps a stack alive.  The sine form keeps I - C, all the
-information a cosine near the identity carries, to full relative accuracy;
-2 C^2 - I would rebuild it by cancellation and lose about a factor 4 per
-step.  The wave pair scales the time step instead (halving t quarters the
-even variable) and doubles with c <- 2 c^2 - I, two products per step: its
-s kernel is sin(t sqrt(A))/sqrt(A), so the sine form would need A s^2, a
-third product per step.
+diagonal entry (u = 2^-53), as |q| pi/2 <= ||A||_1 + pi/4 <= 2 ||A||_1.
+The wave pair has no such identity and is never shifted.  The driver
+owns the call's one workspace, a basis stack as deep as any scheme's,
+made before selection (_workspace); the powers are formed straight into
+its first slabs, and the pair's basis is a prefix of it (_basis), so no
+power is copied on its way to the pair.  The input is scaled by an exact
+power of two, the chain is evaluated there with the powers scaled to
+match (2^-s per factor of A, also exact, so the chain forms none of them
+again and the cost law stays pair cost + 2s), and the result is pushed
+back up with double-angle steps, each costing two products formed from
+the old pair: S <- 2 S C and C <- I - 2 S^2.  One loop runs every pair
+and every s (_double_angle), over two alternating (2, n, n) buffers;
+after the first step each trigonometric step is one stacked product
+S [S, C], which matcore.matmul charges 2, and every bit is that of two
+products per step.  Every step finishes against read-only arrays made at
+import; below _BROADCAST_STEP_MIN_N the trigonometric scale is one
+contiguous pass against a slice of one row, so a small step costs little
+more than its products.  The returned pair is the last buffer's two
+slabs; at s = 0 the driver copies a matrix that is a slab of a larger
+stack, so no returned matrix keeps a stack alive.  The sine form keeps
+I - C, all the information a cosine near the identity carries, to full
+relative accuracy; 2 C^2 - I would rebuild it by cancellation and lose
+about a factor 4 per step.  The wave pair scales the time step instead
+(halving t quarters the even variable) and doubles with c <- 2 c^2 - I,
+two products per step: its s kernel is sin(t sqrt(A))/sqrt(A), so the
+sine form would need A s^2, a third product per step.
 
 A large pair (n >= _FLUSH_MIN_N) is tested once as it enters the doubling.
 If it is finite and one of its matrices holds a nonzero entry below 2^-511
@@ -318,7 +319,7 @@ def _refined_steps(
 ) -> int:
     """s for the chosen scheme, each side's x lowered by the alpha_p its
     tail may read (select_scheme's "Why the refined x is safe")."""
-    wave = table.step_bits == 2
+    wave = table.wave
     gamma, eps = cube_norms
     entry = next(e for e in table.entries if e.scheme == scheme)
     alphas = ((2, max(delta, gamma)), (3, max(gamma, eps)))
@@ -518,20 +519,21 @@ _CUBE_MIN_N = 128
 
 
 def _basis(
-    scheme: SchemeId, alg: OperandAlgebra[T], y: T, y2: T
+    scheme: SchemeId, alg: OperandAlgebra[T], stack: Sequence[T]
 ) -> Sequence[T]:
-    """The basis stack scheme's pair starts from: the identity, y, y^2 and,
-    for the pairs that read it, y^3 (RegisteredScheme), then free slabs.
+    """The basis stack scheme's pair starts from: the first depth slabs of
+    stack (RegisteredScheme), the identity, y, y^2 and, for the pairs that
+    read it, y^3, then free slabs.
 
-    y^3 is written into its slab as y^2 y for the degree-12 chains and as
-    y y^2 for the Pade pair: the operands and order each pair used when it
-    formed y^3 itself, so the product keeps its bits.  The driver hands in
-    y and y^2 as slabs 1 and 2 of the call's workspace, which alg.basis
-    returns without a copy (MatrixAlgebra takes its operands from there
-    alone); verify builds a polynomial pair's basis here too.
+    The caller builds stack with the identity, y and y^2 in its first
+    three slabs and at least depth slabs in all: the driver's workspace
+    (_workspace), verify's list of polynomials, or a test's stack.  y^3 is
+    written into slab 3 as y^2 y for the degree-12 chains and as y y^2 for
+    the Pade pair: the operands and order each pair used when it formed
+    y^3 itself, so the product keeps its bits.
     """
     registered = scheme._registered
-    basis = alg.basis(registered.depth, y, y2)
+    basis = stack[:registered.depth]
     if registered.powers == 3:
         if scheme.family is SchemeFamily.PADE8:
             alg.mul(basis[1], basis[2], out=basis[3])
@@ -624,6 +626,16 @@ _PAIRED_NORMS_LIMIT = 2.0 ** (_SQUARE_LIMIT_BITS // 2)
 _WORKSPACE_DEPTH = max(registered.depth for registered in SCHEMES.values())
 
 
+def _workspace(n: int) -> np.ndarray:
+    # the call's basis stack, (_WORKSPACE_DEPTH, n, n): the identity in
+    # slab 0 and the rest unwritten, for selection to form y and y^2 in
+    # slabs 1 and 2 and _basis to hand a prefix of it to the pair
+    stack = np.empty((_WORKSPACE_DEPTH, n, n))
+    stack[0] = 0.0
+    stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
+    return stack
+
+
 def _square_norms(stack: np.ndarray) -> tuple[float, float]:
     # (||y||_1, ||y^2||_1) for y and y^2 in slabs 1 and 2 of stack, in one
     # pass over both, |y| and |y^2| written into slabs 3 and 4 (free until
@@ -640,21 +652,21 @@ def _selection(
 ) -> tuple[SchemeId, int, np.ndarray, tuple[float, ...], tuple[float, ...]]:
     """Select on the norms of the even variable y and of y^2, formed once.
 
-    t is None for the trigonometric pairs, whose x = A gives y = A^2 at a
-    product, and the wave pair's time step otherwise, whose x = B = t^2 A
-    is its own y.  Above 2^500, x is first taken to x 2^-p (x 4^-p for B,
-    which quarters per step) so the squares stay finite, and s counts p on
-    top; a finite x whose 1-norm overflows is sized from x 2^-q (4^-q), and
-    the q steps count in p.  A B with an inf or NaN entry (t^2 A
-    overflowed) raises MatrixInputError.
+    The trigonometric pairs' x = A gives y = A^2 at a product; for the
+    wave table (table.wave) t is the time step, read there alone, and
+    x = B = t^2 A is its own y.  Above 2^500, x is first taken to x 2^-p
+    (x 4^-p for B, which quarters per step) so the squares stay finite,
+    and s counts p on top; a finite x whose 1-norm overflows is sized from
+    x 2^-q (4^-q), and the q steps count in p.  A B with an inf or NaN
+    entry (t^2 A overflowed) raises MatrixInputError.
     Returns the scheme, s, the basis stack its pair starts from (_basis),
     its powers scaled to the chain's operand, the selection norms and the
-    cube norms (empty where not read).  Every path forms the pair's
-    powers, straight into slabs 1 and 2 of the call's workspace
-    (MatrixAlgebra.workspace, _WORKSPACE_DEPTH slabs made first), which
-    becomes the basis with nothing copied.  At the table's floor the
-    cheapest scheme runs unscaled and no power's norm is read; where
-    ||y||_1 exceeds 2^500, y^2 is formed from the scaled y once s is
+    cube norms (empty where not read).  Selection makes the call's
+    workspace (_workspace, _WORKSPACE_DEPTH slabs) before any power, and
+    every path forms the pair's powers straight into its slabs 1 and 2, so
+    a prefix of it becomes the basis with nothing copied.  At the table's
+    floor the cheapest scheme runs unscaled and no power's norm is read;
+    where ||y||_1 exceeds 2^500, y^2 is formed from the scaled y once s is
     chosen; up to ||A||_1 = 2^250 both norms are read in one pass
     (_square_norms).  Every product runs through alg, so a structured one
     may round differently from the dense product, and the norms with it
@@ -683,16 +695,16 @@ def _selection(
     norm is ||a||_1 where the caller read it already (the trigonometric
     pairs, after the shift); it is read here otherwise.
     """
-    wave = t is not None
-    stack = alg.workspace(_WORKSPACE_DEPTH, a.shape[0])
+    wave = table.wave
+    stack = _workspace(a.shape[0])
     x = np.multiply(a, t * t, out=stack[1]) if wave else a
     if wave or norm is None:
         norm = norm1(x)
     if norm <= table.floor:
         scheme = table.entries[0].scheme
         y = x if wave else alg.mul(x, x, out=stack[1])
-        return (scheme, 0,
-                _basis(scheme, alg, y, alg.mul(y, y, out=stack[2])),
+        alg.mul(y, y, out=stack[2])
+        return (scheme, 0, _basis(scheme, alg, stack),
                 (norm,) * (2 if wave else 3), ())
     bits = table.step_bits
     # q steps taken first when the 1-norm itself overflows, though every
@@ -737,10 +749,10 @@ def _selection(
     # y and y^2 are this call's own slabs, so they are scaled in place
     _scale(y, -2 * s)
     if y2 is None:
-        y2 = alg.mul(y, y, out=stack[2])
+        alg.mul(y, y, out=stack[2])
     else:
         _scale(y2, -4 * s)
-    basis = _basis(scheme, alg, y, y2)
+    basis = _basis(scheme, alg, stack)
     if not (s and x.shape[0] >= _CUBE_MIN_N
             and scheme._registered.powers == 3):
         return scheme, s + p, basis, norms, ()
@@ -839,14 +851,18 @@ def _quarter_turn(
 
 def _real_time(t) -> float:
     # float(t), or MatrixInputError where float() would parse a str or
-    # bytes, drop (or refuse) the imaginary part of a complex t, or refuse
-    # t (None, a list, an array of one or more dimensions) with a bare
-    # TypeError
+    # bytes, drop (or refuse) the imaginary part of a complex t, refuse t
+    # (None, a list, an array of one or more dimensions) with a bare
+    # TypeError, or overflow (an int or a Fraction past the largest double)
     if not (isinstance(t, (str, bytes)) or np.iscomplexobj(t)):
         try:
             return float(t)
         except TypeError:
             pass
+        except OverflowError:
+            raise MatrixInputError(
+                "t must be finite, got a value past the largest double"
+            ) from None
     raise MatrixInputError(f"t must be a real number, got {t!r}")
 
 
@@ -872,7 +888,7 @@ def _evaluate(
     a = as_matrix(a)
     structure = structure_of(a)
     alg = MatrixAlgebra(CostLedger(), structure)
-    wave = table.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
+    wave = table.wave
     with np.errstate(over="ignore", invalid="ignore"):
         if wave:
             if type(t) is not float:

@@ -286,37 +286,26 @@ def matmul(
 
     b is one n x n matrix or a (k, n, n) stack, whose k products a @ b[i]
     are charged k and returned as one stack.  With out, the product is
-    written there and out is returned.  DENSE is np.matmul: a stack is one
-    call whose every slab has the bits of its own a @ b[i] (and with out,
-    the same bits as without).  Otherwise a and b have the structure, and
-    so does the product; it is charged 1 per slab all the same.  UPPER is
-    _upper_product and SYMMETRIC _symmetric_product, written straight into
-    an out that overlaps neither operand and copied into any other; a
-    stack takes them slab by slab, a slab that is a itself as a square.
+    written there and out is returned; every caller hands in a C-contiguous
+    out that overlaps neither operand, or none (a new array, a stack's
+    too).  DENSE is np.matmul: a stack is one call whose every slab has the
+    bits of its own a @ b[i] (and with out, the same bits as without).
+    Otherwise a and b have the structure, and so does the product; it is
+    charged 1 per slab all the same.  UPPER is _upper_product and SYMMETRIC
+    _symmetric_product; a stack takes them slab by slab, a slab that is a
+    itself as a square.
     """
     ledger.products += 1 if b.ndim == 2 else len(b)
     if structure is _DENSE:
         return np.matmul(a, b, out=out)
+    kernel = _upper_product if structure is _UPPER else _symmetric_product
     if b.ndim == 2:
-        return _structured(a, b, out, structure)
+        return kernel(a, b, out)
     if out is None:
         out = np.empty(b.shape)
     for slab, into in zip(b, out):
-        _structured(a, a if _same_view(slab, a) else slab, into, structure)
+        kernel(a, a if _same_view(slab, a) else slab, into)
     return out
-
-
-def _structured(
-    a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None,
-    structure: Structure,
-) -> DenseMatrix:
-    # one product through structure's kernel, into out as matmul says
-    kernel = _upper_product if structure is _UPPER else _symmetric_product
-    if out is not None and (np.shares_memory(out, a)
-                            or np.shares_memory(out, b)):
-        out[...] = kernel(a, b, None)
-        return out
-    return kernel(a, b, out)
 
 
 def _same_view(p: DenseMatrix, q: DenseMatrix) -> bool:
@@ -329,8 +318,9 @@ def _same_view(p: DenseMatrix, q: DenseMatrix) -> bool:
 def _upper_product(
     a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
 ) -> DenseMatrix:
-    """a @ b for upper-triangular a and b, in out when given (out is then
-    returned, and overlaps neither operand).
+    """a @ b for upper-triangular a and b: a new C-contiguous array, or
+    out when given (as matmul says, C-contiguous and overlapping neither
+    operand).
 
     The bandwidths of a product of band matrices add, so with w_a and w_b
     the operands' bandwidths (_bandwidth; a square's is read once), the
@@ -341,14 +331,12 @@ def _upper_product(
     lo = max(r0, c0 - w_b), hi = min(r1 + w_a, c1) outside which every
     term holds a zero of an operand, and the rest of the rows is +0.  A
     full triangle thus costs about n^3 / 3 flops, and no entry below the
-    diagonal tiles is read.  Written straight into a C-contiguous out; any
-    other out takes a copy, so every layout gets the same bits.
+    diagonal tiles is read.
     """
     n = a.shape[0]
     width_a = _bandwidth(a)
     width_b = width_a if b is a else _bandwidth(b)
-    c = out if out is not None and out.flags.c_contiguous else np.empty(
-        a.shape)
+    c = np.empty(a.shape) if out is None else out
     for r0 in range(0, n, _PANEL):
         r1 = min(n, r0 + _PANEL)
         i = min(n, r1 + width_a)
@@ -359,9 +347,6 @@ def _upper_product(
             lo, hi = max(r0, c0 - width_b), min(i, c1)
             np.matmul(a[r0:r1, lo:hi], b[lo:hi, c0:c1], out=c[r0:r1, c0:c1])
         c[r0:r1, j:] = 0.0
-    if out is not None and c is not out:
-        out[...] = c
-        return out
     return c
 
 
@@ -399,12 +384,13 @@ def _symmetric_product(
     a: DenseMatrix, b: DenseMatrix, out: DenseMatrix | None
 ) -> DenseMatrix:
     """a @ b, exactly symmetric, for symmetric a and b that commute: a new
-    C-contiguous array, or out when given (out overlaps neither operand).
+    C-contiguous array, or out when given (as matmul says, C-contiguous and
+    overlapping neither operand).
 
     A square (a is b) is one dsyrk: a^T a on the transposed view, whose
     lower triangle in Fortran order is the upper one in C order, written
-    straight into a C-contiguous out (as its Fortran-ordered transpose,
-    with beta = 0, so what out held is not read) and copied into any other.
+    straight into out (as its Fortran-ordered transpose, with beta = 0, so
+    what out held is not read).
     Any other product forms its upper triangle in four row panels,
     a[i:i+h] @ b[:, i:], straight into out.  Either way _mirror_upper then
     copies the upper triangle into the lower one.
@@ -412,14 +398,11 @@ def _symmetric_product(
     if a is b:
         from scipy.linalg.blas import dsyrk
 
-        if out is not None and out.flags.c_contiguous:
+        if out is None:
+            c = dsyrk(1.0, a.T, lower=1).T
+        else:
             dsyrk(1.0, a.T, beta=0.0, c=out.T, lower=1, overwrite_c=1)
             c = out
-        else:
-            c = dsyrk(1.0, a.T, lower=1).T
-            if out is not None:
-                out[...] = c
-                c = out
     else:
         n = a.shape[0]
         c = np.empty(a.shape) if out is None else out
@@ -460,10 +443,10 @@ def norm1(a: DenseMatrix) -> float:
 def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Every row of combinations of one basis stack, in one pass.
 
-    basis is a (k, n, n) stack whose slab 0 is, by convention, the
-    identity; block is an r x k float64 coefficient array.  Row i of the
-    (r, n, n) result is the sum block[i, 0] basis[0] + ... +
-    block[i, k-1] basis[k-1].  Never charged.
+    basis is a C-contiguous (k, n, n) stack, as every caller hands in,
+    whose slab 0 is, by convention, the identity; block is an r x k
+    float64 coefficient array.  Row i of the (r, n, n) result is the sum
+    block[i, 0] basis[0] + ... + block[i, k-1] basis[k-1].  Never charged.
 
     From n = _GEMM_MIN_N the r rows are one GEMM, block against the stack
     read as a k x n^2 matrix.  BLAS may fuse and reorder the k terms of an
@@ -478,12 +461,10 @@ def linear_combination(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     forms all r rows: over a C-contiguous stack numpy's einsum walks the
     entries of a slab innermost and the basis index outside them, so it
     adds the terms of every entry in basis order with an unfused multiply
-    and add.  A stack whose basis index is not outermost in memory is
-    copied first: einsum would walk that index innermost, with its
-    dot-product kernel, in another order.  So would it for n = 1, where a
-    slab has one entry; there the terms are added one slab at a time.
+    and add.  For n = 1, where a slab has one entry, einsum would walk the
+    basis index innermost, with its dot-product kernel, in another order;
+    there the terms are added one slab at a time.
     """
-    basis = np.ascontiguousarray(basis)
     k, n = basis.shape[:2]
     if n >= _GEMM_MIN_N:
         return (block @ basis.reshape(k, n * n)).reshape(-1, n, n)

@@ -304,22 +304,20 @@ T = TypeVar("T")
 
 
 class OperandAlgebra(Protocol[T]):
-    """Operations a chain needs: a basis stack, charged products, free
-    combinations and sums, and the stage blocks in the algebra's own
-    scalar type.
+    """Operations a chain needs: charged products, free combinations and
+    sums, and the stage blocks in the algebra's own scalar type.
 
-    basis(depth, *operands) is a stack of depth slabs: the identity, the
-    operands, then slabs for the chain to fill, which mul and add write
-    through out= (the slab itself, as numpy's out does).  lin(basis, block)
-    returns one combination of the basis's slabs per row of block.
+    A chain runs on a basis stack its caller builds (driver._basis): the
+    identity, the powers handed in, then slabs for the chain to fill, which
+    mul and add write through out= (the slab itself, as numpy's out does).
+    lin(basis, block) returns one combination of the basis's slabs per row
+    of block.
     solve(den, rhs1, rhs2) is the pair den^-1 rhs1, den^-1 rhs2.  A pair
     returns what it computed, a slab of its basis or a row of a stage
     among them; the driver decides what a returned pair may hold alive.
     """
 
     def constants(self, table: Constants) -> SimpleNamespace: ...
-
-    def basis(self, depth: int, *operands: T) -> Sequence[T]: ...
 
     def mul(self, p: T, q: T, out: T | None = None) -> T: ...
 
@@ -333,39 +331,23 @@ class OperandAlgebra(Protocol[T]):
 class MatrixAlgebra:
     """One call's dense-matrix algebra; every mul is charged to its ledger.
 
-    Chains read the float64 blocks.  A basis is one C-contiguous
-    (depth, n, n) array, so a stage's combinations are one
+    Chains read the float64 blocks.  A basis is a prefix of the call's
+    workspace, one C-contiguous (depth, n, n) array the driver makes
+    (driver._workspace), so a stage's combinations are one
     linear_combination over a prefix of it, and its rows (views into one
-    result array) are returned as they are.  The driver makes the call's
-    basis stack before it forms any power (workspace) and forms y and y^2
-    in its slabs 1 and 2, so basis hands back a prefix of it and copies
-    nothing.  structure is what every operand keeps from the call's input,
-    as every rational function of an upper-triangular (symmetric) matrix
-    is upper triangular (symmetric), and each product and solve takes the
-    kernels for it; no other layer reads it.
+    result array) are returned as they are.  The algebra holds the ledger
+    and structure alone: structure is what every operand keeps from the
+    call's input, as every rational function of an upper-triangular
+    (symmetric) matrix is upper triangular (symmetric), and each product
+    and solve takes the kernels for it; no other layer reads it.
     """
 
     def __init__(self, ledger: CostLedger, structure: Structure) -> None:
         self.ledger = ledger
         self._structure = structure
-        self._workspace: np.ndarray | None = None
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.floats
-
-    def workspace(self, depth: int, n: int) -> np.ndarray:
-        """The call's basis stack, made before its powers are: (depth, n, n),
-        the identity in slab 0 and the rest unwritten.  The caller forms
-        the operands of basis straight into slabs 1, 2, ..., in order, and
-        basis then returns the first depth slabs of this stack."""
-        stack = self._workspace = np.empty((depth, n, n))
-        stack[0] = 0.0
-        stack.ravel()[: n * n : n + 1] = 1.0  # slab 0's diagonal
-        return stack
-
-    def basis(self, depth: int, *operands: DenseMatrix) -> np.ndarray:
-        # the operands are the workspace's slabs 1, 2, ... already
-        return self._workspace[:depth]
 
     def mul(
         self, p: DenseMatrix, q: DenseMatrix, out: DenseMatrix | None = None

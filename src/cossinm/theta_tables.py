@@ -84,10 +84,11 @@ class ThetaTable:
     candidates holds, per entry, the flat tuple (theta, p, q of the cosine
     side, the same of the sine side, cost * cost_denominator, scheme) with
     integer costs, built once so that selection reads no property and does
-    no rational arithmetic.  step_bits is log2 of the
-    factor one doubling step takes off the norm the thresholds are in: 1
-    for the trigonometric pairs, 2 for the wave pair (halving t quarters
-    the even variable).  floor is the largest norm the cheapest entry
+    no rational arithmetic.  wave is whether the entries are the wave
+    pair's, read from the first entry's family once, here.  step_bits is
+    log2 of the factor one doubling step takes off the norm the thresholds
+    are in: 1 for the trigonometric pairs, 2 for the wave pair (halving t
+    quarters the even variable).  floor is the largest norm the cheapest entry
     covers with no step, whatever the norms of the powers.
     """
 
@@ -97,6 +98,7 @@ class ThetaTable:
         init=False, repr=False, compare=False
     )
     cost_denominator: int = field(init=False, repr=False, compare=False)
+    wave: bool = field(init=False, repr=False, compare=False)
     step_bits: int = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
 
@@ -119,6 +121,7 @@ class ThetaTable:
         wave = self.entries[0].scheme.family is SchemeFamily.WAVE_KERNEL
         den = math.lcm(*(F(e.cost).denominator for e in self.entries))
         object.__setattr__(self, "cost_denominator", den)
+        object.__setattr__(self, "wave", wave)
         object.__setattr__(self, "step_bits", 2 if wave else 1)
         object.__setattr__(self, "floor", self.entries[0].theta_eff)
         object.__setattr__(self, "candidates", tuple(

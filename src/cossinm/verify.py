@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .driver import _basis, _pair
+from .driver import _WORKSPACE_DEPTH, _basis, _pair
 from .matcore import DenseMatrix, as_matrix, identity, norm1
 from .schemes import (
     Constants,
@@ -153,9 +153,10 @@ _SOLVE_DEGREE = 319
 class PolyAlgebra:
     """Operand algebra over ScalarPoly: replays pairs to expose coefficients.
 
-    A basis is a list of polynomials, its unfilled slabs zero polynomials
-    that out= overwrites in place; lin sums each row's exact coefficients
-    term by term.  solve divides power series through degree _SOLVE_DEGREE.
+    A basis is a list of polynomials (_poly_stack), its unfilled slabs
+    zero polynomials that out= overwrites in place; lin sums each row's
+    exact coefficients term by term.  solve divides power series through
+    degree _SOLVE_DEGREE.
     A replayed pair returns the polynomials it computed, as a matrix pair
     does; what a returned matrix may share (no stack but its partner's
     (2, n, n) buffer) is the driver's rule alone, and no polynomial here
@@ -164,10 +165,6 @@ class PolyAlgebra:
 
     def constants(self, table: Constants) -> SimpleNamespace:
         return table.exact
-
-    def basis(self, depth: int, *operands: ScalarPoly) -> list[ScalarPoly]:
-        slabs = [ScalarPoly([1]), *operands]
-        return slabs + [ScalarPoly([]) for _ in range(depth - len(slabs))]
 
     @staticmethod
     def _into(value: ScalarPoly, out: ScalarPoly | None) -> ScalarPoly:
@@ -203,6 +200,12 @@ class PolyAlgebra:
         return _quotient(rhs1, den), _quotient(rhs2, den)
 
 
+def _poly_stack(depth: int, y: ScalarPoly) -> list[ScalarPoly]:
+    # a basis stack of depth slabs: 1, y, y^2, then zero polynomials
+    return [ScalarPoly([1]), y, y * y,
+            *(ScalarPoly([]) for _ in range(depth - 3))]
+
+
 def _quotient(num: ScalarPoly, den: ScalarPoly) -> ScalarPoly:
     # power-series long division through _SOLVE_DEGREE; den(0) != 0
     import mpmath
@@ -232,7 +235,7 @@ def extract_scheme_poly(scheme: SchemeId, which: Which) -> ScalarPoly:
     y = x if wave else x * x
     alg = PolyAlgebra()
     pair = _pair(scheme, 1 if wave else x, alg,
-                 _basis(scheme, alg, y, y * y))
+                 _basis(scheme, alg, _poly_stack(_WORKSPACE_DEPTH, y)))
     sine = which in (Which.SIN, Which.WAVE_S)
     return pair.sin_part if sine else pair.cos_part
 
@@ -243,7 +246,7 @@ def extract_sin9_poly() -> ScalarPoly:
     y = x * x
     alg = PolyAlgebra()
     # I, y, y^2, q, q9
-    _, sin_core = chain_deg4(alg, alg.basis(5, y, y * y), exact_sine=True)
+    _, sin_core = chain_deg4(alg, _poly_stack(5, y), exact_sine=True)
     return x * sin_core
 
 
@@ -252,7 +255,7 @@ def extract_wave_s34_poly() -> ScalarPoly:
     y = ScalarPoly([0, 1])
     alg = PolyAlgebra()
     # I, y, y^2, q
-    _, sin_core = chain_deg4(alg, alg.basis(4, y, y * y), exact_sine=False)
+    _, sin_core = chain_deg4(alg, _poly_stack(4, y), exact_sine=False)
     return sin_core
 
 

@@ -804,25 +804,43 @@ def test_huge_norm_selection_raises_no_overflow_warning(rng):
 @pytest.mark.parametrize("norm", [1e-6, 0.5, 40.0, 2.0 ** 400, 2.0 ** 600])
 def test_selection_forms_its_powers_in_the_pair_basis(monkeypatch, entry,
                                                       norm):
-    # y and y^2 are formed straight into slabs 1 and 2 of the workspace
-    # made before selection, and the basis the pair starts from is that
-    # workspace: at the floor, unscaled, scaled, with y^2 formed once s is
-    # chosen, and prescaled by 2^-p
-    seen = []
+    # the driver makes the call's workspace before any product, forms y
+    # and y^2 = y y straight into its slabs 1 and 2, and hands it to
+    # _basis, whose basis the pair starts from is a prefix of it: at the
+    # floor, unscaled, scaled, with y^2 formed once s is chosen, and
+    # prescaled by 2^-p
+    outs, made, seen = [], [], []
 
-    def spied(scheme, alg, y, y2, _basis=driver._basis):
-        basis = _basis(scheme, alg, y, y2)
-        seen.append((y, y2, basis))
-        return basis
+    def counted(*args, _matmul=schemes.matmul, **kwargs):
+        outs.append(kwargs["out"])
+        return _matmul(*args, **kwargs)
 
+    def workspace(n, _workspace=driver._workspace):
+        made.append((len(outs), _workspace(n)))
+        return made[-1][1]
+
+    def spied(scheme, alg, stack, _basis=driver._basis):
+        seen.append((stack, _basis(scheme, alg, stack)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(schemes, "matmul", counted)
+    monkeypatch.setattr(driver, "_workspace", workspace)
     monkeypatch.setattr(driver, "_basis", spied)
     a = np.random.default_rng(6).standard_normal((6, 6))
     _ENTRY_POINTS[entry](a * (norm / norm1(a)))
-    ((y, y2, basis),) = seen
-    for power, slab in ((y, basis[1]), (y2, basis[2])):
-        assert power.base is basis.base
-        assert (power.__array_interface__["data"]
-                == slab.__array_interface__["data"])
+    ((products_before, stack),) = made
+    ((handed, basis),) = seen
+    assert products_before == 0 and handed is stack
+    assert basis.base is stack
+    assert (basis.__array_interface__["data"]
+            == stack.__array_interface__["data"])
+    assert np.array_equal(basis[0], np.eye(6))
+    assert basis[2].tobytes() == (basis[1] @ basis[1]).tobytes()
+    written = {out.__array_interface__["data"][0] for out in outs
+               if out is not None}
+    assert stack[2].__array_interface__["data"][0] in written
+    if entry != "wave_cos_sin":
+        assert stack[1].__array_interface__["data"][0] in written
 
 
 @pytest.mark.parametrize("n", [1, 16, 64, 512])
@@ -990,8 +1008,12 @@ def test_the_wave_pair_is_never_shifted():
     assert wave_cos_sin(a, 1.0).shift == 0
 
 
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("t", [
+    math.inf, -math.inf, math.nan, pytest.param(10 ** 400, id="int-1e400"),
+    pytest.param(Fraction(10 ** 400), id="fraction-1e400")])
 def test_wave_rejects_a_nonfinite_time(t):
+    # an int or a Fraction past the largest double, which float() refuses
+    # with a bare OverflowError, is not finite either
     with pytest.raises(MatrixInputError, match="t must be finite"):
         wave_cos_sin(np.eye(2), t)
 

@@ -823,6 +823,34 @@ def test_no_library_default_that_every_library_call_overrides():
     assert unused == []
 
 
+def _is_stub(function):
+    # a body of ... alone, after any docstring: a Protocol's declaration
+    body = function.body[int(ast.get_docstring(function) is not None):]
+    return [ast.unparse(statement) for statement in body] == ["..."]
+
+
+def test_every_library_parameter_is_read():
+    # a parameter whose function or method never reads it is one no
+    # caller's value reaches; self and cls, and Protocol stubs, are exempt
+    unread = []
+    for path in sorted((ROOT / "src" / "cossinm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or _is_stub(node)):
+                continue
+            args = node.args
+            params = {arg.arg for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg,
+                args.kwarg) if arg is not None} - {"self", "cls"}
+            read = {name.id for statement in node.body
+                    for name in ast.walk(statement)
+                    if isinstance(name, ast.Name)
+                    and not isinstance(name.ctx, ast.Store)}
+            unread += [(path.name, node.lineno, node.name, param)
+                       for param in sorted(params - read)]
+    assert unread == []
+
+
 def _methods(tree, cls):
     """The names of the methods class cls of a module defines."""
     (node,) = [node for node in tree.body

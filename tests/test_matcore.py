@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cossinm import matcore, verify
+from cossinm import (
+    cos_sin,
+    matcore,
+    pade_cos_sin,
+    schemes,
+    verify,
+    wave_cos_sin,
+)
 from cossinm.matcore import (
     CostLedger,
     MatrixInputError,
@@ -166,17 +173,20 @@ def test_matmul_out_writes_the_product_into_a_slab(rng, upper):
         assert ledger.products == 1
 
 
-@pytest.mark.parametrize("into", ["a", "b", "strided"])
+@pytest.mark.parametrize("into", ["b", "strided"])
 def test_upper_matmul_into_an_operand_or_a_strided_out(rng, into):
-    # out overlapping either operand, or not C-contiguous, takes a copy of
-    # the result
+    # no library call hands matmul such an out (see
+    # test_library_calls_keep_the_kernels_contract), and an out that
+    # overlaps a is written wrong; b, each of whose row panels the tiles
+    # read before they write it, and a strided view, which each tile's
+    # np.matmul writes as it is, take the bytes of no out
     for n in _TILE_SIZES:
         a, b = _upper_pair(rng, n)
         want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
         if into == "strided":
             out = np.empty((n, 2 * n))[:, ::2]
         else:
-            out = {"a": a, "b": b}[into]
+            out = b
         got = matmul(a, b, CostLedger(), structure=Structure.UPPER, out=out)
         assert got is out
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -287,27 +297,25 @@ def test_upper_kernels_read_nothing_below_the_diagonal_tiles(rng, n):
         assert np.isfinite(got).all() and not np.tril(got, -1).any()
 
 
-@pytest.mark.parametrize("into", ["slab", "a", "b", "strided"])
+@pytest.mark.parametrize("into", ["slab", "b", "strided"])
 def test_banded_upper_matmul_into_a_slab_an_operand_or_a_strided_out(
         rng, into):
-    # a slab is written in place, out overlapping an operand takes a copy,
-    # and a strided out is written from a C-contiguous result: all give the
+    # a slab is written in place, and b and a strided view as
+    # test_upper_matmul_into_an_operand_or_a_strided_out says: all give the
     # bytes of no out, and a square (a is b) those of the same product
     for n in _TILE_SIZES:
         a, b = _band(rng, n, 24), _band(rng, n, 1)
         want = matmul(a, b, CostLedger(), structure=Structure.UPPER)
         square = matmul(a, a.copy(), CostLedger(), structure=Structure.UPPER)
         stack = np.full((3, n, n), np.nan)
-        out = {"slab": stack[1], "a": a, "b": b,
+        out = {"slab": stack[1], "b": b,
                "strided": np.empty((n, 2 * n))[:, ::2]}[into]
         got = matmul(a, b, CostLedger(), structure=Structure.UPPER, out=out)
         assert got is out
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
         assert np.isnan(stack[[0, 2]]).all()
-        if into != "a":
-            got = matmul(a, a, CostLedger(), structure=Structure.UPPER,
-                         out=out)
-            assert np.ascontiguousarray(got).tobytes() == square.tobytes()
+        got = matmul(a, a, CostLedger(), structure=Structure.UPPER, out=out)
+        assert np.ascontiguousarray(got).tobytes() == square.tobytes()
 
 
 def _symmetric_pair(rng, n):
@@ -356,24 +364,84 @@ def test_symmetric_matmul_matches_the_dense_product(rng):
             assert ledger.products == 1 and ledger.total_cost == Fraction(1)
 
 
-@pytest.mark.parametrize("square", [True, False], ids=["square", "panels"])
-@pytest.mark.parametrize("into", ["slab", "a", "b", "strided"])
-def test_symmetric_matmul_out(rng, square, into):
-    # a slab is written in place; out overlapping an operand takes a copy,
-    # and a strided out is written as it is
+@pytest.mark.parametrize("into, square", [
+    pytest.param("slab", True, id="slab-square"),
+    pytest.param("slab", False, id="slab-panels"),
+    pytest.param("a", False, id="a-panels"),
+    pytest.param("strided", False, id="strided-panels"),
+])
+def test_symmetric_matmul_out(rng, into, square):
+    # a slab is written in place; outside what library calls hand in (see
+    # test_library_calls_keep_the_kernels_contract), the row panels write
+    # a, each panel reading only its own rows of a, and a strided view as
+    # it is: all give the bytes of no out
     for n in _SYMMETRIC_SIZES:
         a, b = _symmetric_pair(rng, n)
         if square:
             b = a
         want = matmul(a, b, CostLedger(), structure=Structure.SYMMETRIC)
         stack = np.full((3, n, n), np.nan)
-        out = {"slab": stack[1], "a": a, "b": b,
+        out = {"slab": stack[1], "a": a,
                "strided": np.empty((n, 2 * n))[:, ::2]}[into]
         got = matmul(a, b, CostLedger(), structure=Structure.SYMMETRIC,
                      out=out)
         assert got is out
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
         assert np.isnan(stack[[0, 2]]).all()
+
+
+def _contract_inputs():
+    """Structured input at the kernels' crossovers, each scaled so that the
+    trigonometric calls reach the stacked doubling step (s >= 2), and small
+    dense input."""
+    rng = np.random.default_rng(33)
+    n = 224
+    jordan = np.diag(rng.uniform(-1.0, 1.0, n)) + np.eye(n, k=1)
+    b = rng.standard_normal((320, 320))
+    forms = {"triu": (np.triu(rng.standard_normal((n, n))), 96.0),
+             "jordan": (jordan, 12.0), "negdef": (-(b @ b.T), 60.0),
+             "dense-4": (rng.standard_normal((4, 4)), 30.0),
+             "dense-9": (rng.standard_normal((9, 9)), 30.0)}
+    return {name: a * (norm / norm1(a)) for name, (a, norm) in forms.items()}
+
+
+@pytest.mark.parametrize("name", ["triu", "jordan", "negdef", "dense-4",
+                                  "dense-9"])
+def test_library_calls_keep_the_kernels_contract(monkeypatch, name):
+    # every out the structured kernels get is None or C-contiguous and
+    # overlaps neither operand, and every basis linear_combination gets is
+    # C-contiguous, in the calls the library makes: selection, the chains,
+    # the Pade solves and both doubling steps
+    a = _contract_inputs()[name]
+    seen = []
+
+    def spy(kernel):
+        def spied(p, q, out):
+            seen.append((kernel.__name__, out is not None, out is None or (
+                out.flags.c_contiguous and not np.shares_memory(out, p)
+                and not np.shares_memory(out, q))))
+            return kernel(p, q, out)
+        return spied
+
+    def spied_combination(basis, block, _combine=schemes.linear_combination):
+        seen.append(("linear_combination", False, basis.flags.c_contiguous))
+        return _combine(basis, block)
+
+    for kernel in ("_upper_product", "_symmetric_product"):
+        monkeypatch.setattr(matcore, kernel, spy(getattr(matcore, kernel)))
+    # the chains call linear_combination by the name schemes imported
+    monkeypatch.setattr(schemes, "linear_combination", spied_combination)
+    reports = [cos_sin(a), pade_cos_sin(a), wave_cos_sin(a, 1.0)]
+    assert all(r.scaling_exponent >= 2 for r in reports[:2])
+    assert all(kept for _, _, kept in seen)
+    structured = {called for called, _, _ in seen} - {"linear_combination"}
+    if reports[0].structure == "dense":
+        assert structured == set()
+    else:
+        # each product into a slab, a stacked step's included, went through
+        # the one kernel the structure takes
+        assert structured == {f"_{reports[0].structure}_product"}
+        assert any(given for _, given, _ in seen)
 
 
 def test_norm1_is_max_column_sum(rng):
@@ -484,20 +552,17 @@ def test_linear_combination_from_the_gemm_crossover_keeps_the_sum_bound(
 
 
 def test_linear_combination_keeps_the_order_on_any_memory_layout(rng):
-    # stacks laid out with the basis index innermost, and transposed
-    # blocks, give the bits of the plain sums all the same
+    # a transposed block gives the bits of the plain sums all the same;
+    # the stack is C-contiguous, as every library call hands it in (see
+    # test_library_calls_keep_the_kernels_contract)
     for n in (2, 5, 9):
         for k in (3, 6):
             basis = rng.standard_normal((k, n, n))
             basis *= 10.0 ** rng.integers(-8, 9, (k, 1, 1))
             basis[0] = np.eye(n)
             block = rng.standard_normal((4, k))
-            want = _plain_sums(basis, block)
-            strided = np.moveaxis(np.moveaxis(basis, 0, 2).copy(), 2, 0)
-            assert not strided.flags.c_contiguous
-            for got in (linear_combination(strided, block),
-                        linear_combination(basis, np.asfortranarray(block))):
-                assert got.tobytes() == want.tobytes(), (n, k)
+            got = linear_combination(basis, np.asfortranarray(block))
+            assert got.tobytes() == _plain_sums(basis, block).tobytes()
 
 
 def test_cost_ledger_counts_products_as_an_int():
